@@ -1,15 +1,13 @@
 //! Criterion bench: the execution core's hot path — one shot of a
-//! DAQ-wait-bound feedback workload, cycle-stepped vs event-driven vs
-//! lowered.
+//! DAQ-wait-bound feedback workload, cycle-stepped vs lowered.
 //!
-//! The `*_event` variants must come out far ahead of their `*_cycle`
-//! twins (≥ 5x on the MRCE chain): the workload spends most of every
-//! round stalled on the acquisition chain, and the event core jumps
-//! those spans instead of ticking them. The `*_lowered` variants run the
-//! same workloads on the pre-resolved micro-op array and should beat
-//! `*_event`; `*_lowered_arena` adds per-worker scratch reuse on top
-//! (no per-shot machine construction), and the `lowering` rows price the
-//! one-time compile-side lowering cost those savings amortise.
+//! The `*_lowered` variants must come out far ahead of their `*_cycle`
+//! twins: the workload spends most of every round stalled on the
+//! acquisition chain, and the lowered core jumps those spans instead of
+//! ticking them, on a pre-resolved micro-op array. `*_lowered_arena`
+//! adds per-worker scratch reuse on top (no per-shot machine
+//! construction), and the `lowering` rows price the one-time
+//! compile-side lowering cost those savings amortise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quape_core::{CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, StepMode};
@@ -82,7 +80,6 @@ fn bench(c: &mut Criterion) {
     let fig02 = CompiledJob::compile(cfg.clone(), conditional_x(0).expect("valid workload"))
         .expect("job compiles");
     shot_bench(c, "fig02_shot_cycle", &fig02, StepMode::Cycle);
-    shot_bench(c, "fig02_shot_event", &fig02, StepMode::EventDriven);
     shot_bench(c, "fig02_shot_lowered", &fig02, StepMode::Lowered);
 
     let fmr = CompiledJob::compile(
@@ -91,18 +88,10 @@ fn bench(c: &mut Criterion) {
     )
     .expect("job compiles");
     shot_bench(c, "fmr_chain1k_cycle", &fmr, StepMode::Cycle);
-    shot_bench(c, "fmr_chain1k_event", &fmr, StepMode::EventDriven);
+    shot_bench(c, "fmr_chain1k_lowered", &fmr, StepMode::Lowered);
     // Lean (summary-only) reports: the batch/serving default. The chain
     // workload's dominant report cost is the measure-wait trace, which
     // lean mode never materialises.
-    shot_bench_with(
-        c,
-        "fmr_chain1k_event_lean",
-        &fmr,
-        StepMode::EventDriven,
-        ReportMode::Lean,
-    );
-    shot_bench(c, "fmr_chain1k_lowered", &fmr, StepMode::Lowered);
     shot_bench_with(
         c,
         "fmr_chain1k_lowered_lean",
@@ -119,7 +108,6 @@ fn bench(c: &mut Criterion) {
     )
     .expect("job compiles");
     shot_bench(c, "mrce_chain1k_cycle", &mrce, StepMode::Cycle);
-    shot_bench(c, "mrce_chain1k_event", &mrce, StepMode::EventDriven);
     shot_bench(c, "mrce_chain1k_lowered", &mrce, StepMode::Lowered);
     arena_bench(c, "mrce_chain1k_lowered_arena", &mrce);
 
@@ -134,16 +122,8 @@ fn bench(c: &mut Criterion) {
     )
     .expect("job compiles");
     shot_bench(c, "awg_playback_cycle", &awg, StepMode::Cycle);
-    shot_bench(c, "awg_playback_event", &awg, StepMode::EventDriven);
     // Lean mode on the playback-bound workload: the issued-op log and
     // the AWG playback timeline are its big report vectors.
-    shot_bench_with(
-        c,
-        "awg_playback_event_lean",
-        &awg,
-        StepMode::EventDriven,
-        ReportMode::Lean,
-    );
     shot_bench_with(
         c,
         "awg_playback_lowered_lean",

@@ -2,22 +2,18 @@
 //! the total at ≈ 450 ns on the prototype).
 //!
 //! Usage: `fig02_feedback_latency [--json] [--json-out <path>]
-//! [--compare-step-modes] [--repeats <k>] [--min-speedup <x>]
-//! [--min-lowered-speedup <x>]`.
+//! [--compare-step-modes] [--repeats <k>] [--min-speedup <x>]`.
 //!
 //! `--compare-step-modes` instead benchmarks the execution core: it runs
-//! the DAQ-wait-bound feedback workloads under `StepMode::Cycle`,
-//! `StepMode::EventDriven` and `StepMode::Lowered`, asserts their
-//! aggregates agree, and prints wall time and shots/sec per mode.
+//! the feedback workloads under `StepMode::Cycle` and `StepMode::Lowered`,
+//! asserts their aggregates agree, and prints shots/sec per mode.
 //! `--json-out BENCH_engine.json` is the one-command refresh of the
 //! committed baseline, and `--min-speedup 1.0` turns the run into a CI
-//! gate that fails when any event-vs-cycle speedup drops below the
-//! threshold (a correctness-of-claim check: event-driven must never be
-//! slower than the cycle oracle). `--min-lowered-speedup 1.0` gates the
-//! lowered-vs-event-driven speedup the same way on the feedback-chain
-//! rows (pre-decoding must never cost throughput); pair either gate with
-//! `--repeats 3` so each mode reports its fastest pass and one noisy
-//! scheduling slice on a shared runner cannot flake the gate.
+//! gate that fails when any lowered-vs-cycle speedup drops below the
+//! threshold times the row's gate floor (a correctness-of-claim check:
+//! the fast path must never be slower than the cycle oracle). Pair the
+//! gate with `--repeats 3` so each mode reports its fastest pass and one
+//! noisy scheduling slice on a shared runner cannot flake the gate.
 
 use quape_bench::fig02;
 use quape_bench::table::{to_json, write_json, TextTable};
@@ -29,7 +25,6 @@ struct Args {
     compare: bool,
     repeats: u64,
     min_speedup: Option<f64>,
-    min_lowered_speedup: Option<f64>,
 }
 
 fn parse_args() -> Args {
@@ -39,7 +34,6 @@ fn parse_args() -> Args {
         compare: false,
         repeats: 1,
         min_speedup: None,
-        min_lowered_speedup: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -57,11 +51,6 @@ fn parse_args() -> Args {
                 let v = it.next().expect("--min-speedup needs a number");
                 args.min_speedup = Some(v.parse().expect("--min-speedup needs a number"));
             }
-            "--min-lowered-speedup" => {
-                let v = it.next().expect("--min-lowered-speedup needs a number");
-                args.min_lowered_speedup =
-                    Some(v.parse().expect("--min-lowered-speedup needs a number"));
-            }
             other => {
                 eprintln!("unknown flag `{other}`");
                 std::process::exit(2);
@@ -75,7 +64,7 @@ fn main() {
     let args = parse_args();
     let cfg = QuapeConfig::uniprocessor();
     if args.compare {
-        let results = fig02::compare_step_modes_best_of(&cfg, 1, args.repeats);
+        let results = fig02::compare_executors(&cfg, 1, args.repeats);
         if let Some(path) = &args.json_out {
             write_json(path, &results);
         }
@@ -89,10 +78,8 @@ fn main() {
                 "shots",
                 "p50 cycles",
                 "cycle shots/s",
-                "event shots/s",
                 "lowered shots/s",
                 "speedup",
-                "lowered speedup",
             ]);
             for r in &results {
                 t.row([
@@ -101,10 +88,8 @@ fn main() {
                     r.shots.to_string(),
                     r.p50_cycles.to_string(),
                     format!("{:.0}", r.cycle_shots_per_sec),
-                    format!("{:.0}", r.event_shots_per_sec),
                     format!("{:.0}", r.lowered_shots_per_sec),
                     format!("{:.2}x", r.speedup),
-                    format!("{:.2}x", r.lowered_speedup),
                 ]);
             }
             println!("{}", t.render());
@@ -112,7 +97,7 @@ fn main() {
         if let Some(min) = args.min_speedup {
             // Each workload's threshold is `--min-speedup` scaled by its
             // gate_floor (1.0 for the wait-dominated workloads, 0.9 for
-            // the by-design near-parity pulse train).
+            // the device-saturated pulse train).
             let failing: Vec<&fig02::StepModeComparison> = results
                 .iter()
                 .filter(|r| r.speedup < min * r.gate_floor)
@@ -120,7 +105,7 @@ fn main() {
             if !failing.is_empty() {
                 for r in &failing {
                     eprintln!(
-                        "FAIL: {} event-vs-cycle speedup {:.3} < required {:.3}",
+                        "FAIL: {} lowered-vs-cycle speedup {:.3} < required {:.3}",
                         r.workload,
                         r.speedup,
                         min * r.gate_floor
@@ -130,30 +115,6 @@ fn main() {
             }
             eprintln!(
                 "all {} workloads at speedup >= {min:.2} x their gate floor",
-                results.len()
-            );
-        }
-        if let Some(min) = args.min_lowered_speedup {
-            // The lowered gate applies to the feedback-chain rows (gate
-            // floor 1.0) — the pre-decode claim is about dispatch-heavy
-            // workloads; the near-parity pulse train keeps its 0.9 floor.
-            let failing: Vec<&fig02::StepModeComparison> = results
-                .iter()
-                .filter(|r| r.lowered_speedup < min * r.gate_floor)
-                .collect();
-            if !failing.is_empty() {
-                for r in &failing {
-                    eprintln!(
-                        "FAIL: {} lowered-vs-event speedup {:.3} < required {:.3}",
-                        r.workload,
-                        r.lowered_speedup,
-                        min * r.gate_floor
-                    );
-                }
-                std::process::exit(1);
-            }
-            eprintln!(
-                "all {} workloads at lowered speedup >= {min:.2} x their gate floor",
                 results.len()
             );
         }

@@ -59,8 +59,7 @@ pub fn mean_total_with_jitter(cfg: &QuapeConfig, runs: usize) -> f64 {
     total as f64 / runs as f64
 }
 
-/// Host-side wall-time comparison of the three step modes on one
-/// workload.
+/// Host-side wall-time comparison of the two executors on one workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StepModeComparison {
     /// Workload name.
@@ -71,26 +70,22 @@ pub struct StepModeComparison {
     pub shots: u64,
     /// Median simulated cycles per shot.
     pub p50_cycles: u64,
-    /// Cycle-stepped host throughput.
+    /// Cycle-stepped reference host throughput.
     pub cycle_shots_per_sec: f64,
-    /// Event-driven host throughput.
-    pub event_shots_per_sec: f64,
     /// Lowered (micro-op fast path) host throughput.
     pub lowered_shots_per_sec: f64,
-    /// Event-driven over cycle-stepped speedup.
+    /// Lowered over cycle-stepped speedup.
     pub speedup: f64,
-    /// Lowered over event-driven speedup (the pre-decode win).
-    pub lowered_speedup: f64,
     /// Per-workload floor the CI gate scales its `--min-speedup` by:
-    /// 1.0 for the wait-dominated workloads the event-driven claim is
-    /// about, 0.9 for the device-saturated pulse train where the two
-    /// modes are near parity *by design* (almost nothing to skip) and a
-    /// strict ≥ 1.0 gate would flake on sub-percent host noise.
+    /// 1.0 for the wait-dominated workloads, 0.9 for the
+    /// device-saturated pulse train where there is almost no idle time
+    /// to skip, so a strict ≥ 1.0 gate would rest on the pre-decode win
+    /// alone.
     pub gate_floor: f64,
 }
 
 /// Runs `shots` single-thread shots of a feedback workload under both
-/// step modes and reports throughput, keeping each mode's fastest of
+/// executors and reports throughput, keeping each mode's fastest of
 /// `repeats` passes (the simulated work is deterministic, so repeat
 /// variance is pure host noise — best-of makes the speedup a property
 /// of the execution core, not of the machine's scheduler). Panics if
@@ -115,33 +110,20 @@ fn compare_one(
             .run(shots)
     };
     let mut cycle = run(StepMode::Cycle);
-    let mut event = run(StepMode::EventDriven);
     let mut lowered = run(StepMode::Lowered);
     assert_eq!(
-        cycle.aggregate, event.aggregate,
-        "step modes must agree on {workload}"
-    );
-    assert_eq!(
         cycle.aggregate, lowered.aggregate,
-        "lowered mode must agree on {workload}"
+        "step modes must agree on {workload}"
     );
     for _ in 1..repeats.max(1) {
         let c = run(StepMode::Cycle);
-        let e = run(StepMode::EventDriven);
         let l = run(StepMode::Lowered);
         assert_eq!(
-            c.aggregate, e.aggregate,
-            "step modes must agree on {workload}"
-        );
-        assert_eq!(
             c.aggregate, l.aggregate,
-            "lowered mode must agree on {workload}"
+            "step modes must agree on {workload}"
         );
         if c.wall_time < cycle.wall_time {
             cycle = c;
-        }
-        if e.wall_time < event.wall_time {
-            event = e;
         }
         if l.wall_time < lowered.wall_time {
             lowered = l;
@@ -151,31 +133,22 @@ fn compare_one(
         workload: workload.to_string(),
         rounds,
         shots,
-        p50_cycles: event.aggregate.cycles.p50,
+        p50_cycles: lowered.aggregate.cycles.p50,
         cycle_shots_per_sec: cycle.shots_per_sec(),
-        event_shots_per_sec: event.shots_per_sec(),
         lowered_shots_per_sec: lowered.shots_per_sec(),
-        speedup: event.shots_per_sec() / cycle.shots_per_sec(),
-        lowered_speedup: lowered.shots_per_sec() / event.shots_per_sec(),
+        speedup: lowered.shots_per_sec() / cycle.shots_per_sec(),
         gate_floor,
     }
 }
 
-/// The `--compare-step-modes` suite: cycle-stepped vs event-driven wall
-/// time on the Fig. 2 round trip and on deep FMR/MRCE feedback chains
-/// (where per-shot cost is simulation-dominated). `scale` multiplies the
-/// shot counts (1 = the committed-baseline workload sizes); see
-/// [`compare_step_modes_best_of`] for the noise-robust variant CI gates
-/// on.
-pub fn compare_step_modes(cfg_base: &QuapeConfig, scale: u64) -> Vec<StepModeComparison> {
-    compare_step_modes_best_of(cfg_base, scale, 1)
-}
-
-/// [`compare_step_modes`] with each mode reporting its fastest of
-/// `repeats` passes per workload — the form the CI `bench-smoke` gate
-/// runs, so a single noisy pass on a shared runner cannot push a real
-/// ≥ 1× speedup below the threshold.
-pub fn compare_step_modes_best_of(
+/// The `--compare-step-modes` suite: cycle-stepped vs lowered wall time
+/// on the Fig. 2 round trip, on deep FMR/MRCE feedback chains (where
+/// per-shot cost is simulation-dominated) and on a dense pulse train.
+/// `scale` multiplies the shot counts (1 = the committed-baseline
+/// workload sizes); each mode reports its fastest of `repeats` passes
+/// per workload, so a single noisy pass on a shared runner cannot push
+/// a real ≥ 1× speedup below the CI `bench-smoke` threshold.
+pub fn compare_executors(
     cfg_base: &QuapeConfig,
     scale: u64,
     repeats: u64,

@@ -10,9 +10,7 @@
 //! diverges: the sweep doubles as a determinism check across the whole
 //! declarative config surface.
 
-use quape_core::{
-    BatchAggregate, CompiledJob, MachineDescription, QuapeConfig, ShotEngine, StepMode,
-};
+use quape_core::{BatchAggregate, CompiledJob, MachineDescription, QuapeConfig, ShotEngine};
 use quape_isa::content_hash_128;
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_workloads::feedback::feedback_chain;
@@ -203,7 +201,6 @@ fn workload_grid(seed: u64) -> Vec<Workload> {
 
 fn run_cell(
     cfg: &QuapeConfig,
-    step_mode: StepMode,
     workload: &Workload,
     base_seed: u64,
 ) -> Result<Vec<BatchAggregate>, String> {
@@ -218,7 +215,6 @@ fn run_cell(
                 BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
             Ok(ShotEngine::new(job, factory)
                 .base_seed(base_seed + i as u64)
-                .step_mode(step_mode)
                 .threads(1)
                 .run(*shots)
                 .aggregate)
@@ -266,10 +262,10 @@ pub fn run_sweep(
             .to_config()
             .map_err(|e| format!("machine {}: {e}", m.name))?;
         for workload in &grid {
-            let first = run_cell(&cfg, m.desc.step_mode, workload, seed)
-                .map_err(|e| format!("machine {}: {e}", m.name))?;
+            let first =
+                run_cell(&cfg, workload, seed).map_err(|e| format!("machine {}: {e}", m.name))?;
             for rerun in 1..repeats {
-                let again = run_cell(&cfg, m.desc.step_mode, workload, seed)
+                let again = run_cell(&cfg, workload, seed)
                     .map_err(|e| format!("machine {}: {e}", m.name))?;
                 if again != first {
                     return Err(format!(

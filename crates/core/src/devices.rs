@@ -36,7 +36,7 @@ pub struct MrrEntry {
 /// by every processor (processors only read it, so sharing is safe —
 /// §5.2.4). Registers live in a flat, qubit-indexed table: reads are a
 /// bounds-checked load, which matters because both the FMR retry path and
-/// the event-driven skip check consult the file on their hottest cycles.
+/// the lowered loop's skip check consult the file on their hottest cycles.
 #[derive(Debug, Clone, Default)]
 pub struct MeasurementFile {
     entries: Vec<MrrEntry>,
@@ -228,7 +228,7 @@ impl Daq {
     }
 
     /// Delivery time of the earliest in-flight result, if any — the DAQ's
-    /// contribution to the event-driven run loop's horizon.
+    /// contribution to the lowered run loop's time-skip horizon.
     pub fn next_delivery_ns(&self) -> Option<u64> {
         self.pending.front().map(|p| p.deliver_at_ns)
     }
@@ -384,7 +384,7 @@ fn waveform_id(op: &QuantumOp) -> u16 {
 /// conflicts are flagged **at the device** ([`AwgViolation`]), keeps the
 /// in-flight playbacks in an end-time-ordered queue, and exposes the
 /// earliest playback end as [`AwgBank::next_event_ns`] — the AWG's
-/// contribution to the event-driven run loop's horizon.
+/// contribution to the lowered run loop's time-skip horizon.
 #[derive(Debug, Clone)]
 pub struct AwgBank {
     timings: OpTimings,
@@ -590,7 +590,7 @@ impl AwgBank {
     }
 
     /// End time of the earliest in-flight playback, if any — the AWG's
-    /// contribution to the event-driven run loop's horizon.
+    /// contribution to the lowered run loop's time-skip horizon.
     pub fn next_event_ns(&self) -> Option<u64> {
         self.active_ends.front().copied()
     }

@@ -483,7 +483,7 @@ impl ShotEngine {
     ///
     /// Defaults: automatic thread count (`available_parallelism`), base
     /// seed from the job's config, 10-million-cycle budget per shot, and
-    /// event-driven stepping.
+    /// the lowered executor ([`StepMode::Lowered`]).
     pub fn new(job: CompiledJob, factory: impl QpuFactory + 'static) -> Self {
         let base_seed = job.cfg().seed;
         ShotEngine {
@@ -516,10 +516,10 @@ impl ShotEngine {
         self
     }
 
-    /// Sets how shots advance time. [`StepMode::EventDriven`] (the
-    /// default) skips provably idle spans; [`StepMode::Cycle`] is the
-    /// bit-identical slow oracle for differential testing and perf
-    /// comparisons.
+    /// Sets which executor runs the shots. [`StepMode::Lowered`] (the
+    /// default) runs pre-decoded micro-ops and skips provably idle spans;
+    /// [`StepMode::Cycle`] is the bit-identical slow oracle for
+    /// differential testing and perf comparisons.
     pub fn step_mode(mut self, step_mode: StepMode) -> Self {
         self.step_mode = step_mode;
         self

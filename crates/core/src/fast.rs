@@ -17,13 +17,19 @@
 //!   instead of cloning `Arc` slices.
 //!
 //! Everything observable — counters, event timelines, RNG draw order,
-//! stall accounting, the event-horizon skip logic — matches the reference
-//! processor bit for bit; the three-way step-mode equivalence tests and
-//! the `debug_assertions` cross-checks in the run loop enforce it.
+//! stall accounting — matches the reference processor bit for bit; the
+//! Cycle-vs-Lowered step-mode equivalence tests and the
+//! `debug_assertions` cross-checks in the run loop enforce it.
+//!
+//! Unlike the reference processor, this one also carries the time-skip
+//! machinery of the lowered run loop: [`StallFlags`] recorded at the
+//! stall bump sites, the trusted [`FastProcessor::skip_check`], its
+//! from-first-principles verifier [`FastProcessor::stall_info`], and
+//! [`FastProcessor::account_stall_span`] for bulk accounting.
 
 use crate::config::QuapeConfig;
 use crate::devices::MeasurementFile;
-use crate::processor::{Env, ProcessorCore, StallFlags, StallInfo};
+use crate::processor::{Env, ProcessorCore};
 use crate::report::{ProcessorStats, StepDispatch};
 use quape_isa::{
     micro_flags as f, BlockId, CondOp, LoweredProgram, MicroOp, MicroWord, QuantumOp, Qubit,
@@ -67,7 +73,7 @@ struct FastContext {
 }
 
 /// Execution state (fast-path copy of the reference `State`; absolute
-/// deadlines so the event-driven skip can jump over countdowns).
+/// deadlines so the time skip can jump over countdowns).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum State {
     Idle,
@@ -98,6 +104,39 @@ struct FastTimedOp {
 struct FastSlot {
     addr: u32,
     flags: u8,
+}
+
+/// Per-cycle stall counters the last tick bumped, recorded at the bump
+/// sites so the run loop's time skip can replicate them in bulk without
+/// re-deriving the dispatch decision.
+#[derive(Debug, Clone, Copy, Default)]
+struct StallFlags {
+    /// Bumped `measure_wait_cycles` and recorded a wait cycle.
+    measure_wait: bool,
+    /// Bumped `context_dependency_stalls`.
+    context_stall: bool,
+}
+
+/// Verdict of [`FastProcessor::stall_info`]: the processor provably does
+/// nothing this cycle except the flagged per-cycle counter bumps, until
+/// `horizon` (or an external event) arrives.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StallInfo {
+    /// Earliest future cycle at which this processor itself acts
+    /// (timing-queue head, switch deadline). `None`: externally driven.
+    pub horizon: Option<u64>,
+    /// Stalled on an invalid measurement result (FMR / blocked MRCE):
+    /// bumps `measure_wait_cycles` and records one wait-cycle per cycle.
+    pub measure_wait: bool,
+    /// Quantum dispatch blocked by a parked MRCE context on the same
+    /// qubits: bumps `context_dependency_stalls` per cycle.
+    pub context_stall: bool,
+}
+
+impl StallInfo {
+    fn merge_horizon(&mut self, at: u64) {
+        self.horizon = Some(self.horizon.map_or(at, |h| h.min(at)));
+    }
 }
 
 /// The lowered-program processing unit. See the module docs.
@@ -729,9 +768,16 @@ impl FastProcessor {
         }
     }
 
-    /// Trusted cycle-dependent skip check (port of the reference
-    /// `skip_check`; same contract).
-    fn skip_check(&self, cycle: u64) -> Option<StallInfo> {
+    /// The cycle-*dependent* half of the skip check, used on the trusted
+    /// path: the immediately preceding tick made no observable progress,
+    /// which proves the cycle-independent state (dispatch, fetch, context
+    /// resolution) inactive and leaves only this processor's clocked
+    /// events to bound the jump. Returns `None` when one of them is due
+    /// at `cycle` (the run loop must step), otherwise the stall verdict
+    /// with the per-cycle counters the previous tick recorded.
+    /// [`FastProcessor::stall_info`] is the from-first-principles verifier
+    /// this is cross-checked against under `debug_assertions`.
+    pub(crate) fn skip_check(&self, cycle: u64) -> Option<StallInfo> {
         let mut stall = StallInfo {
             horizon: None,
             measure_wait: self.stall_flags.measure_wait,
@@ -761,9 +807,23 @@ impl FastProcessor {
         Some(stall)
     }
 
-    /// From-first-principles stall verifier (port of the reference
-    /// `stall_info`; same contract and soundness argument).
-    fn stall_info(
+    /// Read-only twin of [`FastProcessor::tick`]: decides whether the tick
+    /// at `cycle` would make *observable progress* (issue, dispatch,
+    /// fetch, state transition, context resolution, block completion).
+    ///
+    /// Returns `None` when it would — the run loop must then step
+    /// normally. Returns `Some(stall)` when the tick is provably a pure
+    /// stall whose only effects are deterministic per-cycle counter bumps
+    /// (`measure_wait` ⇒ `measure_wait_cycles` + one `wait_cycles` entry,
+    /// `context_stall` ⇒ `context_dependency_stalls`), together with the
+    /// earliest future cycle at which this processor *itself* could act
+    /// (`horizon`; `None` = only external events can wake it).
+    ///
+    /// Soundness: a stall verdict only remains valid while no external
+    /// state changes. The run loop therefore also bounds the skip by the
+    /// DAQ's next delivery and the scheduler's next event, and re-checks
+    /// every processor after each jump.
+    pub(crate) fn stall_info(
         &self,
         cycle: u64,
         mrr: &MeasurementFile,
@@ -879,6 +939,17 @@ impl FastProcessor {
         }
         Some(stall)
     }
+
+    /// Bulk-accounts `span` skipped stall cycles: the per-cycle counters a
+    /// cycle-stepped run would have accumulated.
+    pub(crate) fn account_stall_span(&mut self, stall: &StallInfo, span: u64) {
+        if stall.measure_wait {
+            self.stats.measure_wait_cycles += span;
+        }
+        if stall.context_stall {
+            self.stats.context_dependency_stalls += span;
+        }
+    }
 }
 
 impl ProcessorCore for FastProcessor {
@@ -886,28 +957,6 @@ impl ProcessorCore for FastProcessor {
 
     fn tick(&mut self, cycle: u64, env: &mut Env<'_>) -> bool {
         FastProcessor::tick(self, cycle, env)
-    }
-
-    fn skip_check(&self, cycle: u64) -> Option<StallInfo> {
-        FastProcessor::skip_check(self, cycle)
-    }
-
-    fn stall_info(
-        &self,
-        cycle: u64,
-        mrr: &MeasurementFile,
-        cfg: &QuapeConfig,
-    ) -> Option<StallInfo> {
-        FastProcessor::stall_info(self, cycle, mrr, cfg)
-    }
-
-    fn account_stall_span(&mut self, stall: &StallInfo, span: u64) {
-        if stall.measure_wait {
-            self.stats.measure_wait_cycles += span;
-        }
-        if stall.context_stall {
-            self.stats.context_dependency_stalls += span;
-        }
     }
 
     fn is_idle(&self) -> bool {

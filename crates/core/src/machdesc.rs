@@ -24,7 +24,6 @@
 //! presets are thin wrappers over them, so the description layer is the
 //! single source of truth for machine shapes.
 
-use crate::machine::StepMode;
 use crate::QuapeConfig;
 use quape_isa::{DependencyMode, OpTimings};
 use serde::{Deserialize, Serialize};
@@ -131,9 +130,6 @@ pub struct MachineDescription {
     pub daq: DaqDesc,
     /// Nominal quantum-operation durations.
     pub timings: OpTimings,
-    /// Default run-loop step mode for jobs on this machine (a run-time
-    /// default, not part of the compile-cache digest).
-    pub step_mode: StepMode,
 }
 
 /// Why a [`MachineDescription`] is not a valid machine.
@@ -228,7 +224,6 @@ impl MachineDescription {
                 two_qubit_ns: 40,
                 readout_pulse_ns: 300,
             },
-            step_mode: StepMode::EventDriven,
         }
     }
 
@@ -323,7 +318,6 @@ impl MachineDescription {
                 demod_slots: cfg.daq_demod_slots,
             },
             timings: cfg.timings,
-            step_mode: StepMode::default(),
         }
     }
 

@@ -10,6 +10,14 @@
 //! one job and then run thousands of shots from it (see
 //! [`crate::ShotEngine`]).
 //!
+//! A shot runs on one of two executors ([`StepMode`]). The default,
+//! [`StepMode::Lowered`], walks the job's pre-decoded micro-ops on the
+//! fast core and jumps the clock over provably idle spans.
+//! [`StepMode::Cycle`] ticks the reference processor, which decodes
+//! [`Instruction`] words itself, on every cycle; it shares no code with
+//! the lowering pass and is the oracle the differential suites compare
+//! the fast path against.
+//!
 //! [`Machine`] remains the single-shot convenience wrapper the rest of
 //! the workspace was written against: `Machine::new(cfg, program, qpu)`
 //! compiles a job and builds its one shot.
@@ -17,8 +25,8 @@
 use crate::backend::QpuBackend;
 use crate::config::QuapeConfig;
 use crate::devices::{AwgBank, ChannelMap, Daq, MeasurementFile};
-use crate::fast::FastProcessor;
-use crate::processor::{Env, Processor, ProcessorCore, StallInfo};
+use crate::fast::{FastProcessor, StallInfo};
+use crate::processor::{Env, Processor, ProcessorCore};
 use crate::report::{MachineStats, RunReport, StepDispatch, StopReason};
 use crate::scheduler::Scheduler;
 use quape_isa::{
@@ -30,25 +38,23 @@ use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 
-/// How a run loop advances the machine clock.
+/// Which executor runs a shot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum StepMode {
-    /// Tick every component on every clock cycle. Kept as the
-    /// differential-testing oracle for [`StepMode::EventDriven`].
+    /// The reference processor decodes [`Instruction`] words itself and
+    /// every component ticks on every clock cycle. Independent of the
+    /// lowering pass, so it is the differential-testing oracle for
+    /// [`StepMode::Lowered`].
     Cycle,
-    /// Cycle-accurate discrete-event execution: when every component is
-    /// provably idle this cycle, jump the clock straight to the earliest
-    /// event horizon (DAQ delivery, timing-queue head, scheduler fill
-    /// completion, switch deadline) instead of stepping through the idle
-    /// span. Produces bit-identical [`RunReport`]s to [`StepMode::Cycle`].
-    #[default]
-    EventDriven,
-    /// Pre-decoded micro-op fast path: the shot executes the job's
+    /// Pre-decoded micro-op executor: the shot runs the job's
     /// [`LoweredProgram`] — operands pre-resolved, durations baked in,
-    /// dispatch predicates pre-classified into flag bits — with the same
-    /// event-horizon skip logic as [`StepMode::EventDriven`]. Produces
-    /// bit-identical [`RunReport`]s to both other modes
-    /// (differential-tested); request it when shot throughput matters.
+    /// dispatch predicates pre-classified into flag bits — and, when
+    /// every component is provably idle, jumps the clock straight to the
+    /// earliest event horizon (DAQ delivery, timing-queue head, scheduler
+    /// fill completion, switch deadline) instead of stepping through the
+    /// idle span. Produces bit-identical [`RunReport`]s to
+    /// [`StepMode::Cycle`] (differential-tested).
+    #[default]
     Lowered,
 }
 
@@ -77,8 +83,8 @@ pub enum ReportMode {
 
 /// A per-shot event trace: a plain `Vec` in full mode, a no-op sink in
 /// lean mode. Backs the report's `wait_cycles` (pushed from the
-/// processors' stall paths and bulk-filled by the event-driven skip)
-/// and `step_dispatches` (pushed per quantum dispatch) vectors.
+/// processors' stall paths and bulk-filled by the lowered loop's time
+/// skip) and `step_dispatches` (pushed per quantum dispatch) vectors.
 #[derive(Debug, Default)]
 pub(crate) struct EventSink<T> {
     events: Vec<T>,
@@ -426,7 +432,7 @@ pub(crate) struct ShotCore<P: ProcessorCore> {
     late_issues: u64,
     late_cycles: u64,
     measurements: Vec<MeasurementRecord>,
-    /// Scratch for `try_skip`'s per-processor stall verdicts
+    /// Scratch for the lowered loop's per-processor stall verdicts
     /// (allocated once per shot, reused across skip checks).
     skip_scratch: Vec<StallInfo>,
 }
@@ -444,10 +450,8 @@ impl<P: ProcessorCore> ShotCore<P> {
 
     /// One clock cycle, returning a *progress hint*: `false` means no
     /// component observably acted (delivery, block event, issue, dispatch,
-    /// fetch, state transition), so the coming cycles are skip candidates.
-    /// The hint is a heuristic for the event-driven loop — `try_skip`
-    /// independently re-proves any skip, so false positives merely cost a
-    /// stepped cycle.
+    /// fetch, state transition), so the stop conditions cannot have
+    /// changed.
     fn step_with_progress(&mut self) -> bool {
         let now = self.cycle;
         let cfg: &QuapeConfig = &self.job.cfg;
@@ -456,8 +460,7 @@ impl<P: ProcessorCore> ShotCore<P> {
         // AWG playback: retire waveforms that finished by this cycle.
         // Retirement is *not* observable progress — it has no
         // report-visible effect and no stop condition reads the playback
-        // queue — so a tick that only retires keeps the loop in its
-        // skip-eligible state instead of forcing a fully-checked cycle.
+        // queue.
         self.awg.tick(now * cfg.clock_ns);
         // Every observable scheduler action records a block event.
         let events = self.scheduler.events.len();
@@ -510,16 +513,13 @@ impl<P: ProcessorCore> ShotCore<P> {
             && self.daq.in_flight() == 0
     }
 
-    /// Runs until completion, a `HALT`, an error, or the cycle budget.
-    /// `skip = true` is the event-driven loop (time jumps over provably
-    /// idle spans); `skip = false` is the cycle-stepped oracle. Both
-    /// produce bit-identical reports.
-    pub(crate) fn run_loop(mut self, skip: bool, max_cycles: u64) -> RunReport {
+    /// Runs until completion, a `HALT`, an error, or the cycle budget,
+    /// stepping every cycle — the [`StepMode::Cycle`] oracle.
+    pub(crate) fn run_loop(mut self, max_cycles: u64) -> RunReport {
         // `maybe_stalled` tracks whether the previous cycle observably
         // did nothing. While it holds, the stop conditions cannot have
         // changed (their inputs are all observable state), so only the
-        // cycle budget needs re-checking — and, when skipping, a time
-        // skip is worth attempting.
+        // cycle budget needs re-checking.
         let mut maybe_stalled = false;
         let stop = loop {
             if !maybe_stalled {
@@ -536,152 +536,9 @@ impl<P: ProcessorCore> ShotCore<P> {
             if self.cycle >= max_cycles {
                 break StopReason::CycleLimit;
             }
-            if maybe_stalled && skip && self.try_skip(max_cycles) {
-                // Something fires at the horizon; step it directly.
-                maybe_stalled = false;
-                continue;
-            }
             maybe_stalled = !self.step_with_progress();
         };
         self.into_report(stop)
-    }
-
-    /// Event-driven time skip: if the coming cycle is provably a pure
-    /// stall for every component, jump the clock to the earliest event
-    /// horizon (bounded by `limit`), bulk-accounting the per-cycle
-    /// statistics a cycle-stepped run would have accumulated. Returns
-    /// false when some component would make progress — the caller must
-    /// then step normally.
-    ///
-    /// Soundness: during a span in which no processor dispatches, no
-    /// timing queue issues, the DAQ delivers nothing and the scheduler
-    /// starts nothing, the machine state is constant except for those
-    /// statistics — so every skipped cycle would have been identical, and
-    /// the first cycle at which anything *can* change is the minimum of
-    /// the component horizons gathered here.
-    ///
-    /// The caller only invokes this right after a tick that made no
-    /// observable progress (`step_with_progress` returned false).
-    /// That tick already proved all *cycle-independent* activity inactive
-    /// — dispatch, fetch, context resolution, and (when the scheduler ran
-    /// free) the action picker — so this check only re-examines the
-    /// *clocked* events: timing-queue heads, switch deadlines, the DAQ,
-    /// and scheduler busy spans. The from-first-principles verifiers
-    /// ([`Processor::stall_info`], [`Scheduler::would_act`]) cross-check
-    /// every trusted verdict under `debug_assertions` (exercised by the
-    /// step-mode differential suite and proptests).
-    fn try_skip(&mut self, limit: u64) -> bool {
-        let cfg: &QuapeConfig = &self.job.cfg;
-        let program: &Program = &self.job.program;
-        let now = self.cycle;
-        let mut horizon: Option<u64> = None;
-        fn merge(h: &mut Option<u64>, at: u64) {
-            *h = Some(h.map_or(at, |x| x.min(at)));
-        }
-
-        // DAQ: a due delivery must be stepped; a future one bounds the
-        // skip at its delivery cycle (ceil: delivery happens at the first
-        // tick whose wall-clock time has reached it).
-        if let Some(ns) = self.daq.next_delivery_ns() {
-            if ns <= now * cfg.clock_ns {
-                return false;
-            }
-            merge(&mut horizon, ns.div_ceil(cfg.clock_ns));
-        }
-        // AWG: a playback ending now must be retired by a stepped tick; a
-        // future end bounds the skip so occupancy retires on schedule.
-        if let Some(ns) = self.awg.next_event_ns() {
-            if ns <= now * cfg.clock_ns {
-                return false;
-            }
-            merge(&mut horizon, ns.div_ceil(cfg.clock_ns));
-        }
-        // Every processor must be provably stalled. A processor finishing
-        // a block or the priority counter moving would have registered as
-        // progress last tick, so neither needs re-checking here.
-        debug_assert!(!self.processors.iter().any(P::finished_pending));
-        debug_assert!(!self.scheduler.counter_would_advance(program));
-        self.skip_scratch.clear();
-        for p in &self.processors {
-            let verdict = p.skip_check(now);
-            debug_assert!(
-                {
-                    let full = p.stall_info(now, &self.mrr, cfg);
-                    match (verdict, full) {
-                        (None, None) => true,
-                        (Some(a), Some(b)) => {
-                            a.horizon == b.horizon
-                                && a.measure_wait == b.measure_wait
-                                && a.context_stall == b.context_stall
-                        }
-                        _ => false,
-                    }
-                },
-                "trusted skip check diverged from the full stall verifier"
-            );
-            match verdict {
-                None => return false,
-                Some(s) => {
-                    if let Some(h) = s.horizon {
-                        merge(&mut horizon, h);
-                    }
-                    self.skip_scratch.push(s);
-                }
-            }
-        }
-        // Scheduler: only its clocked busy span can fire within a stall.
-        let mut scheduler_busy = true;
-        if let Some(finish) = self.scheduler.job_finish() {
-            if now >= finish {
-                return false; // fill job completes this cycle
-            }
-            merge(&mut horizon, finish);
-        } else if self.scheduler.is_busy(now) {
-            merge(&mut horizon, self.scheduler.busy_until());
-        } else {
-            scheduler_busy = false;
-            // A free scheduler that settled last tick stays inactive
-            // until machine state changes; one that just came off a busy
-            // span has not evaluated its picker yet — ask it for real.
-            if !self.scheduler.is_settled()
-                && self
-                    .scheduler
-                    .would_act(now, &self.processors, program, cfg)
-            {
-                return false;
-            }
-            debug_assert!(
-                !self
-                    .scheduler
-                    .would_act(now, &self.processors, program, cfg),
-                "settled scheduler would still act"
-            );
-        }
-
-        // No event horizon at all means the machine can only spin to the
-        // cycle budget (e.g. an FMR waiting on a result that never comes).
-        let target = horizon.unwrap_or(limit).min(limit);
-        if target <= now {
-            return false;
-        }
-        let span = target - now;
-
-        // Bulk accounting of the skipped span's per-cycle statistics.
-        if scheduler_busy {
-            // The span never crosses `busy_until`/`finish` (both are in
-            // the horizon), so every skipped cycle counts as busy.
-            self.stats.scheduler_busy_cycles += span;
-        }
-        let mut waiting = 0usize;
-        for (p, s) in self.processors.iter_mut().zip(&self.skip_scratch) {
-            if s.measure_wait {
-                waiting += 1;
-            }
-            p.account_stall_span(s, span);
-        }
-        self.wait_cycles.extend_span(now, target, waiting);
-        self.cycle = target;
-        true
     }
 
     fn into_report(mut self, stop: StopReason) -> RunReport {
@@ -782,29 +639,44 @@ impl ShotCore<FastProcessor> {
         }
     }
 
-    /// Specialized event-driven run loop for the lowered fast core —
-    /// [`StepMode::Lowered`]'s whole-shot entry point.
+    /// The lowered run loop — [`StepMode::Lowered`]'s whole-shot entry
+    /// point.
     ///
-    /// Behaviourally this is `run_loop(true, max_cycles)`: the same stop
-    /// conditions, the same skip proofs, the same bulk accounting, bit
-    /// for bit. What changes is the host-side cost model of a stepped
-    /// cycle, which dominates shot wall time on feedback chains:
+    /// It has the stop conditions of [`run_loop`](ShotCore::run_loop)
+    /// and adds a time skip: after a tick that made no observable
+    /// progress, if the coming cycle is provably a pure stall for every
+    /// component, the clock jumps to the earliest event horizon (bounded
+    /// by the cycle budget), bulk-accounting the per-cycle statistics a
+    /// cycle-stepped run would have accumulated.
+    ///
+    /// Soundness: during a span in which no processor dispatches, no
+    /// timing queue issues, the DAQ delivers nothing and the scheduler
+    /// starts nothing, the machine state is constant except for those
+    /// statistics — so every skipped cycle would have been identical, and
+    /// the first cycle at which anything *can* change is the minimum of
+    /// the component horizons. The stalled tick already proved all
+    /// *cycle-independent* activity inactive — dispatch, fetch, context
+    /// resolution, and (when the scheduler ran free) the action picker —
+    /// so the skip only re-examines the *clocked* events: timing-queue
+    /// heads, switch deadlines, the DAQ, the AWG, and scheduler busy
+    /// spans. The from-first-principles verifiers
+    /// ([`FastProcessor::stall_info`], [`Scheduler::would_act`])
+    /// cross-check every trusted verdict under `debug_assertions`.
+    ///
+    /// The host-side cost of a stepped cycle, which dominates shot wall
+    /// time on feedback chains, is kept low as well:
     ///
     /// - The [`Env`] is built **once per shot** instead of once per tick
     ///   (`step_with_progress` re-borrows all seventeen fields on every
     ///   stepped cycle).
     /// - A scheduler tick is **elided** when it is provably a no-op: the
     ///   scheduler settled on its last real tick and no processor has a
-    ///   finished-block notification pending. This is exactly the
-    ///   invariant the event-driven `try_skip` already trusts for whole
-    ///   skipped spans ([`Scheduler::is_settled`]); here it is applied to
-    ///   stepped cycles too, and cross-checked against
-    ///   [`Scheduler::would_act`] under `debug_assertions`.
-    /// - The skip check is inlined so a failed skip flows straight into
-    ///   the stepped tick without re-deriving borrows.
+    ///   finished-block notification pending ([`Scheduler::is_settled`]),
+    ///   cross-checked against [`Scheduler::would_act`] under
+    ///   `debug_assertions`.
     ///
-    /// The three-way differential suites (`step_mode_equivalence`,
-    /// `proptest_step_modes`) hold this loop bit-identical to the
+    /// The differential suites (`step_mode_equivalence`,
+    /// `proptest_executors`) hold this loop bit-identical to the
     /// cycle-stepped oracle.
     pub(crate) fn run_fast(mut self, max_cycles: u64) -> RunReport {
         let stop = self.run_fast_loop(max_cycles);
@@ -846,9 +718,9 @@ impl ShotCore<FastProcessor> {
                 halt: &mut self.halt,
                 error: &mut self.error,
             };
-            // See `run_loop` for the `maybe_stalled` contract: while the
-            // previous tick observably did nothing, the stop conditions
-            // cannot have changed and a time skip is worth attempting.
+            // While the previous tick observably did nothing, the stop
+            // conditions cannot have changed (their inputs are all
+            // observable state) and a time skip is worth attempting.
             let mut maybe_stalled = false;
             // Block statuses only move inside `Scheduler::tick` (or the
             // pre-loop initial load), so the all-done verdict is cached
@@ -888,8 +760,7 @@ impl ShotCore<FastProcessor> {
                 if *cycle >= max_cycles {
                     break StopReason::CycleLimit;
                 }
-                // Inline `try_skip` (same proofs, same horizon merge,
-                // same bulk accounting — see its soundness comment).
+                // Time skip (see the soundness argument on `run_fast`).
                 if maybe_stalled {
                     let skipped = 'skip: {
                         let now = *cycle;
@@ -917,6 +788,9 @@ impl ShotCore<FastProcessor> {
                             env.awg.next_event_ns().unwrap_or(u64::MAX),
                             "stale AWG horizon cache"
                         );
+                        // A processor finishing a block or the priority
+                        // counter moving would have registered as progress
+                        // last tick, so neither needs re-checking here.
                         debug_assert!(!processors.iter().any(|p| p.finished_pending()));
                         debug_assert!(!scheduler.counter_would_advance(program));
                         let cross_check =
@@ -972,6 +846,8 @@ impl ShotCore<FastProcessor> {
                                 }
                             }
                         }
+                        // Scheduler: only its clocked busy span can fire
+                        // within a stall.
                         let mut scheduler_busy = true;
                         if let Some(finish) = scheduler.job_finish() {
                             if now >= finish {
@@ -982,6 +858,10 @@ impl ShotCore<FastProcessor> {
                             merge(&mut horizon, scheduler.busy_until());
                         } else {
                             scheduler_busy = false;
+                            // A free scheduler that settled last tick stays
+                            // inactive until machine state changes; one that
+                            // just came off a busy span has not evaluated
+                            // its picker yet — ask it for real.
                             if !scheduler.is_settled()
                                 && scheduler.would_act(now, processors, program, cfg)
                             {
@@ -992,11 +872,17 @@ impl ShotCore<FastProcessor> {
                                 "settled scheduler would still act"
                             );
                         }
+                        // No event horizon at all means the machine can
+                        // only spin to the cycle budget (e.g. an FMR
+                        // waiting on a result that never comes).
                         let target = horizon.unwrap_or(max_cycles).min(max_cycles);
                         if target <= now {
                             break 'skip false;
                         }
                         let span = target - now;
+                        // The span never crosses the scheduler's
+                        // `busy_until`/`finish` (both are in the horizon),
+                        // so every skipped cycle counts as busy.
                         if scheduler_busy {
                             stats.scheduler_busy_cycles += span;
                         }
@@ -1129,7 +1015,7 @@ impl ShotOutcome<'_> {
 /// Reset fidelity is load-bearing and differential-tested: a reused
 /// runner's outcomes are bit-identical to fresh
 /// [`Shot`]-per-shot runs, and [`ShotEngine`](crate::ShotEngine)
-/// aggregates stay bit-identical across all three step modes.
+/// aggregates stay bit-identical across both step modes.
 pub struct LoweredShotRunner {
     job: CompiledJob,
     core: Option<ShotCore<FastProcessor>>,
@@ -1173,9 +1059,10 @@ impl LoweredShotRunner {
 /// The per-shot machine state of one execution. Built from a
 /// [`CompiledJob`]; stepped at clock-cycle granularity.
 ///
-/// Internally this wraps the reference `ShotCore<Processor>`;
-/// [`Shot::run_with_mode`] with [`StepMode::Lowered`] converts an
-/// un-stepped shot onto the micro-op fast core before running.
+/// Internally this wraps the reference `ShotCore<Processor>`, which
+/// [`Shot::step`] and [`StepMode::Cycle`] drive. [`Shot::run_with_mode`]
+/// with [`StepMode::Lowered`] (the default) converts an un-stepped shot
+/// onto the micro-op fast core before running.
 pub struct Shot {
     core: ShotCore<Processor>,
 }
@@ -1210,29 +1097,23 @@ impl Shot {
     }
 
     /// Runs until completion, a `HALT`, an error, or the cycle budget,
-    /// using the default [`StepMode`] (event-driven).
+    /// using the default [`StepMode`] (lowered).
     pub fn run_with_limit(self, max_cycles: u64) -> RunReport {
         self.run_with_mode(StepMode::default(), max_cycles)
     }
 
     /// Runs until completion, a `HALT`, an error, or the cycle budget,
-    /// advancing time as `mode` dictates. All modes produce bit-identical
+    /// on the executor `mode` selects. Both produce bit-identical
     /// reports; [`StepMode::Cycle`] is the slow oracle.
     pub fn run_with_mode(self, mode: StepMode, max_cycles: u64) -> RunReport {
-        match mode {
-            StepMode::Cycle => self.core.run_loop(false, max_cycles),
-            StepMode::EventDriven => self.core.run_loop(true, max_cycles),
-            StepMode::Lowered => {
-                // The fast core starts from shot-initial state: a shot the
-                // caller already stepped manually cannot be transplanted
-                // mid-run, so it continues event-driven instead (the
-                // report is identical either way).
-                if self.core.cycle == 0 {
-                    self.into_fast().run_fast(max_cycles)
-                } else {
-                    self.core.run_loop(true, max_cycles)
-                }
-            }
+        // The fast core starts from shot-initial state: a shot the caller
+        // already stepped manually cannot be transplanted mid-run, so it
+        // continues on the reference core instead (the report is
+        // identical either way).
+        if mode == StepMode::Lowered && self.core.cycle == 0 {
+            self.into_fast().run_fast(max_cycles)
+        } else {
+            self.core.run_loop(max_cycles)
         }
     }
 

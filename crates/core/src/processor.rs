@@ -112,13 +112,6 @@ pub(crate) trait ProcessorCore {
 
     /// Advances the processor by one clock cycle (see [`Processor::tick`]).
     fn tick(&mut self, cycle: u64, env: &mut Env<'_>) -> bool;
-    /// Trusted cycle-dependent skip check (see [`Processor::skip_check`]).
-    fn skip_check(&self, cycle: u64) -> Option<StallInfo>;
-    /// From-first-principles stall verifier (see [`Processor::stall_info`]).
-    fn stall_info(&self, cycle: u64, mrr: &MeasurementFile, cfg: &QuapeConfig)
-        -> Option<StallInfo>;
-    /// Bulk-accounts `span` skipped stall cycles.
-    fn account_stall_span(&mut self, stall: &StallInfo, span: u64);
     /// True when no block is assigned and nothing is in flight.
     fn is_idle(&self) -> bool;
     /// True when the timing queue or context store still holds work.
@@ -150,23 +143,6 @@ impl ProcessorCore for Processor {
 
     fn tick(&mut self, cycle: u64, env: &mut Env<'_>) -> bool {
         Processor::tick(self, cycle, env)
-    }
-
-    fn skip_check(&self, cycle: u64) -> Option<StallInfo> {
-        Processor::skip_check(self, cycle)
-    }
-
-    fn stall_info(
-        &self,
-        cycle: u64,
-        mrr: &MeasurementFile,
-        cfg: &QuapeConfig,
-    ) -> Option<StallInfo> {
-        Processor::stall_info(self, cycle, mrr, cfg)
-    }
-
-    fn account_stall_span(&mut self, stall: &StallInfo, span: u64) {
-        Processor::account_stall_span(self, stall, span);
     }
 
     fn is_idle(&self) -> bool {
@@ -230,11 +206,8 @@ struct StoredContext {
     op_if_zero: CondOp,
 }
 
-/// Execution state of the processor.
-///
-/// Countdown states carry **absolute deadlines** (cycle numbers) instead
-/// of remaining-cycle counters, so the event-driven run loop can jump the
-/// clock over them without ticking the countdown cycle by cycle.
+/// Execution state of the processor. Countdown states carry absolute
+/// deadlines (cycle numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// No block assigned.
@@ -270,39 +243,6 @@ struct Slot {
     instr: Instruction,
 }
 
-/// Per-cycle stall counters the last tick bumped, recorded at the bump
-/// sites so the event-driven skip can replicate them in bulk without
-/// re-deriving the dispatch decision.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StallFlags {
-    /// Bumped `measure_wait_cycles` and recorded a wait cycle.
-    pub measure_wait: bool,
-    /// Bumped `context_dependency_stalls`.
-    pub context_stall: bool,
-}
-
-/// Verdict of [`Processor::stall_info`]: the processor provably does
-/// nothing this cycle except the flagged per-cycle counter bumps, until
-/// `horizon` (or an external event) arrives.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StallInfo {
-    /// Earliest future cycle at which this processor itself acts
-    /// (timing-queue head, switch deadline). `None`: externally driven.
-    pub horizon: Option<u64>,
-    /// Stalled on an invalid measurement result (FMR / blocked MRCE):
-    /// bumps `measure_wait_cycles` and records one wait-cycle per cycle.
-    pub measure_wait: bool,
-    /// Quantum dispatch blocked by a parked MRCE context on the same
-    /// qubits: bumps `context_dependency_stalls` per cycle.
-    pub context_stall: bool,
-}
-
-impl StallInfo {
-    pub(crate) fn merge_horizon(&mut self, at: u64) {
-        self.horizon = Some(self.horizon.map_or(at, |h| h.min(at)));
-    }
-}
-
 /// One processing unit of the multiprocessor.
 #[derive(Debug)]
 pub struct Processor {
@@ -326,8 +266,6 @@ pub struct Processor {
     contexts: Vec<StoredContext>,
     current_block: Option<BlockId>,
     finished_block: Option<BlockId>,
-    /// Stall counters bumped by the most recent tick (see [`StallFlags`]).
-    stall_flags: StallFlags,
     pub(crate) stats: ProcessorStats,
 }
 
@@ -351,7 +289,6 @@ impl Processor {
             contexts: Vec::new(),
             current_block: None,
             finished_block: None,
-            stall_flags: StallFlags::default(),
             stats: ProcessorStats::default(),
         }
     }
@@ -384,20 +321,9 @@ impl Processor {
     }
 
     /// True while a done-notification awaits the scheduler (consuming it
-    /// records a block event, so it counts as progress for time-skipping).
+    /// records a block event, so it counts as progress).
     pub fn finished_pending(&self) -> bool {
         self.finished_block.is_some()
-    }
-
-    /// Bulk-accounts `span` skipped stall cycles (event-driven run loop):
-    /// the per-cycle counters a cycle-stepped run would have accumulated.
-    pub(crate) fn account_stall_span(&mut self, stall: &StallInfo, span: u64) {
-        if stall.measure_wait {
-            self.stats.measure_wait_cycles += span;
-        }
-        if stall.context_stall {
-            self.stats.context_dependency_stalls += span;
-        }
     }
 
     /// Starts executing `block`, whose instructions are resident in
@@ -502,12 +428,9 @@ impl Processor {
     /// Advances the processor by one clock cycle.
     ///
     /// Returns a *progress hint*: `false` means the tick observably did
-    /// nothing (a stall or idle cycle). The event-driven run loop uses the
-    /// hint to decide when a time skip is worth attempting; correctness
-    /// never depends on it ([`Processor::stall_info`] re-verifies), so a
-    /// conservative `true` is always safe.
+    /// nothing (a stall or idle cycle), so the run loop's stop conditions
+    /// cannot have changed. A conservative `true` is always safe.
     pub(crate) fn tick(&mut self, cycle: u64, env: &mut Env<'_>) -> bool {
-        self.stall_flags = StallFlags::default();
         let mut progress = self.tick_timing_controller(cycle, env);
 
         match self.state {
@@ -682,7 +605,6 @@ impl Processor {
                 Instruction::Quantum(head) => {
                     if self.conflicts_with_context(&head.op) {
                         self.stats.context_dependency_stalls += 1;
-                        self.stall_flags.context_stall = true;
                     } else {
                         // Group: head + following zero-label quantum
                         // instructions, up to the pipe count, stopping at
@@ -864,7 +786,6 @@ impl Processor {
                 if !entry.valid {
                     // Stage I/II synchronization stall: stays in buffer.
                     self.stats.measure_wait_cycles += 1;
-                    self.stall_flags.measure_wait = true;
                     env.wait_cycles.push(cycle);
                     return false;
                 }
@@ -903,7 +824,6 @@ impl Processor {
                 } else if env.cfg.fast_context_switch {
                     if self.contexts.len() >= env.cfg.context_capacity {
                         self.stats.measure_wait_cycles += 1;
-                        self.stall_flags.measure_wait = true;
                         env.wait_cycles.push(cycle);
                         return false; // context store full: stall
                     }
@@ -916,7 +836,6 @@ impl Processor {
                 } else {
                     // Fast context switch disabled: stall like FMR.
                     self.stats.measure_wait_cycles += 1;
-                    self.stall_flags.measure_wait = true;
                     env.wait_cycles.push(cycle);
                     return false;
                 }
@@ -959,184 +878,6 @@ impl Processor {
             // compiler keeps control flow block-local).
             self.fail(env);
         }
-    }
-
-    /// The cycle-*dependent* half of the skip check, used on the trusted
-    /// fast path: the immediately preceding tick made no observable
-    /// progress, which proves the cycle-independent state (dispatch,
-    /// fetch, context resolution) inactive and leaves only this
-    /// processor's clocked events to bound the jump. Returns `None` when
-    /// one of them is due at `cycle` (the run loop must step), otherwise
-    /// the stall verdict with the per-cycle counters the previous tick
-    /// recorded. [`Processor::stall_info`] is the from-first-principles
-    /// verifier this is cross-checked against under `debug_assertions`.
-    pub(crate) fn skip_check(&self, cycle: u64) -> Option<StallInfo> {
-        let mut stall = StallInfo {
-            horizon: None,
-            measure_wait: self.stall_flags.measure_wait,
-            context_stall: self.stall_flags.context_stall,
-        };
-        if let Some(front) = self.tqueue.front() {
-            if front.issue_cycle <= cycle {
-                return None;
-            }
-            stall.merge_horizon(front.issue_cycle);
-        }
-        match self.state {
-            State::Switching { until } => {
-                if cycle >= until {
-                    return None;
-                }
-                stall.merge_horizon(until);
-            }
-            State::ContextSwitch { fires_at, .. } => {
-                if cycle >= fires_at {
-                    return None;
-                }
-                stall.merge_horizon(fires_at);
-            }
-            State::Idle | State::Running | State::Halted => {}
-        }
-        Some(stall)
-    }
-
-    /// Read-only twin of [`Processor::tick`]: decides whether the tick at
-    /// `cycle` would make *observable progress* (issue, dispatch, fetch,
-    /// state transition, context resolution, block completion).
-    ///
-    /// Returns `None` when it would — the event-driven run loop must then
-    /// step normally. Returns `Some(stall)` when the tick is provably a
-    /// pure stall whose only effects are deterministic per-cycle counter
-    /// bumps (`measure_wait` ⇒ `measure_wait_cycles` + one `wait_cycles`
-    /// entry, `context_stall` ⇒ `context_dependency_stalls`), together
-    /// with the earliest future cycle at which this processor *itself*
-    /// could act (`horizon`; `None` = only external events can wake it).
-    ///
-    /// Soundness: a stall verdict only remains valid while no external
-    /// state changes. The run loop therefore also bounds the skip by the
-    /// DAQ's next delivery and the scheduler's next event, and re-checks
-    /// every processor after each jump.
-    pub(crate) fn stall_info(
-        &self,
-        cycle: u64,
-        mrr: &MeasurementFile,
-        cfg: &QuapeConfig,
-    ) -> Option<StallInfo> {
-        let mut stall = StallInfo::default();
-        // Timing controller runs in every state: a due operation issues.
-        if let Some(front) = self.tqueue.front() {
-            if front.issue_cycle <= cycle {
-                return None;
-            }
-            stall.merge_horizon(front.issue_cycle);
-        }
-        match self.state {
-            State::Halted => return Some(stall),
-            State::Switching { until } => {
-                if cycle >= until {
-                    return None; // would promote to Running and act
-                }
-                stall.merge_horizon(until);
-                return Some(stall);
-            }
-            State::ContextSwitch { fires_at, .. } => {
-                if cycle >= fires_at {
-                    return None; // would fire the conditional op
-                }
-                stall.merge_horizon(fires_at);
-                return Some(stall);
-            }
-            State::Idle | State::Running => {}
-        }
-        // MRCE context unit: a resolvable context triggers the switch.
-        if self.contexts.iter().any(|c| mrr.is_valid(c.qubit)) {
-            return None;
-        }
-        if matches!(self.state, State::Idle) {
-            return Some(stall);
-        }
-
-        // Running. Fast path: an unblocked fetch with buffer room always
-        // makes progress (checked first — it is the common reason a skip
-        // attempt fails, and far cheaper than the dispatch mirror below).
-        let fetch_open =
-            !self.fetch_blocked && cfg.predecode_buffer > self.buffer.len() && cfg.fetch_width > 0;
-        if fetch_open && self.icache.fetch(self.pc).is_some() {
-            return None;
-        }
-
-        // Mirror the dispatch stage.
-        if let Some(slot) = self.buffer.front() {
-            match slot.instr {
-                Instruction::Classical(ClassicalOp::Qwait { .. }) => return None,
-                Instruction::Quantum(q) => {
-                    if self.conflicts_with_context(&q.op) {
-                        stall.context_stall = true;
-                    } else {
-                        return None; // quantum group would dispatch
-                    }
-                }
-                Instruction::Classical(_) => {}
-            }
-        }
-        // Classical lookahead — same pick as `dispatch`.
-        let mut pick = None;
-        for (i, slot) in self.buffer.iter().enumerate() {
-            if let Instruction::Classical(op) = slot.instr {
-                if matches!(op, ClassicalOp::Qwait { .. }) {
-                    continue;
-                }
-                let needs_front = matches!(op, ClassicalOp::Stop | ClassicalOp::Halt)
-                    || (matches!(op, ClassicalOp::Fmr { .. } | ClassicalOp::Mrce { .. })
-                        && self.buffer.iter().take(i).any(|s| {
-                            matches!(
-                                s.instr,
-                                Instruction::Quantum(q) if q.op.is_measure()
-                            )
-                        }));
-                if needs_front && i != 0 {
-                    break;
-                }
-                pick = Some(op);
-                break;
-            }
-        }
-        if let Some(op) = pick {
-            match op {
-                ClassicalOp::Stop => {
-                    if self.tqueue.is_empty() && self.contexts.is_empty() {
-                        return None; // STOP would retire the block
-                    }
-                    // Drain stall: no counters, wake on tqueue/context events.
-                }
-                ClassicalOp::Fmr { qubit, .. } => {
-                    if mrr.is_valid(qubit) {
-                        return None;
-                    }
-                    stall.measure_wait = true;
-                }
-                ClassicalOp::Mrce { qubit, .. } => {
-                    if mrr.is_valid(qubit)
-                        || (cfg.fast_context_switch && self.contexts.len() < cfg.context_capacity)
-                    {
-                        return None; // executes or parks a context
-                    }
-                    stall.measure_wait = true;
-                }
-                _ => return None, // any other classical op executes
-            }
-        }
-        // Fetch walked past the end of the block (the fast path above saw
-        // no instruction at `pc`): the implicit STOP fires once everything
-        // has drained.
-        if fetch_open
-            && self.buffer.is_empty()
-            && self.tqueue.is_empty()
-            && self.contexts.is_empty()
-        {
-            return None;
-        }
-        Some(stall)
     }
 
     /// Fetch stage: refills the pre-decode buffer.

@@ -134,7 +134,7 @@ pub enum StopReason {
 /// The result of one machine run.
 ///
 /// `PartialEq` compares every field — the step-mode differential suite
-/// relies on it to assert that event-driven and cycle-stepped executions
+/// relies on it to assert that lowered and cycle-stepped executions
 /// are bit-identical.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {

@@ -10,7 +10,7 @@
 //!
 //! The decision logic is split from its application: [`Scheduler::tick`]
 //! applies whatever [`Scheduler::pick_action`] selects, and the
-//! event-driven run loop reuses the same picker read-only (via
+//! lowered run loop reuses the same picker read-only (via
 //! [`Scheduler::would_act`]) to prove that skipped cycles are no-ops.
 //! Cache fills hand out `Arc` slices from the job's pre-cut
 //! [`BlockCode`](crate::machine::BlockCode) table instead of copying
@@ -79,7 +79,7 @@ impl Job {
 }
 
 /// A scheduling decision, separated from its application so the
-/// event-driven run loop can ask "would you act?" without side effects.
+/// lowered run loop can ask "would you act?" without side effects.
 #[derive(Debug, Clone, Copy)]
 enum SchedAction {
     /// Switch an idle processor onto the bank already holding `block`.
@@ -259,7 +259,7 @@ impl Scheduler {
     }
 
     /// True when the next tick would move the priority counter (a level
-    /// just completed) — observable progress for the event-driven loop.
+    /// just completed) — observable progress for the lowered loop's time skip.
     pub fn counter_would_advance(&self, program: &Program) -> bool {
         self.priority_counter_target(program) != self.priority_counter
     }
@@ -281,7 +281,7 @@ impl Scheduler {
         program: &Program,
         cfg: &QuapeConfig,
     ) -> Option<SchedAction> {
-        // Allocation-free: this runs inside the event-driven skip check
+        // Allocation-free: this runs inside the lowered loop's skip check
         // on every potential jump, so the ready set is scanned in place.
         let ready = || {
             program.blocks().iter().filter(|(id, info)| {
@@ -340,7 +340,7 @@ impl Scheduler {
         })
     }
 
-    /// Read-only twin of [`Scheduler::tick`] for the event-driven loop:
+    /// Read-only twin of [`Scheduler::tick`] for the lowered loop:
     /// would the tick at `cycle` take any observable action? (Pending
     /// done-notifications and priority-counter movement are the caller's
     /// checks; this covers fill-job completion and new actions.)

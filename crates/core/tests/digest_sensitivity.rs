@@ -6,16 +6,15 @@
 //! cached job compiled for one machine would serve another. This audit
 //! mutates every field of [`MachineDescription`] and [`QuapeConfig`]
 //! independently and asserts each mutation moves the digest (and that
-//! the documented exceptions — `seed`, `step_mode` — do not).
+//! the documented exception — `seed` — does not).
 
-use quape_core::{ChannelLayout, MachineDescription, QuapeConfig, StepMode};
+use quape_core::{ChannelLayout, MachineDescription, QuapeConfig};
 use quape_isa::DependencyMode;
 
 type DescMutation = (&'static str, fn(&mut MachineDescription));
 
-/// One mutation per MachineDescription field (`step_mode` excluded — see
-/// `step_mode_is_digest_neutral`). Multiplexed-channel sub-fields get
-/// their own entries via a multiplexed base.
+/// One mutation per MachineDescription field. Multiplexed-channel
+/// sub-fields get their own entries via a multiplexed base.
 fn description_mutations() -> Vec<DescMutation> {
     vec![
         ("clock_ns", |d| d.clock_ns += 1),
@@ -123,18 +122,6 @@ fn multiplexed_readout_lines_move_the_digest() {
     };
     assert_ne!(digest(&base), digest(&narrower));
     assert_ne!(digest(&base), digest(&wider));
-}
-
-#[test]
-fn step_mode_is_digest_neutral() {
-    // step_mode picks the engine's run loop, not the machine being
-    // modelled: the step-mode equivalence suite proves every mode
-    // produces identical reports, so sharing compiled jobs across modes
-    // is sound and the digest must NOT split the cache by mode.
-    let mut desc = MachineDescription::baseline();
-    let before = digest(&desc);
-    desc.step_mode = StepMode::Cycle;
-    assert_eq!(digest(&desc), before);
 }
 
 type CfgMutation = (&'static str, fn(&mut QuapeConfig));

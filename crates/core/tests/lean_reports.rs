@@ -117,7 +117,7 @@ fn lean_shot_reports_match_full_reports_except_vectors() {
     ];
     for (label, cfg, program) in cases {
         let job = CompiledJob::compile(cfg, program).expect("job compiles");
-        for step in [StepMode::Cycle, StepMode::EventDriven, StepMode::Lowered] {
+        for step in [StepMode::Cycle, StepMode::Lowered] {
             let full = run_shot(&job, ReportMode::Full, step, 11);
             let lean = run_shot(&job, ReportMode::Lean, step, 11);
             assert!(full.issued_ops > 0, "{label}: trivial run");

@@ -1,8 +1,8 @@
 //! Property-based differential test: for random assembled programs —
 //! including measurements, FMR synchronization stalls, MRCE contexts,
-//! and timing labels — the event-driven run loop *and* the lowered
-//! micro-op fast path produce `RunReport`s bit-identical to the
-//! cycle-stepped oracle on every configuration.
+//! and timing labels — the lowered micro-op fast path produces
+//! `RunReport`s bit-identical to the cycle-stepped oracle on every
+//! configuration.
 
 use proptest::prelude::*;
 use quape_core::{Machine, QuapeConfig, StepMode};
@@ -89,14 +89,14 @@ fn run(cfg: QuapeConfig, program: Program, mode: StepMode, seed: u64) -> quape_c
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Event-driven, lowered-fast-path and cycle-stepped runs agree
+    /// Lowered-fast-path and cycle-stepped runs agree
     /// bit-for-bit on random feedback-heavy programs across scalar,
     /// superscalar, context-switch-disabled, and multiplexed-readout/
     /// contended-DAQ configurations — including the AWG playback
     /// timeline, the device-detected violations, and the DAQ contention
     /// counters.
     #[test]
-    fn step_modes_agree_on_random_programs(ops in arb_prog(6), seed in 0u64..64) {
+    fn executors_agree_on_random_programs(ops in arb_prog(6), seed in 0u64..64) {
         let program = build(&ops);
         let mut no_fcs = QuapeConfig::superscalar(4);
         no_fcs.fast_context_switch = false;
@@ -116,20 +116,17 @@ proptest! {
             mux,
         ] {
             let cycle = run(cfg.clone(), program.clone(), StepMode::Cycle, seed);
-            let event = run(cfg.clone(), program.clone(), StepMode::EventDriven, seed);
             let lowered = run(cfg, program.clone(), StepMode::Lowered, seed);
-            prop_assert_eq!(&cycle, &event);
             prop_assert_eq!(&cycle, &lowered);
             // The report equality above already covers these, but keep the
             // device fields explicit: they are what the AWG/DAQ event
             // horizons and the micro-op pre-resolution must not disturb.
-            prop_assert_eq!(&cycle.playback, &event.playback);
             prop_assert_eq!(&cycle.playback, &lowered.playback);
-            prop_assert_eq!(&cycle.awg_violations, &event.awg_violations);
-            prop_assert_eq!(cycle.stats.awg_triggers, event.stats.awg_triggers);
+            prop_assert_eq!(&cycle.awg_violations, &lowered.awg_violations);
+            prop_assert_eq!(cycle.stats.awg_triggers, lowered.stats.awg_triggers);
             prop_assert_eq!(
                 cycle.stats.daq_contended_results,
-                event.stats.daq_contended_results
+                lowered.stats.daq_contended_results
             );
         }
     }

@@ -1,12 +1,12 @@
-//! Deterministic three-way executor equivalence suite.
+//! Deterministic two-way executor equivalence suite.
 //!
-//! The machine has three executors over one microarchitecture model: the
-//! cycle-stepped oracle (`StepMode::Cycle`), the event-driven time-skip
-//! loop (`StepMode::EventDriven`), and the lowered micro-op fast path
-//! (`StepMode::Lowered`). On every workload here — FMR feedback chains,
-//! MRCE context switching, branch loops with live ALU state, multi-block
-//! scheduling — all three must produce bit-identical [`RunReport`]s, and
-//! the shot engine must produce bit-identical [`BatchAggregate`]s.
+//! The machine has two executors over one microarchitecture model: the
+//! cycle-stepped oracle (`StepMode::Cycle`) and the lowered micro-op
+//! fast path with its time skip (`StepMode::Lowered`). On every workload
+//! here — FMR feedback chains, MRCE context switching, branch loops with
+//! live ALU state, multi-block scheduling — both must produce
+//! bit-identical [`RunReport`]s, and the shot engine must produce
+//! bit-identical [`BatchAggregate`]s.
 
 use quape_core::{
     BatchAggregate, CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, RunReport, ShotEngine,
@@ -120,16 +120,14 @@ fn workloads() -> Vec<(&'static str, Program)> {
 }
 
 #[test]
-fn all_three_step_modes_are_bit_identical() {
+fn cycle_and_lowered_are_bit_identical() {
     for (label, program) in workloads() {
         for cfg in [QuapeConfig::uniprocessor(), QuapeConfig::superscalar(4)] {
             let job = CompiledJob::compile(cfg, program.clone()).expect("job compiles");
             for seed in [3, 17, 40] {
                 let cycle = run(&job, StepMode::Cycle, seed);
-                let event = run(&job, StepMode::EventDriven, seed);
                 let lowered = run(&job, StepMode::Lowered, seed);
                 assert!(cycle.issued_ops > 0, "{label}: trivial run");
-                assert_eq!(cycle, event, "{label}/{seed}: event-driven diverged");
                 assert_eq!(cycle, lowered, "{label}/{seed}: lowered diverged");
             }
         }
@@ -137,7 +135,7 @@ fn all_three_step_modes_are_bit_identical() {
 }
 
 #[test]
-fn engine_batches_are_identical_across_step_modes() {
+fn engine_batches_are_identical_across_executors() {
     for (label, program) in workloads() {
         let cfg = QuapeConfig::superscalar(4);
         let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
@@ -152,9 +150,7 @@ fn engine_batches_are_identical_across_step_modes() {
                 .aggregate
         };
         let cycle = batch(StepMode::Cycle);
-        let event = batch(StepMode::EventDriven);
         let lowered = batch(StepMode::Lowered);
-        assert_eq!(cycle, event, "{label}: event-driven batch diverged");
         assert_eq!(cycle, lowered, "{label}: lowered batch diverged");
     }
 }

@@ -268,6 +268,15 @@ fn parse_qubit(tok: &str, no: usize) -> Result<Qubit, AsmError> {
         .strip_prefix(['q', 'Q'])
         .and_then(|n| n.parse::<u16>().ok())
         .ok_or_else(|| AsmError::new(no, format!("expected qubit operand, got `{tok}`")))?;
+    if usize::from(idx) >= crate::MAX_QUBITS {
+        return Err(AsmError::new(
+            no,
+            format!(
+                "qubit `{tok}` out of range (max q{})",
+                crate::MAX_QUBITS - 1
+            ),
+        ));
+    }
     Ok(Qubit::new(idx))
 }
 
@@ -717,6 +726,20 @@ STOP
         let err = assemble("0 FLIP q0\n").unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("FLIP"));
+    }
+
+    #[test]
+    fn qubit_indices_are_bounded_by_max_qubits() {
+        let p = assemble("0 H q127\nSTOP\n").unwrap();
+        assert_eq!(p.num_qubits(), 128);
+        for text in ["0 H q0\n0 X q128\n", "0 H q0\n0 X q65535\n"] {
+            let err = assemble(text).unwrap_err();
+            assert_eq!(err.line, 2, "{text:?}");
+            assert!(err.message.contains("out of range"), "{}", err.message);
+        }
+        // Every qubit operand position goes through the same check.
+        assert_eq!(assemble("0 CNOT q0, q200\n").unwrap_err().line, 1);
+        assert_eq!(assemble("FMR r0, q128\n").unwrap_err().line, 1);
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub use fleet::{
     FaultPlan, FleetHandle, Placement, RetryPolicy, RoutedJob, RoutedResult, Router, RouterConfig,
     RouterFinishHook, ShardStatus, StealConfig,
 };
-pub use profile::{JobRequirements, ShardProfile, StepModeSet};
+pub use profile::{JobRequirements, ShardProfile};
 pub use snapshot::{FleetSnapshot, ShardSnapshot, TenantStatsRow};
 // The error type jobs and admission surface; re-exported so router
 // users match on one import.

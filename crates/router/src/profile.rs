@@ -2,8 +2,8 @@
 //! are matched against.
 //!
 //! HiMA-style fleets are heterogeneous: control units differ in qubit
-//! capacity, readout multiplexing geometry, demodulation resources and
-//! supported execution modes. A [`ShardProfile`] is the router-visible
+//! capacity, readout multiplexing geometry and demodulation resources.
+//! A [`ShardProfile`] is the router-visible
 //! summary of one shard's hardware, derived from the shard's
 //! [`QuapeConfig`] (the same struct a job compiles against); a
 //! [`JobRequirements`] is the matching summary of one request, derived
@@ -11,52 +11,9 @@
 //! filter [`Router::submit`](crate::Router::submit) applies before any
 //! placement policy sees the candidate list.
 
-use quape_core::{ChannelLayout, MachineDescription, QuapeConfig, StepMode};
+use quape_core::{ChannelLayout, MachineDescription, QuapeConfig};
 use quape_isa::scan_qubit_count;
 use quape_server::{JobRequest, JobSource};
-
-/// A bit-set of [`StepMode`]s a shard supports.
-///
-/// Profiles for older control stacks can rule out
-/// [`StepMode::Lowered`] (the pre-decoded fast path needs firmware
-/// support) while still serving cycle-accurate jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepModeSet {
-    bits: u8,
-}
-
-impl StepModeSet {
-    fn bit(mode: StepMode) -> u8 {
-        match mode {
-            StepMode::Cycle => 1,
-            StepMode::EventDriven => 2,
-            StepMode::Lowered => 4,
-        }
-    }
-
-    /// Every step mode (the default).
-    pub fn all() -> Self {
-        StepModeSet { bits: 7 }
-    }
-
-    /// Exactly the given modes.
-    pub fn only(modes: &[StepMode]) -> Self {
-        StepModeSet {
-            bits: modes.iter().fold(0, |acc, &m| acc | Self::bit(m)),
-        }
-    }
-
-    /// True when `mode` is in the set.
-    pub fn supports(self, mode: StepMode) -> bool {
-        self.bits & Self::bit(mode) != 0
-    }
-}
-
-impl Default for StepModeSet {
-    fn default() -> Self {
-        StepModeSet::all()
-    }
-}
 
 /// What one shard's hardware can run: the capability descriptor the
 /// router's placement filter checks before any policy applies.
@@ -71,8 +28,6 @@ pub struct ShardProfile {
     pub readout_lines: Option<u16>,
     /// DAQ demodulation servers available per channel.
     pub demod_slots: usize,
-    /// Execution modes the shard's firmware supports.
-    pub step_modes: StepModeSet,
 }
 
 impl ShardProfile {
@@ -83,7 +38,6 @@ impl ShardProfile {
             max_qubits: u16::MAX,
             readout_lines: None,
             demod_slots: usize::MAX,
-            step_modes: StepModeSet::all(),
         }
     }
 
@@ -92,15 +46,12 @@ impl ShardProfile {
     /// [`num_qubits`](QuapeConfig::num_qubits) caps addressable qubits
     /// (`None` = unconstrained), [`readout_lines`](QuapeConfig::readout_lines)
     /// and [`daq_demod_slots`](QuapeConfig::daq_demod_slots) carry over
-    /// verbatim, and every step mode is assumed supported (narrow with
-    /// [`step_modes`](ShardProfile::step_modes) for stacks without the
-    /// lowered fast path).
+    /// verbatim.
     pub fn from_config(cfg: &QuapeConfig) -> Self {
         ShardProfile {
             max_qubits: cfg.num_qubits.unwrap_or(u16::MAX),
             readout_lines: cfg.readout_lines,
             demod_slots: cfg.daq_demod_slots,
-            step_modes: StepModeSet::all(),
         }
     }
 
@@ -120,20 +71,15 @@ impl ShardProfile {
             max_qubits: qubits.unwrap_or(u16::MAX),
             readout_lines,
             demod_slots: machine.daq.demod_slots,
-            step_modes: StepModeSet::all(),
         }
     }
 
     /// The capability filter: true when this shard can execute a job
-    /// with the given requirements. Qubits must fit the channel map,
-    /// the step mode must be supported, the job's demod depth must not
-    /// exceed the shard's, and the readout geometries must be
+    /// with the given requirements. Qubits must fit the channel map, the
+    /// job's demod depth must not exceed the shard's, and the readout geometries must be
     /// compatible (see [`JobRequirements::readout_lines`]).
     pub fn can_run(&self, req: &JobRequirements) -> bool {
         if req.qubits > self.max_qubits {
-            return false;
-        }
-        if !self.step_modes.supports(req.step_mode) {
             return false;
         }
         if req.demod_slots > self.demod_slots {
@@ -198,8 +144,6 @@ pub struct JobRequirements {
     pub readout_lines: Option<u16>,
     /// Demod servers the job's config assumes per channel.
     pub demod_slots: usize,
-    /// The execution mode the job requested.
-    pub step_mode: StepMode,
 }
 
 impl JobRequirements {
@@ -215,7 +159,6 @@ impl JobRequirements {
             qubits: req.cfg.num_qubits.unwrap_or(span).max(span),
             readout_lines: req.cfg.readout_lines,
             demod_slots: req.cfg.daq_demod_slots,
-            step_mode: req.step_mode,
         }
     }
 }
@@ -229,7 +172,6 @@ mod tests {
             qubits,
             readout_lines: None,
             demod_slots: 1,
-            step_mode: StepMode::EventDriven,
         }
     }
 
@@ -241,7 +183,6 @@ mod tests {
             qubits: 3,
             readout_lines: Some(100),
             demod_slots: usize::MAX,
-            step_mode: StepMode::Lowered,
         }));
     }
 
@@ -273,22 +214,6 @@ mod tests {
         // Dedicated-line job: every qubit needs a line.
         assert!(shared4.can_run(&req(4)));
         assert!(!shared4.can_run(&req(5)));
-    }
-
-    #[test]
-    fn step_mode_set_round_trips() {
-        let s = StepModeSet::only(&[StepMode::Cycle, StepMode::EventDriven]);
-        assert!(s.supports(StepMode::Cycle));
-        assert!(s.supports(StepMode::EventDriven));
-        assert!(!s.supports(StepMode::Lowered));
-        let p = ShardProfile {
-            step_modes: s,
-            ..ShardProfile::unconstrained()
-        };
-        assert!(!p.can_run(&JobRequirements {
-            step_mode: StepMode::Lowered,
-            ..req(1)
-        }));
     }
 
     #[test]

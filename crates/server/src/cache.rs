@@ -2,7 +2,7 @@
 //!
 //! Compile-once/run-many is the dominant cost lever of a serving layer:
 //! assembling and validating a long program costs as much as running
-//! several event-driven shots of it. The cache maps a stable 64-bit
+//! several shots of it. The cache maps a stable 64-bit
 //! content key to an `Arc`-shared [`CompiledJob`], with:
 //!
 //! * **LRU eviction** at a fixed capacity (recency is bumped on every

@@ -338,7 +338,9 @@ pub struct JobRequest {
     pub base_seed: u64,
     /// Per-shot cycle budget (defaults to the engine's 10 million).
     pub cycle_limit: u64,
-    /// How shots advance time (defaults to event-driven).
+    /// Which executor runs the shots (defaults to
+    /// [`StepMode::Lowered`]; [`StepMode::Cycle`] is the reference
+    /// oracle).
     pub step_mode: StepMode,
 }
 
@@ -400,8 +402,7 @@ impl JobRequest {
 
     /// Replaces the request's machine configuration with one lowered
     /// from a [`MachineSpec`] — a builtin name or an inline description.
-    /// The description's default step mode carries over too; seed, cycle
-    /// budget and priority are untouched.
+    /// Seed, cycle budget, priority and step mode are untouched.
     ///
     /// # Errors
     ///
@@ -410,7 +411,6 @@ impl JobRequest {
     pub fn machine(mut self, spec: &MachineSpec) -> Result<Self, JobError> {
         let desc = spec.resolve()?;
         self.cfg = desc.to_config()?;
-        self.step_mode = desc.step_mode;
         Ok(self)
     }
 }
@@ -1328,8 +1328,7 @@ impl JobServer {
         let cfg_digest = job.cfg().content_digest();
         let step_code: u32 = match step_mode {
             StepMode::Cycle => 0,
-            StepMode::EventDriven => 1,
-            StepMode::Lowered => 2,
+            StepMode::Lowered => 1,
         };
         let priority_code: u32 = match priority {
             Priority::Low => 0,
@@ -2129,8 +2128,15 @@ impl ServingServer {
         self.stopped = true;
         self.signal(phase);
         let mut worker_panicked = false;
+        // A finish hook may drop the last owner on a worker thread (a
+        // router's hook can hold the final reference). That worker cannot
+        // join itself; it leaves its loop on its own once the hook
+        // returns and it sees the stop phase.
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            worker_panicked |= w.join().is_err();
+            if w.thread().id() != me {
+                worker_panicked |= w.join().is_err();
+            }
         }
         let mut st = self.server.lock_state();
         // A cancellation on a user thread may still be folding its

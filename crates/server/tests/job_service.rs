@@ -81,9 +81,9 @@ fn per_job_aggregates_match_solo_engine_runs() {
 }
 
 /// Both step modes flow through the service unchanged (the cycle oracle
-/// and the event-driven default agree on every job).
+/// and the lowered default agree on every job).
 #[test]
-fn step_modes_agree_through_the_server() {
+fn cycle_and_lowered_agree_through_the_server() {
     let cfg = QuapeConfig::uniprocessor();
     let run_mode = |mode: StepMode| {
         let srv = server(2, 4);
@@ -99,7 +99,7 @@ fn step_modes_agree_through_the_server() {
         let _ = srv.submit(req).unwrap();
         srv.run().remove(0).aggregate
     };
-    assert_eq!(run_mode(StepMode::Cycle), run_mode(StepMode::EventDriven));
+    assert_eq!(run_mode(StepMode::Cycle), run_mode(StepMode::Lowered));
 }
 
 /// Concurrent submissions of the same source text compile exactly once;
@@ -224,6 +224,22 @@ fn invalid_requests_are_rejected_at_submit() {
         srv.submit(bad_text).unwrap_err(),
         JobError::Parse(_)
     ));
+    // A qubit index beyond the ISA's 128-qubit address space is an
+    // assemble error naming the line, not a job that runs.
+    let wide = JobRequest::new(
+        "wide",
+        JobSource::Text("0 H q65535\nSTOP\n".into()),
+        cfg.clone(),
+        coin(&cfg),
+        4,
+    );
+    match srv.submit(wide).unwrap_err() {
+        JobError::Parse(e) => {
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("q65535"), "{}", e.message);
+        }
+        other => panic!("expected an assemble error, got {other:?}"),
+    }
     let bad_cfg = JobRequest::new(
         "narrow",
         JobSource::Program(feedback_chain(1, 2).unwrap()),

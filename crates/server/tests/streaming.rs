@@ -4,9 +4,10 @@
 
 use quape_core::{CompiledJob, QpuBackend, QpuFactory, QuapeConfig, ShotEngine};
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
-use quape_server::{JobError, JobRequest, JobServer, JobSource, ServerConfig};
+use quape_server::{JobError, JobRequest, JobServer, JobSource, ServerConfig, ServingServer};
 use quape_workloads::feedback::{conditional_x, feedback_chain};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn coin(cfg: &QuapeConfig) -> BehavioralQpuFactory {
@@ -370,4 +371,37 @@ fn streaming_submissions_share_the_compile_cache() {
     let total_lookups: u64 = tenants.iter().map(|(_, s)| s.hits + s.misses).sum();
     assert_eq!(total_lookups, 4);
     serving.drain().unwrap();
+}
+
+/// A finish hook that drops the last owner of a serving server runs on
+/// a worker thread, so the implicit shutdown must not try to join that
+/// worker (a self-join fails with a deadlock error and panics the
+/// worker before the hook returns).
+#[test]
+fn dropping_the_last_owner_inside_a_finish_hook_does_not_self_join() {
+    let serving = JobServer::serve(ServerConfig {
+        threads: 1,
+        shot_quantum: 4,
+        cache_capacity: 8,
+        machine: None,
+        obs: Default::default(),
+        packer: None,
+    });
+    let server = serving.server().clone();
+    let slot: Arc<Mutex<Option<ServingServer>>> = Arc::new(Mutex::new(Some(serving)));
+    let (dropped_tx, dropped_rx) = mpsc::channel();
+    let hook_slot = slot.clone();
+    server.set_finish_hook(Arc::new(move |_| {
+        let owner = hook_slot.lock().unwrap().take();
+        drop(owner);
+        let _ = dropped_tx.send(());
+    }));
+    let handle = server.submit(request("last-owner", 8, 1)).unwrap();
+    assert_eq!(handle.wait().shots, 8);
+    // The hook fires after the result is published, on the worker.
+    assert!(
+        dropped_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "the hook never returned from dropping the server"
+    );
+    assert!(slot.lock().unwrap().is_none());
 }

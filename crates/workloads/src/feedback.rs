@@ -48,7 +48,7 @@ pub fn conditional_x_mrce(qubit: u16) -> Result<Program, ProgramError> {
 /// round trip: measure, wait for the DAQ on `FMR`, branch, conditionally
 /// apply X. The canonical DAQ-wait-bound stress for the execution core —
 /// the machine spends most of every round stalled on the acquisition
-/// chain, exactly the regime the event-driven run loop skips through.
+/// chain, exactly the regime the lowered run loop skips through.
 ///
 /// # Errors
 ///

@@ -45,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let job = CompiledJob::compile(cfg, program.clone())?;
         let report = ShotEngine::new(job, factory)
             .base_seed(7)
-            .step_mode(desc.step_mode)
             .threads(1)
             .run(64);
         let agg = &report.aggregate;

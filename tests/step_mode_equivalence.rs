@@ -1,6 +1,6 @@
-//! Differential suite for the execution core's two step modes.
+//! Differential suite for the execution core's two executors.
 //!
-//! `StepMode::EventDriven` (the default) must produce **bit-identical**
+//! `StepMode::Lowered` (the default) must produce **bit-identical**
 //! [`RunReport`]s to the cycle-stepped oracle — same cycle counts,
 //! measurements, issued operations, block events, wait/lateness
 //! statistics, everything `RunReport: PartialEq` compares — across every
@@ -24,37 +24,37 @@ fn assert_modes_agree(cfg: &QuapeConfig, program: &Program, model: MeasurementMo
             .run_with_mode(mode, limit)
     };
     let cycle = run(StepMode::Cycle);
-    let event = run(StepMode::EventDriven);
+    let lowered = run(StepMode::Lowered);
     assert_eq!(
-        cycle, event,
+        cycle, lowered,
         "step modes diverged (cfg seed {}, {} cycle-stepped cycles)",
         cfg.seed, cycle.cycles
     );
     // AWG playback state and violation counts, explicitly (also covered
     // by the report equality above, but these are the device fields the
-    // event horizon folding must not disturb).
-    assert_eq!(cycle.playback, event.playback);
-    assert_eq!(cycle.awg_violations, event.awg_violations);
-    assert_eq!(cycle.stats.awg_triggers, event.stats.awg_triggers);
+    // lowered loop's event-horizon folding must not disturb).
+    assert_eq!(cycle.playback, lowered.playback);
+    assert_eq!(cycle.awg_violations, lowered.awg_violations);
+    assert_eq!(cycle.stats.awg_triggers, lowered.stats.awg_triggers);
     assert_eq!(
         cycle.stats.daq_contended_results,
-        event.stats.daq_contended_results
+        lowered.stats.daq_contended_results
     );
     // Device vs QPU shadow occupancy: the AWG's qubit-overlap detections
     // must agree 1:1 with the QPU occupancy model's violations.
-    let qubit_overlaps: Vec<_> = event
+    let qubit_overlaps: Vec<_> = lowered
         .awg_violations_of(AwgViolationKind::QubitOverlap)
         .collect();
-    assert_eq!(qubit_overlaps.len(), event.violations.len());
-    for (awg, qpu) in qubit_overlaps.iter().zip(&event.violations) {
+    assert_eq!(qubit_overlaps.len(), lowered.violations.len());
+    for (awg, qpu) in qubit_overlaps.iter().zip(&lowered.violations) {
         assert_eq!(awg.time_ns, qpu.op.time_ns);
         assert_eq!(awg.qubit, qpu.qubit);
         assert_eq!(awg.busy_until_ns, qpu.busy_until_ns);
     }
     // Every issued operation is on the playback timeline (two-qubit gates
     // trigger one waveform per flux channel).
-    let expected_triggers: usize = event.issued.iter().map(|o| o.op.qubits().count()).sum();
-    assert_eq!(event.playback.len(), expected_triggers);
+    let expected_triggers: usize = lowered.issued.iter().map(|o| o.op.qubits().count()).sum();
+    assert_eq!(lowered.playback.len(), expected_triggers);
 }
 
 fn seeds() -> impl Iterator<Item = u64> {
@@ -63,7 +63,7 @@ fn seeds() -> impl Iterator<Item = u64> {
 
 #[test]
 fn fig02_feedback_latency_modes_agree() {
-    // The DAQ-wait-bound workload the event core was built for: measure,
+    // The DAQ-wait-bound workload the time skip was built for: measure,
     // stall on FMR for the full acquisition chain, branch, conditional X.
     for seed in seeds() {
         let cfg = QuapeConfig::uniprocessor().with_seed(seed);
@@ -197,7 +197,7 @@ fn multiplexed_readout_daq_contention_modes_agree() {
     // Multiplexed readout (all qubits on one shared line) with a single
     // demod server: simultaneous syndrome measurements contend for both
     // the line (AWG channel overlaps) and the demod pipeline (delayed
-    // deliveries). The event-driven loop must reproduce the contended
+    // deliveries). The lowered loop must reproduce the contended
     // timeline bit-for-bit.
     for seed in seeds().take(6) {
         let program = repetition_code_program(QecConfig {
@@ -248,7 +248,7 @@ fn multiplexed_readout_daq_contention_modes_agree() {
 #[test]
 fn cycle_limit_stall_modes_agree() {
     // FMR on a qubit that is never measured: the machine spins on the
-    // measurement-wait stall until the budget runs out. The event core
+    // measurement-wait stall until the budget runs out. The lowered core
     // must jump straight to the limit with identical wait statistics.
     let mut b = ProgramBuilder::new();
     b.fmr(0, 0);
@@ -263,19 +263,20 @@ fn cycle_limit_stall_modes_agree() {
                 .run_with_mode(mode, limit)
         };
         let cycle = run(StepMode::Cycle);
-        let event = run(StepMode::EventDriven);
+        let lowered = run(StepMode::Lowered);
         assert_eq!(cycle.stop, StopReason::CycleLimit);
-        assert_eq!(cycle, event, "limit {limit}");
-        assert_eq!(event.cycles, limit);
+        assert_eq!(cycle, lowered, "limit {limit}");
+        assert_eq!(lowered.cycles, limit);
         // Every spun cycle after block start-up was a recorded wait.
-        assert_eq!(event.stats.processors[0].measure_wait_cycles, limit - 3);
+        assert_eq!(lowered.stats.processors[0].measure_wait_cycles, limit - 3);
     }
 }
 
 #[test]
-fn engine_step_modes_produce_identical_aggregates() {
+fn engine_executors_produce_identical_aggregates() {
     // The batch engine exposes the knob; both modes must fold to the
-    // same deterministic aggregate for the same base seed.
+    // same deterministic aggregate for the same base seed. The lowered
+    // side runs at the engine's default step mode.
     let program = conditional_x(0).expect("valid workload");
     let cfg = QuapeConfig::uniprocessor().with_seed(11);
     let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
@@ -285,13 +286,38 @@ fn engine_step_modes_produce_identical_aggregates() {
             MeasurementModel::Bernoulli { p_one: 0.5 },
         )
     };
-    let event = ShotEngine::new(job.clone(), factory())
-        .step_mode(StepMode::EventDriven)
-        .threads(1)
-        .run(128);
+    assert_eq!(StepMode::default(), StepMode::Lowered);
+    let lowered = ShotEngine::new(job.clone(), factory()).threads(1).run(128);
     let cycle = ShotEngine::new(job, factory())
         .step_mode(StepMode::Cycle)
         .threads(1)
         .run(128);
-    assert_eq!(event.aggregate, cycle.aggregate);
+    assert_eq!(lowered.aggregate, cycle.aggregate);
+}
+
+#[test]
+fn hand_stepped_shot_continues_identically_under_lowered() {
+    // The lowered core starts from shot-initial state only, so a shot the
+    // caller already stepped continues on the reference core. Whatever
+    // the split point, the report must equal an uninterrupted Cycle run.
+    let program = conditional_x_mrce(0).expect("valid workload");
+    let cfg = QuapeConfig::uniprocessor().with_seed(3);
+    let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
+    let qpu = || {
+        Box::new(BehavioralQpu::new(
+            cfg.timings,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+            3,
+        ))
+    };
+    let oracle = job.shot(qpu(), 3).run_with_mode(StepMode::Cycle, 1_000_000);
+    assert_eq!(oracle.stop, StopReason::Completed);
+    for steps in [0, 1, 5, 40, oracle.cycles / 2, oracle.cycles - 1] {
+        let mut shot = job.shot(qpu(), 3);
+        for _ in 0..steps {
+            shot.step();
+        }
+        let report = shot.run_with_mode(StepMode::Lowered, 1_000_000);
+        assert_eq!(report, oracle, "stepped {steps} cycles by hand");
+    }
 }
