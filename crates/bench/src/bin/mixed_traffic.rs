@@ -42,8 +42,11 @@
 //!
 //! Every request's aggregate is asserted bit-identical across the
 //! scenarios (the run is a differential test of the serving layer), so
-//! the throughput numbers compare *equal work*. `--json-out
-//! BENCH_traffic.json` refreshes the committed baseline in one command;
+//! the throughput numbers compare *equal work*. After every server pass
+//! the drained server's counters must satisfy the conservation laws of
+//! `ShardSnapshot::check` — the binary exits nonzero before writing any
+//! output otherwise. `--json-out BENCH_traffic.json` refreshes the
+//! committed baseline in one command;
 //! `--min-warm-speedup` exits nonzero when the cache-warm server fails
 //! to beat the naive client by the given factor.
 

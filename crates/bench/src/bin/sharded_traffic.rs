@@ -30,8 +30,11 @@
 //!
 //! Every request's aggregate is asserted bit-identical across all
 //! configurations (the run is a differential test of the router), so
-//! the throughput numbers compare *equal work*. `--kill-shard` re-runs
-//! the stream while a shard is killed mid-submission and exits nonzero
+//! the throughput numbers compare *equal work*. Every fleet's counters
+//! must also satisfy the conservation laws of `FleetSnapshot::check`
+//! once its jobs settle — the binary exits nonzero before writing any
+//! output otherwise. `--kill-shard` re-runs the stream while a shard is
+//! killed mid-submission and exits nonzero
 //! unless every job completes bit-identically on a survivor;
 //! `--hot-tenant` floods the admission front door from one tenant and
 //! exits nonzero unless every interactive probe dispatches within the
@@ -136,7 +139,7 @@ fn sample_report() -> RouterBenchReport {
             kill_after_submits: 0,
             submitted: 0,
             completed: 0,
-            rerouted_jobs: 0,
+            recovered_jobs: 0,
             aggregates_match: false,
             wall_ms: 0.0,
         }),
@@ -281,7 +284,7 @@ fn render_fleet_snapshot(snap: &FleetSnapshot) -> String {
     }
     out.push_str(&tt.render());
     out.push_str(&format!(
-        "fleet: {} placed, {} re-routed, {} stolen; front door: {} admitted, {} dispatched \
+        "fleet: {} placed, {} recoveries, {} stolen; front door: {} admitted, {} dispatched \
          over {} DRR rounds, {} shed; {} trace events dropped\n",
         counter(&snap.fleet_metrics, "router.jobs_placed"),
         snap.recovered_jobs,
@@ -413,8 +416,8 @@ fn main() {
     if let Some(f) = &report.failover {
         eprintln!(
             "kill-shard: {}/{} jobs completed after losing shard {} \
-             ({} re-routed), aggregates match: {}",
-            f.completed, f.submitted, f.victim, f.rerouted_jobs, f.aggregates_match
+             ({} recoveries), aggregates match: {}",
+            f.completed, f.submitted, f.victim, f.recovered_jobs, f.aggregates_match
         );
     }
     if let Some(a) = &report.admission {

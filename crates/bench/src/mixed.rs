@@ -17,9 +17,10 @@
 //! asserted bit-identical across all scenarios — the benchmark doubles
 //! as a differential test of the serving layer.
 
-use crate::support::{factory, percentile, priority_of};
+use crate::support::{assert_balanced, factory, percentile, priority_of};
 use quape_core::{CompiledJob, QuapeConfig, ShotEngine};
 use quape_obs::{ObsScope, Recorder};
+use quape_router::{ShardSnapshot, ShardStatus};
 use quape_server::{
     CacheStats, JobRequest, JobServer, JobSource, PackerConfig, PackerStats, ServerConfig,
 };
@@ -110,6 +111,11 @@ fn run_naive(cfg: &QuapeConfig, traffic: &[TrafficRequest], base_seed: u64) -> P
 
 /// One server pass over the traffic. Returns (latencies µs, aggregates,
 /// wall ms, cache-stat delta).
+///
+/// # Panics
+///
+/// Panics when the drained server's counters violate a conservation law
+/// (see [`ShardSnapshot::check`]).
 fn run_server_pass(
     server: &JobServer,
     cfg: &QuapeConfig,
@@ -140,6 +146,10 @@ fn run_server_pass(
     }
     let results = server.run();
     let wall_ms = epoch.elapsed().as_secs_f64() * 1000.0;
+    assert_balanced(
+        "server pass",
+        ShardSnapshot::of(0, ShardStatus::Up, server).check(),
+    );
     let after = server.cache_stats();
     assert_eq!(results.len(), traffic.len());
     let latencies = results

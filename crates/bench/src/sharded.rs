@@ -25,7 +25,7 @@
 //! hog tenant and proves the mouse tenants' starvation bound in
 //! dispatched shots.
 
-use crate::support::{factory, percentile, priority_of};
+use crate::support::{assert_balanced, factory, percentile, priority_of};
 use quape_core::{BatchAggregate, QuapeConfig};
 use quape_obs::{audit_complete, flight_recorder, Recorder};
 use quape_router::{
@@ -129,6 +129,7 @@ fn placement_name(p: Placement) -> &'static str {
 
 /// One pass: submit the whole stream, wait every handle, return
 /// (arrival-epoch latencies µs, per-request aggregates, wall ms).
+/// Panics when the settled fleet's counters do not balance.
 fn run_pass(
     router: &Router,
     cfg: &QuapeConfig,
@@ -163,6 +164,7 @@ fn run_pass(
         aggregates.push(result.aggregate);
     }
     let wall_ms = epoch.elapsed().as_secs_f64() * 1000.0;
+    assert_balanced("router pass", router.fleet_snapshot().check());
     (latencies, aggregates, wall_ms)
 }
 
@@ -291,8 +293,9 @@ pub struct FailoverScenarioResult {
     pub submitted: u64,
     /// Jobs that completed with an `Ok` result.
     pub completed: u64,
-    /// Jobs the router re-routed off the dead shard.
-    pub rerouted_jobs: u64,
+    /// Recoveries the router began for jobs displaced by the kill
+    /// ([`Router::recovered_jobs`]).
+    pub recovered_jobs: u64,
     /// Whether every aggregate matched the zero-failure oracle run.
     pub aggregates_match: bool,
     /// Wall time of the faulted pass, ms.
@@ -308,7 +311,8 @@ pub struct FailoverScenarioResult {
 ///
 /// # Panics
 ///
-/// Panics when a job is lost or an aggregate diverges — this scenario
+/// Panics when a job is lost, an aggregate diverges, or the settled
+/// fleet's counters do not balance — this scenario
 /// *is* the failover differential test, run at bench scale.
 pub fn run_kill_shard(bench: &ShardedTrafficConfig) -> FailoverScenarioResult {
     let mut traffic = sharded_traffic(bench.seed, bench.requests, bench.distinct_programs);
@@ -381,7 +385,8 @@ pub fn run_kill_shard(bench: &ShardedTrafficConfig) -> FailoverScenarioResult {
         aggregates_match,
         "kill-a-shard aggregates diverged from the zero-failure oracle"
     );
-    let rerouted_jobs = router.recovered_jobs();
+    assert_balanced("kill-shard fleet", router.fleet_snapshot().check());
+    let recovered_jobs = router.recovered_jobs();
     router.drain().expect("survivors drain cleanly");
     FailoverScenarioResult {
         scenario: "kill_shard".to_string(),
@@ -390,7 +395,7 @@ pub fn run_kill_shard(bench: &ShardedTrafficConfig) -> FailoverScenarioResult {
         kill_after_submits: plan.after_submits as u64,
         submitted: traffic.len() as u64,
         completed,
-        rerouted_jobs,
+        recovered_jobs,
         aggregates_match,
         wall_ms,
     }
@@ -430,7 +435,8 @@ pub struct AdmissionScenarioResult {
 ///
 /// # Panics
 ///
-/// Panics when a mouse waits past the documented starvation bound.
+/// Panics when a mouse waits past the documented starvation bound, or
+/// when the settled fleet's counters do not balance.
 pub fn run_hot_tenant(bench: &ShardedTrafficConfig) -> AdmissionScenarioResult {
     let hog_jobs = bench.requests.max(8);
     let mouse_jobs = 9;
@@ -485,6 +491,7 @@ pub fn run_hot_tenant(bench: &ShardedTrafficConfig) -> AdmissionScenarioResult {
     }
     let shed_jobs = door.shed_count();
     let wall_ms = epoch.elapsed().as_secs_f64() * 1000.0;
+    assert_balanced("hot-tenant fleet", door.router().fleet_snapshot().check());
     door.drain().expect("front door drains cleanly");
     // Documented bound, summed over a mouse's competitors: the hog and
     // the two other mouse tenants each dispatch at most
@@ -525,13 +532,14 @@ pub struct ObservedFleetOutcome {
 /// submission (`kill`, the re-route path in the trace). After every job
 /// completes, the trace is audited — accepted-before-quantum, exactly
 /// one terminal, re-routed jobs placed on both their shards — and the
-/// fleet's counters are merged into one [`FleetSnapshot`].
+/// fleet's counters are merged into one [`FleetSnapshot`] whose
+/// conservation laws must hold.
 ///
 /// # Panics
 ///
-/// Panics when a job is lost or the trace violates a lifecycle
-/// invariant — the audit failure message includes the flight-recorder
-/// dump.
+/// Panics when a job is lost, the counters do not balance, or the trace
+/// violates a lifecycle invariant — the audit failure message includes
+/// the flight-recorder dump.
 pub fn run_observed_fleet(bench: &ShardedTrafficConfig, kill: bool) -> ObservedFleetOutcome {
     let mut traffic = sharded_traffic(bench.seed, bench.requests, bench.distinct_programs);
     if kill {
@@ -592,6 +600,7 @@ pub fn run_observed_fleet(bench: &ShardedTrafficConfig, kill: bool) -> ObservedF
         let _ = job.wait().expect("every observed job completes");
     }
     let snapshot = door.router().fleet_snapshot();
+    assert_balanced("observed fleet", snapshot.check());
     let audit = audit_complete(&recorder.events(), traffic.len()).unwrap_or_else(|e| {
         panic!(
             "lifecycle audit failed: {e}\n{}",

@@ -3,6 +3,7 @@
 
 use quape_core::QuapeConfig;
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
+use quape_router::LawViolation;
 use quape_server::Priority;
 
 /// The serving benchmarks' common QPU backend: a fair coin per
@@ -28,4 +29,14 @@ pub(crate) fn percentile(sorted_us: &[u64], p: usize) -> u64 {
         return 0;
     }
     sorted_us[(sorted_us.len() - 1) * p / 100]
+}
+
+/// Panics, listing every violated law, unless `check` (a quiescent
+/// snapshot's conservation-law check) passed. `what` names the fleet or
+/// server in the message.
+pub(crate) fn assert_balanced(what: &str, check: Result<(), Vec<LawViolation>>) {
+    if let Err(violations) = check {
+        let lines: Vec<String> = violations.iter().map(|v| format!("  {v}")).collect();
+        panic!("{what}: counters do not balance:\n{}", lines.join("\n"));
+    }
 }

@@ -227,6 +227,15 @@ impl QuapeConfig {
         if self.num_qubits == Some(0) {
             return Err("num_qubits override must be positive".into());
         }
+        if let Some(n) = self
+            .num_qubits
+            .filter(|&n| usize::from(n) > quape_isa::MAX_QUBITS)
+        {
+            return Err(format!(
+                "num_qubits override {n} exceeds the {} qubits the ISA addresses",
+                quape_isa::MAX_QUBITS
+            ));
+        }
         if self.daq_demod_slots == 0 {
             return Err("need at least one DAQ demod server per channel".into());
         }

@@ -383,12 +383,12 @@ impl BatchReport {
 /// The default ([`EngineObs::off`]) is compile-time inert: every update
 /// is an inlined no-op on `None`-backed handles, so an uninstrumented
 /// engine pays one predictable branch per shot. The job service wires
-/// live handles from its shard's `quape-obs` registry.
+/// live handles from its shard's `quape-obs` registry when that scope
+/// traces; an untraced scope leaves the per-shot path inert.
 #[derive(Debug, Clone, Default)]
 pub struct EngineObs {
-    /// Shots executed through this engine.
-    pub shots: quape_obs::Counter,
-    /// Per-shot simulated cycle counts (log2 buckets).
+    /// Per-shot simulated cycle counts (log2 buckets); its count is the
+    /// number of shots executed through this engine.
     pub shot_cycles: quape_obs::Histogram,
 }
 
@@ -396,22 +396,20 @@ impl EngineObs {
     /// The inert default.
     pub const fn off() -> Self {
         EngineObs {
-            shots: quape_obs::Counter::off(),
             shot_cycles: quape_obs::Histogram::off(),
         }
     }
 
-    /// Handles registered in `scope`'s metric registry.
+    /// Handles registered in `scope`'s metric registry (inert when
+    /// `scope` does not trace).
     pub fn in_scope(scope: &quape_obs::ObsScope) -> Self {
         EngineObs {
-            shots: scope.counter("engine.shots"),
             shot_cycles: scope.histogram("engine.shot_cycles"),
         }
     }
 
     #[inline]
     fn record(&self, summary: &ShotSummary) {
-        self.shots.inc();
         self.shot_cycles.record(summary.cycles);
     }
 }

@@ -246,12 +246,20 @@ impl CompiledJob {
     ///
     /// Returns [`MachineError::Config`] for inconsistent configurations
     /// (including a `num_qubits` override smaller than what the program
-    /// touches) and [`MachineError::Program`] when wrapping a block-less
-    /// program fails.
+    /// touches, and a program or override wider than
+    /// [`quape_isa::MAX_QUBITS`]) and [`MachineError::Program`] when
+    /// wrapping a block-less program fails.
     pub fn compile(cfg: QuapeConfig, program: Program) -> Result<Self, MachineError> {
         cfg.validate().map_err(MachineError::Config)?;
         let program = ensure_blocks(program)?;
         let scanned = program.num_qubits().max(1);
+        // Channel arithmetic is u16: an unbounded span would wrap.
+        if usize::from(scanned) > quape_isa::MAX_QUBITS {
+            return Err(MachineError::Config(format!(
+                "the program touches {scanned} qubits, beyond the {} the ISA addresses",
+                quape_isa::MAX_QUBITS
+            )));
+        }
         let num_qubits = match cfg.num_qubits {
             None => scanned,
             Some(n) if n >= scanned => n,
@@ -1337,6 +1345,41 @@ mod tests {
         let wider = CompiledJob::compile(QuapeConfig::superscalar(8), two_qubit_program())
             .expect("compiles");
         assert_ne!(a.digest(), wider.digest());
+    }
+
+    #[test]
+    fn over_wide_machines_are_rejected_at_compile_time() {
+        use quape_isa::{ClassicalOp, Gate1, Instruction, QuantumOp, Qubit};
+        let touching = |q: u16| {
+            Program::new(vec![
+                Instruction::quantum(0, QuantumOp::Gate1(Gate1::H, Qubit::new(q))),
+                Instruction::Classical(ClassicalOp::Stop),
+            ])
+            .expect("valid program")
+        };
+        let widest = quape_isa::MAX_QUBITS as u16;
+        for base in [
+            QuapeConfig::superscalar(4),
+            QuapeConfig::superscalar(4).with_readout_lines(8),
+        ] {
+            for q in [widest, u16::MAX] {
+                let err = CompiledJob::compile(base.clone(), touching(q)).unwrap_err();
+                assert!(matches!(err, MachineError::Config(_)), "q{q}: {err}");
+            }
+            for n in [widest + 1, 40_000] {
+                let cfg = base.clone().with_num_qubits(n);
+                assert!(cfg.validate().is_err(), "override {n} validated");
+                let err = CompiledJob::compile(cfg, two_qubit_program()).unwrap_err();
+                assert!(
+                    matches!(err, MachineError::Config(_)),
+                    "override {n}: {err}"
+                );
+            }
+            // The full ISA width still compiles, on either layout.
+            let job = CompiledJob::compile(base.clone(), touching(widest - 1)).expect("fits");
+            assert_eq!(usize::from(job.num_qubits()), quape_isa::MAX_QUBITS);
+            CompiledJob::compile(base.with_num_qubits(widest), two_qubit_program()).expect("fits");
+        }
     }
 
     #[test]

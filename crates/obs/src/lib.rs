@@ -18,13 +18,13 @@
 //! * **Audits** ([`audit_lifecycle`], [`audit_complete`]): the span
 //!   ordering invariants a well-formed trace must satisfy.
 //!
-//! Telemetry is opt-in: the [`Recorder::off`] / [`ObsScope::off`]
-//! defaults are `None`-backed handles whose every operation is an
-//! inlined no-op, so uninstrumented runs stay on the exact pre-obs code
-//! path. When enabled, recording never takes a lock on a metric update
-//! and only a leaf mutex on an event push — telemetry observes the
-//! schedule, it never steers it, so bit-identity differential suites
-//! pass unchanged with tracing on.
+//! Metrics are always on: every [`ObsScope`] owns a [`Registry`] whose
+//! counters and gauges cost one relaxed atomic per update. Tracing is
+//! opt-in: the [`Recorder::off`] / [`ObsScope::off`] defaults are
+//! untraced — the switch governs only the trace ring, the histograms
+//! and the engine's per-shot instruments. Metric updates never lock and
+//! event pushes take only a leaf mutex; telemetry never steers the
+//! schedule, so bit-identity suites pass unchanged with tracing on.
 //!
 //! ```
 //! use quape_obs::{audit_lifecycle, chrome_trace, Recorder, TraceKind};

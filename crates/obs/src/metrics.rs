@@ -1,8 +1,9 @@
 //! Wait-free metric instruments and the per-scope registry.
 //!
-//! Handles are `Option<Arc<atomic>>` wrappers: the disabled default is a
-//! `None` that compiles down to a single branch per update, and an
-//! enabled handle is one relaxed atomic RMW — no locks on any hot path.
+//! Counters and gauges are `Arc<atomic>` handles, always live: an update
+//! is one relaxed atomic RMW. Histograms are `Option`-wrapped: the
+//! disabled default is a `None` that compiles down to a single branch
+//! per update. No locks on any hot path.
 //! Registration (name lookup) takes a leaf mutex, but happens once at
 //! construction time, never per shot or per quantum.
 
@@ -15,20 +16,13 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A monotonically increasing counter. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A disabled counter: every update is a no-op.
-    pub const fn off() -> Self {
-        Counter(None)
-    }
-
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one to the counter.
@@ -37,41 +31,26 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (0 when disabled).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
 /// A signed up/down gauge. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicI64>>);
+pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// A disabled gauge: every update is a no-op.
-    pub const fn off() -> Self {
-        Gauge(None)
-    }
-
     /// Adds `n` (may be negative) to the gauge.
     #[inline]
     pub fn add(&self, n: i64) {
-        if let Some(g) = &self.0 {
-            g.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Stores an absolute value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 when disabled).
+    /// Current value.
     pub fn get(&self) -> i64 {
-        self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -144,12 +123,10 @@ impl Histogram {
     /// Snapshot of count/percentiles/max (zeros when disabled).
     pub fn sample(&self, name: &str) -> HistogramSample {
         let Some(h) = &self.0 else {
+            let name = name.to_string();
             return HistogramSample {
-                name: name.to_string(),
-                count: 0,
-                p50: 0,
-                p95: 0,
-                max: 0,
+                name,
+                ..Default::default()
             };
         };
         let buckets: Vec<u64> = h
@@ -182,89 +159,76 @@ impl Histogram {
     }
 }
 
+/// Named instruments of one kind, in registration order.
+type Slots<T> = Mutex<Vec<(String, Arc<T>)>>;
+
+/// The instrument registered under `name`, created by `new` on first use.
+fn find_or_create<T>(slots: &Slots<T>, name: &str, new: impl FnOnce() -> T) -> Arc<T> {
+    let mut v = slots.lock().expect("registry lock poisoned");
+    if let Some((_, x)) = v.iter().find(|(n, _)| n == name) {
+        return Arc::clone(x);
+    }
+    let x = Arc::new(new());
+    v.push((name.to_string(), Arc::clone(&x)));
+    x
+}
+
+/// Every instrument's `sample`, sorted by name so the serde output has
+/// a stable order independent of registration order.
+fn sorted_samples<T, S>(slots: &Slots<T>, sample: impl Fn(&str, &Arc<T>) -> S) -> Vec<S> {
+    let v = slots.lock().expect("registry lock poisoned");
+    let mut refs: Vec<&(String, Arc<T>)> = v.iter().collect();
+    refs.sort_by(|a, b| a.0.cmp(&b.0));
+    refs.into_iter().map(|(n, x)| sample(n, x)).collect()
+}
+
 /// A named-instrument registry. Lookups are find-or-create by name under
 /// a leaf mutex; the returned handles update lock-free thereafter.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
-    gauges: Mutex<Vec<(String, Arc<AtomicI64>)>>,
-    histograms: Mutex<Vec<(String, Arc<HistogramCore>)>>,
+    counters: Slots<AtomicU64>,
+    gauges: Slots<AtomicI64>,
+    histograms: Slots<HistogramCore>,
 }
 
 impl Registry {
     /// Returns the counter registered under `name`, creating it on first
     /// use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut v = self.counters.lock().unwrap();
-        if let Some((_, c)) = v.iter().find(|(n, _)| n == name) {
-            return Counter(Some(Arc::clone(c)));
-        }
-        let c = Arc::new(AtomicU64::new(0));
-        v.push((name.to_string(), Arc::clone(&c)));
-        Counter(Some(c))
+        Counter(find_or_create(&self.counters, name, AtomicU64::default))
     }
 
     /// Returns the gauge registered under `name`, creating it on first
     /// use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut v = self.gauges.lock().unwrap();
-        if let Some((_, g)) = v.iter().find(|(n, _)| n == name) {
-            return Gauge(Some(Arc::clone(g)));
-        }
-        let g = Arc::new(AtomicI64::new(0));
-        v.push((name.to_string(), Arc::clone(&g)));
-        Gauge(Some(g))
+        Gauge(find_or_create(&self.gauges, name, AtomicI64::default))
     }
 
     /// Returns the histogram registered under `name`, creating it on
     /// first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut v = self.histograms.lock().unwrap();
-        if let Some((_, h)) = v.iter().find(|(n, _)| n == name) {
-            return Histogram(Some(Arc::clone(h)));
-        }
-        let h = Arc::new(HistogramCore::new());
-        v.push((name.to_string(), Arc::clone(&h)));
-        Histogram(Some(h))
+        Histogram(Some(find_or_create(
+            &self.histograms,
+            name,
+            HistogramCore::new,
+        )))
     }
 
-    /// Renders every registered instrument, sorted by name so the serde
-    /// output has a stable order independent of registration order.
+    /// Renders every registered instrument, sorted by name within each
+    /// kind.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<CounterSample> = self
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, c)| CounterSample {
-                name: n.clone(),
-                value: c.load(Ordering::Relaxed),
-            })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut gauges: Vec<GaugeSample> = self
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, g)| GaugeSample {
-                name: n.clone(),
-                value: g.load(Ordering::Relaxed),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut histograms: Vec<HistogramSample> = self
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, h)| Histogram(Some(Arc::clone(h))).sample(n))
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: sorted_samples(&self.counters, |name, c| CounterSample {
+                name: name.to_string(),
+                value: c.load(Ordering::Relaxed),
+            }),
+            gauges: sorted_samples(&self.gauges, |name, g| GaugeSample {
+                name: name.to_string(),
+                value: g.load(Ordering::Relaxed),
+            }),
+            histograms: sorted_samples(&self.histograms, |name, h| {
+                Histogram(Some(Arc::clone(h))).sample(name)
+            }),
         }
     }
 }
@@ -288,7 +252,7 @@ pub struct GaugeSample {
 }
 
 /// One histogram reading (percentiles are log2-bucket upper bounds).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct HistogramSample {
     /// Registered instrument name.
     pub name: String,
@@ -318,13 +282,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_instruments_are_inert() {
-        let c = Counter::off();
-        c.inc();
-        assert_eq!(c.get(), 0);
-        let g = Gauge::off();
-        g.add(5);
-        assert_eq!(g.get(), 0);
+    fn off_histogram_is_inert() {
         let h = Histogram::off();
         h.record(9);
         assert_eq!(h.sample("x").count, 0);

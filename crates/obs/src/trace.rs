@@ -1,11 +1,11 @@
 //! Lifecycle trace recording: the shared [`Recorder`], per-shard
 //! [`ObsScope`]s, and the bounded event ring.
 //!
-//! Every scope owns a [`Registry`] of metric instruments and a bounded
-//! ring of [`TraceEvent`]s. The ring mutex is a *leaf* lock: it is taken
-//! only to push or snapshot events and never while any scheduler or
-//! fleet lock is wanted, so instrumented code can emit events from under
-//! its own locks without ordering hazards.
+//! Every scope owns a [`Registry`] of metric instruments; a traced scope
+//! also owns a bounded ring of [`TraceEvent`]s. The ring mutex is a
+//! *leaf* lock: it is taken only to push or snapshot events and never
+//! while any scheduler or fleet lock is wanted, so instrumented code can
+//! emit events from under its own locks without ordering hazards.
 
 use crate::metrics::{MetricsSnapshot, Registry};
 use std::collections::VecDeque;
@@ -146,97 +146,99 @@ struct Ring {
 }
 
 #[derive(Debug)]
-pub(crate) struct ScopeCore {
+struct ScopeCore {
     shard: u32,
     label: String,
     origin: Instant,
     registry: Registry,
-    ring: Mutex<Ring>,
+    /// `None` for an untraced scope: no events, no histograms.
+    ring: Option<Mutex<Ring>>,
 }
 
-impl ScopeCore {
-    fn push(&self, mut ev: TraceEvent) {
-        let mut ring = self.ring.lock().unwrap();
-        ev.seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.buf.len() == ring.cap {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(ev);
+/// A cheap per-shard telemetry handle. Every scope owns a metric
+/// [`Registry`] whose counters and gauges are always live; the trace
+/// switch decides only whether the scope also keeps an event ring and
+/// live histograms. An untraced scope ([`ObsScope::off`]) records no
+/// events and hands out inert [`histogram`](ObsScope::histogram)s.
+/// Cloning shares the ring and registry, so give each server its own
+/// scope or their counters merge.
+#[derive(Clone)]
+pub struct ObsScope(Arc<ScopeCore>);
+
+impl Default for ObsScope {
+    fn default() -> Self {
+        ObsScope::off()
     }
 }
 
-/// A cheap per-shard telemetry handle. The disabled default
-/// ([`ObsScope::off`]) is a `None` whose every method is an inlined
-/// no-op; cloning an enabled scope shares the same ring and registry.
-#[derive(Clone, Default)]
-pub struct ObsScope(Option<Arc<ScopeCore>>);
-
 impl std::fmt::Debug for ObsScope {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            None => write!(f, "ObsScope(off)"),
-            Some(c) => write!(f, "ObsScope({})", c.label),
-        }
+        let untraced = if self.is_on() { "" } else { ", untraced" };
+        write!(f, "ObsScope({}{untraced})", self.0.label)
     }
 }
 
 impl ObsScope {
-    /// The inert scope: records nothing, costs one branch per call.
-    pub const fn off() -> Self {
-        ObsScope(None)
+    /// A scope tracing into a ring of `ring_cap` events, or untraced.
+    fn build(shard: u32, label: &str, origin: Instant, ring_cap: Option<usize>) -> Self {
+        let ring = ring_cap.map(|cap| {
+            Mutex::new(Ring {
+                buf: VecDeque::new(),
+                cap,
+                dropped: 0,
+                next_seq: 0,
+            })
+        });
+        ObsScope(Arc::new(ScopeCore {
+            shard,
+            label: label.to_string(),
+            origin,
+            registry: Registry::default(),
+            ring,
+        }))
     }
 
-    /// Whether this scope records anything.
+    /// A fresh untraced scope: live counters and gauges, no events, no
+    /// histograms.
+    pub fn off() -> Self {
+        ObsScope::build(0, "off", Instant::now(), None)
+    }
+
+    /// Whether this scope traces (records events and histograms).
     #[inline]
     pub fn is_on(&self) -> bool {
-        self.0.is_some()
+        self.0.ring.is_some()
     }
 
-    /// The scope id (Chrome trace pid); 0 when disabled.
+    /// The scope id (Chrome trace pid).
     pub fn shard(&self) -> u32 {
-        self.0.as_ref().map_or(0, |c| c.shard)
+        self.0.shard
     }
 
     /// Registers (or finds) a counter in this scope's registry.
     pub fn counter(&self, name: &str) -> crate::Counter {
-        self.0
-            .as_ref()
-            .map_or_else(crate::Counter::off, |c| c.registry.counter(name))
+        self.0.registry.counter(name)
     }
 
     /// Registers (or finds) a gauge in this scope's registry.
     pub fn gauge(&self, name: &str) -> crate::Gauge {
-        self.0
-            .as_ref()
-            .map_or_else(crate::Gauge::off, |c| c.registry.gauge(name))
+        self.0.registry.gauge(name)
     }
 
-    /// Registers (or finds) a histogram in this scope's registry.
+    /// Registers (or finds) a histogram in this scope's registry; an
+    /// inert handle when the scope does not trace.
     pub fn histogram(&self, name: &str) -> crate::Histogram {
-        self.0
-            .as_ref()
-            .map_or_else(crate::Histogram::off, |c| c.registry.histogram(name))
+        if self.is_on() {
+            self.0.registry.histogram(name)
+        } else {
+            crate::Histogram::off()
+        }
     }
 
     /// Records an instant event, timestamped now.
     #[inline]
     pub fn event(&self, kind: TraceKind, worker: u32, job: u64, a: u64, b: u64) {
-        if let Some(c) = &self.0 {
-            c.push(TraceEvent {
-                seq: 0,
-                ts_us: c.origin.elapsed().as_micros() as u64,
-                dur_us: 0,
-                shard: c.shard,
-                worker,
-                job,
-                kind,
-                a,
-                b,
-                tenant: None,
-            });
-        }
+        self.emit(kind, worker, job, a, b, None, None);
     }
 
     /// Records an instant event carrying a tenant label.
@@ -250,69 +252,94 @@ impl ObsScope {
         b: u64,
         tenant: &str,
     ) {
-        if let Some(c) = &self.0 {
-            c.push(TraceEvent {
-                seq: 0,
-                ts_us: c.origin.elapsed().as_micros() as u64,
-                dur_us: 0,
-                shard: c.shard,
-                worker,
-                job,
-                kind,
-                a,
-                b,
-                tenant: Some(tenant.to_string()),
-            });
-        }
+        self.emit(kind, worker, job, a, b, None, Some(tenant));
     }
 
     /// Records a span that began at `start` and ends now.
     #[inline]
     pub fn span(&self, kind: TraceKind, worker: u32, job: u64, a: u64, b: u64, start: Instant) {
-        if let Some(c) = &self.0 {
-            let ts = start.saturating_duration_since(c.origin).as_micros() as u64;
-            let dur = start.elapsed().as_micros() as u64;
-            c.push(TraceEvent {
-                seq: 0,
-                ts_us: ts,
-                dur_us: dur,
-                shard: c.shard,
-                worker,
-                job,
-                kind,
-                a,
-                b,
-                tenant: None,
-            });
-        }
+        self.emit(kind, worker, job, a, b, Some(start), None);
     }
 
-    /// The scope's events in push order (empty when disabled).
+    /// Pushes one event — a span when `start` is given, else an instant
+    /// — into the ring; a no-op when untraced.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn emit(
+        &self,
+        kind: TraceKind,
+        worker: u32,
+        job: u64,
+        a: u64,
+        b: u64,
+        start: Option<Instant>,
+        tenant: Option<&str>,
+    ) {
+        let Some(ring) = &self.0.ring else { return };
+        let origin = self.0.origin;
+        let (ts_us, dur_us) = match start {
+            Some(s) => (
+                s.saturating_duration_since(origin).as_micros() as u64,
+                s.elapsed().as_micros() as u64,
+            ),
+            None => (origin.elapsed().as_micros() as u64, 0),
+        };
+        let mut ring = ring.lock().expect("trace ring lock poisoned");
+        let ev = TraceEvent {
+            seq: ring.next_seq,
+            ts_us,
+            dur_us,
+            shard: self.0.shard,
+            worker,
+            job,
+            kind,
+            a,
+            b,
+            tenant: tenant.map(str::to_string),
+        };
+        ring.next_seq += 1;
+        if ring.buf.len() == ring.cap {
+            ring.buf.pop_front();
+            ring.dropped += 1;
+        }
+        ring.buf.push_back(ev);
+    }
+
+    /// The scope's events in push order (empty when untraced).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.0.as_ref().map_or_else(Vec::new, |c| {
-            c.ring.lock().unwrap().buf.iter().cloned().collect()
+        self.0.ring.as_ref().map_or_else(Vec::new, |r| {
+            let ring = r.lock().expect("trace ring lock poisoned");
+            ring.buf.iter().cloned().collect()
         })
     }
 
     /// Snapshot of this scope's metric registry.
     pub fn metrics(&self) -> MetricsSnapshot {
+        self.0.registry.snapshot()
+    }
+
+    /// Events evicted from this scope's full ring.
+    fn dropped(&self) -> u64 {
         self.0
+            .ring
             .as_ref()
-            .map_or_else(MetricsSnapshot::default, |c| c.registry.snapshot())
+            .map_or(0, |r| r.lock().expect("trace ring lock poisoned").dropped)
     }
 }
 
 #[derive(Debug)]
-pub(crate) struct RecorderCore {
-    pub(crate) origin: Instant,
+struct RecorderCore {
+    origin: Instant,
     cap: usize,
-    pub(crate) scopes: Mutex<Vec<Arc<ScopeCore>>>,
+    scopes: Mutex<Vec<ObsScope>>,
 }
 
-/// The shared trace recorder: a set of scopes (one per shard plus the
-/// fleet scope) over one monotonic clock. [`Recorder::off`] is the
-/// inert default; an enabled recorder is cheap to clone and hand to
-/// every layer of the stack.
+/// The shared trace recorder: a set of traced scopes (one per shard
+/// plus the fleet scope) over one monotonic clock. The untraced default
+/// ([`Recorder::off`]) keeps nothing: every scope it hands out is a
+/// fresh untraced [`ObsScope`] with its own registry, so callers hold
+/// on to the scopes they are given. An enabled recorder is cheap to
+/// clone and hand to every layer of the stack.
 #[derive(Clone, Default)]
 pub struct Recorder(Option<Arc<RecorderCore>>);
 
@@ -344,14 +371,10 @@ impl Recorder {
         })))
     }
 
-    /// The inert recorder: every derived scope is [`ObsScope::off`].
+    /// The untraced recorder: every derived scope is a fresh untraced
+    /// scope (see [`ObsScope::off`]).
     pub const fn off() -> Self {
         Recorder(None)
-    }
-
-    /// Whether this recorder records anything.
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Finds or creates the scope for `shard`, labelled `shard-N`.
@@ -365,82 +388,62 @@ impl Recorder {
     }
 
     /// Finds or creates a scope with an explicit Chrome process label.
-    /// The label of an existing scope is kept.
+    /// The label of an existing scope is kept. An untraced recorder
+    /// returns a fresh untraced scope on every call.
     pub fn labeled_scope(&self, shard: u32, label: &str) -> ObsScope {
         let Some(core) = &self.0 else {
-            return ObsScope::off();
+            return ObsScope::build(shard, label, Instant::now(), None);
         };
         let mut scopes = core.scopes.lock().unwrap();
-        if let Some(s) = scopes.iter().find(|s| s.shard == shard) {
-            return ObsScope(Some(Arc::clone(s)));
+        if let Some(s) = scopes.iter().find(|s| s.shard() == shard) {
+            return s.clone();
         }
-        let s = Arc::new(ScopeCore {
-            shard,
-            label: label.to_string(),
-            origin: core.origin,
-            registry: Registry::default(),
-            ring: Mutex::new(Ring {
-                buf: VecDeque::new(),
-                cap: core.cap,
-                dropped: 0,
-                next_seq: 0,
-            }),
-        });
-        scopes.push(Arc::clone(&s));
-        ObsScope(Some(s))
+        let s = ObsScope::build(shard, label, core.origin, Some(core.cap));
+        scopes.push(s.clone());
+        s
     }
 
     /// Every scope's events merged and sorted by `(ts_us, shard, seq)`.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let Some(core) = &self.0 else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for s in core.scopes.lock().unwrap().iter() {
-            out.extend(s.ring.lock().unwrap().buf.iter().cloned());
-        }
+        let mut out: Vec<TraceEvent> = self.scopes().iter().flat_map(ObsScope::events).collect();
         out.sort_by_key(|e| (e.ts_us, e.shard, e.seq));
         out
     }
 
-    /// Scope ids and labels, in creation order.
-    pub fn scope_labels(&self) -> Vec<(u32, String)> {
+    /// The recorder's scopes, in creation order (none when untraced).
+    fn scopes(&self) -> Vec<ObsScope> {
         self.0.as_ref().map_or_else(Vec::new, |core| {
             core.scopes
                 .lock()
-                .unwrap()
-                .iter()
-                .map(|s| (s.shard, s.label.clone()))
-                .collect()
+                .expect("scope list lock poisoned")
+                .clone()
         })
+    }
+
+    /// Scope ids and labels, in creation order.
+    pub fn scope_labels(&self) -> Vec<(u32, String)> {
+        self.scopes()
+            .iter()
+            .map(|s| (s.shard(), s.0.label.clone()))
+            .collect()
     }
 
     /// Total events evicted from full rings across all scopes.
     pub fn dropped_events(&self) -> u64 {
-        self.0.as_ref().map_or(0, |core| {
-            core.scopes
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|s| s.ring.lock().unwrap().dropped)
-                .sum()
-        })
+        self.scopes().iter().map(ObsScope::dropped).sum()
     }
 
     /// Per-scope metric snapshots, sorted by scope id.
     pub fn metrics(&self) -> RecorderMetrics {
-        let mut scopes: Vec<ScopeMetrics> = self.0.as_ref().map_or_else(Vec::new, |core| {
-            core.scopes
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|s| ScopeMetrics {
-                    scope: s.shard,
-                    label: s.label.clone(),
-                    metrics: s.registry.snapshot(),
-                })
-                .collect()
-        });
+        let mut scopes: Vec<ScopeMetrics> = self
+            .scopes()
+            .iter()
+            .map(|s| ScopeMetrics {
+                scope: s.shard(),
+                label: s.0.label.clone(),
+                metrics: s.metrics(),
+            })
+            .collect();
         scopes.sort_by_key(|s| s.scope);
         RecorderMetrics {
             scopes,
@@ -475,13 +478,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_recorder_yields_inert_scopes() {
+    fn off_recorder_yields_untraced_scopes() {
         let r = Recorder::off();
         let s = r.scope(0);
         assert!(!s.is_on());
         s.event(TraceKind::Accepted, 0, 1, 10, 1);
         assert!(s.events().is_empty());
         assert!(r.events().is_empty());
+        // Counters and gauges stay live; histograms follow the switch.
+        s.counter("jobs").inc();
+        s.gauge("depth").add(2);
+        s.histogram("lat").record(7);
+        let m = s.metrics();
+        assert_eq!((m.counters[0].value, m.gauges[0].value), (1, 2));
+        assert!(m.histograms.is_empty());
+        // The recorder keeps nothing: each call is a fresh registry.
+        assert!(r.scope(0).metrics().counters.is_empty());
+        assert!(r.metrics().scopes.is_empty());
     }
 
     #[test]

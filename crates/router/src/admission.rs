@@ -197,7 +197,6 @@ struct FrontState {
     pumping: bool,
     repump: bool,
     dispatch_seq: u64,
-    shed: u64,
     log: Vec<DispatchRecord>,
     draining: bool,
 }
@@ -212,6 +211,8 @@ struct FrontObs {
     admitted: quape_obs::Counter,
     shed: quape_obs::Counter,
     dispatched: quape_obs::Counter,
+    /// Dequeued jobs the router refused at dispatch.
+    dispatch_failed: quape_obs::Counter,
     drr_rounds: quape_obs::Counter,
     /// Jobs admitted but not yet handed to the router (live depth of
     /// the DRR queues, across all tenants).
@@ -224,6 +225,7 @@ impl FrontObs {
             admitted: scope.counter("front.jobs_admitted"),
             shed: scope.counter("front.jobs_shed"),
             dispatched: scope.counter("front.jobs_dispatched"),
+            dispatch_failed: scope.counter("front.dispatch_failed"),
             drr_rounds: scope.counter("front.drr_rounds"),
             queue_depth: scope.gauge("front.queue_depth"),
             scope,
@@ -425,6 +427,7 @@ impl FrontCore {
                         Ok(routed.handle)
                     }
                     Err(e) => {
+                        self.obs.dispatch_failed.inc();
                         let mut st = self.lock();
                         st.window_used -= pending.shots;
                         if let Some(inflight) = st.inflight.get_mut(&pending.tenant) {
@@ -463,7 +466,7 @@ impl FrontDoor {
             fleet: Arc::downgrade(router.inner()),
             state: Mutex::new(FrontState::default()),
             idle: Condvar::new(),
-            obs: FrontObs::new(router.recorder().fleet_scope()),
+            obs: FrontObs::new(router.inner().obs.scope.clone()),
         });
         let hook_core = Arc::clone(&core);
         router.set_finish_hook(Arc::new(move |fleet_id, _outcome| {
@@ -477,9 +480,9 @@ impl FrontDoor {
         &self.router
     }
 
-    /// Jobs shed with [`JobError::OverBudget`] so far.
+    /// Jobs shed with [`JobError::OverBudget`] so far (`front.jobs_shed`).
     pub fn shed_count(&self) -> u64 {
-        self.core.lock().shed
+        self.core.obs.shed.get()
     }
 
     /// One tenant's admitted-but-unfinished shots.
@@ -515,7 +518,6 @@ impl FrontDoor {
             }
             let inflight = st.inflight.get(&tenant).copied().unwrap_or(0);
             if inflight + shots > self.core.cfg.tenant_budget_shots {
-                st.shed += 1;
                 let retry_after_shots = inflight + shots - self.core.cfg.tenant_budget_shots;
                 self.core.obs.shed.inc();
                 self.core.obs.scope.event_tenant(

@@ -27,7 +27,7 @@ use quape_server::{
     ServingServer,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::Duration;
@@ -265,13 +265,17 @@ struct JobTable {
 }
 
 /// Fleet-scope telemetry handles, pre-registered at construction so the
-/// placement/recovery paths never touch the registry mutex.
+/// placement/recovery paths never touch the registry mutex; each is
+/// bumped before the job table shows the move it counts.
 pub(crate) struct FleetObs {
     pub(crate) recorder: Recorder,
+    /// Held for life: an untraced recorder hands out fresh registries.
     pub(crate) scope: ObsScope,
     placed: quape_obs::Counter,
     rerouted: quape_obs::Counter,
     stolen: quape_obs::Counter,
+    recoveries: quape_obs::Counter,
+    recoveries_failed: quape_obs::Counter,
 }
 
 impl FleetObs {
@@ -281,6 +285,8 @@ impl FleetObs {
             placed: scope.counter("router.jobs_placed"),
             rerouted: scope.counter("router.jobs_rerouted"),
             stolen: scope.counter("router.jobs_stolen"),
+            recoveries: scope.counter("router.recoveries_begun"),
+            recoveries_failed: scope.counter("router.recoveries_failed"),
             scope,
             recorder,
         }
@@ -302,8 +308,6 @@ pub(crate) struct RouterInner {
     finish_hook: Mutex<Option<RouterFinishHook>>,
     steal_stop: Mutex<bool>,
     steal_cond: Condvar,
-    recovered: AtomicU64,
-    stolen: AtomicU64,
 }
 
 /// The fault-tolerant sharded front router. See the
@@ -366,8 +370,6 @@ impl Router {
             finish_hook: Mutex::new(None),
             steal_stop: Mutex::new(false),
             steal_cond: Condvar::new(),
-            recovered: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
         });
         // Each shard reports completions straight into the registry.
         // The hook holds a Weak so a leaked handle cannot keep the
@@ -426,20 +428,15 @@ impl Router {
         self.inner.lock_fleet().shards[index].status
     }
 
-    /// Jobs re-routed off a dead or retiring shard so far.
+    /// Recoveries *begun* (`router.recoveries_begun`) — each ends
+    /// re-routed (`router.jobs_rerouted`) or lost (`router.recoveries_failed`).
     pub fn recovered_jobs(&self) -> u64 {
-        self.inner.recovered.load(Ordering::Relaxed)
+        self.inner.obs.recoveries.get()
     }
 
-    /// Jobs moved by work stealing so far.
+    /// Jobs moved by work stealing so far (`router.jobs_stolen`).
     pub fn stolen_jobs(&self) -> u64 {
-        self.inner.stolen.load(Ordering::Relaxed)
-    }
-
-    /// The trace recorder the fleet records into
-    /// ([`Recorder::off`] unless [`RouterConfig::obs`] enabled one).
-    pub fn recorder(&self) -> &Recorder {
-        &self.inner.obs.recorder
+        self.inner.obs.stolen.get()
     }
 
     /// A merged point-in-time snapshot of the whole fleet: per-shard
@@ -457,15 +454,7 @@ impl Router {
             .servers
             .iter()
             .enumerate()
-            .map(|(i, s)| ShardSnapshot {
-                shard: i,
-                status: statuses[i].name().to_string(),
-                backlog_shots: s.backlog_shots(),
-                pending_jobs: s.pending_jobs() as u64,
-                cache: s.cache_stats(),
-                packer: s.packer_stats(),
-                metrics: self.inner.obs.recorder.scope(i as u32).metrics(),
-            })
+            .map(|(i, s)| ShardSnapshot::of(i, statuses[i], s))
             .collect();
         let tenants = self
             .tenant_stats()
@@ -884,6 +873,7 @@ impl RouterInner {
             let snapshot = req.clone();
             match self.servers[shard].submit(req) {
                 Ok(handle) => {
+                    self.obs.placed.inc();
                     let fleet_id = {
                         let mut table = self.lock_jobs();
                         let fleet_id = table.next_id;
@@ -905,7 +895,6 @@ impl RouterInner {
                         );
                         fleet_id
                     };
-                    self.obs.placed.inc();
                     self.obs
                         .scope
                         .event(TraceKind::Placed, 0, fleet_id, shard as u64, handle.id());
@@ -1089,7 +1078,7 @@ impl RouterInner {
             table.by_server.remove(&old_key);
             snapshot
         };
-        self.recovered.fetch_add(1, Ordering::Relaxed);
+        self.obs.recoveries.inc();
         loop {
             let attempts = {
                 let mut table = self.lock_jobs();
@@ -1113,6 +1102,7 @@ impl RouterInner {
             let shard = self.place(&candidates, &mut req);
             match self.servers[shard].submit(req.clone()) {
                 Ok(handle) => {
+                    self.obs.rerouted.inc();
                     let user_cancelled = {
                         let mut table = self.lock_jobs();
                         table.by_server.insert((shard, handle.id()), fleet_id);
@@ -1123,7 +1113,6 @@ impl RouterInner {
                         job.in_recovery = false;
                         job.user_cancelled
                     };
-                    self.obs.rerouted.inc();
                     self.obs
                         .scope
                         .event(TraceKind::Placed, 0, fleet_id, shard as u64, handle.id());
@@ -1163,7 +1152,7 @@ impl RouterInner {
     }
 
     /// Ends a recovery: clears the guard and (optionally) sets the
-    /// terminal outcome.
+    /// terminal outcome (an error is a lost job).
     fn finish_recovery(&self, fleet_id: u64, outcome: Option<Result<JobResult, JobError>>) {
         {
             let mut table = self.lock_jobs();
@@ -1171,6 +1160,9 @@ impl RouterInner {
             job.in_recovery = false;
         }
         if let Some(outcome) = outcome {
+            if outcome.is_err() {
+                self.obs.recoveries_failed.inc();
+            }
             self.set_terminal(fleet_id, outcome);
         }
     }
@@ -1237,6 +1229,7 @@ impl RouterInner {
             };
             match self.servers[thief].submit(req) {
                 Ok(handle) => {
+                    self.obs.stolen.inc();
                     let user_cancelled = {
                         let mut table = self.lock_jobs();
                         table.by_server.insert((thief, handle.id()), fleet_id);
@@ -1247,7 +1240,6 @@ impl RouterInner {
                         job.in_recovery = false;
                         job.user_cancelled
                     };
-                    self.obs.stolen.inc();
                     self.obs
                         .scope
                         .event(TraceKind::Placed, 0, fleet_id, thief as u64, handle.id());
@@ -1267,7 +1259,6 @@ impl RouterInner {
                     if self.lock_fleet().shards[thief].status == ShardStatus::Down {
                         self.resubmit_elsewhere(fleet_id);
                     }
-                    self.stolen.fetch_add(1, Ordering::Relaxed);
                     return true;
                 }
                 Err(_) => {

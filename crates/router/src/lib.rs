@@ -97,7 +97,7 @@ pub use fleet::{
     RouterFinishHook, ShardStatus, StealConfig,
 };
 pub use profile::{JobRequirements, ShardProfile};
-pub use snapshot::{FleetSnapshot, ShardSnapshot, TenantStatsRow};
+pub use snapshot::{FleetSnapshot, LawViolation, ShardSnapshot, TenantStatsRow};
 // The error type jobs and admission surface; re-exported so router
 // users match on one import.
 pub use quape_server::JobError;

@@ -116,6 +116,7 @@ fn killed_shard_jobs_reroute_bit_identically() {
                 "job{i} diverged after the kill under {placement:?}"
             );
         }
+        assert_eq!(router.fleet_snapshot().check(), Ok(()));
         let results = router.drain().unwrap();
         assert_eq!(results.len(), jobs.len());
         assert!(results.iter().all(|r| r.result.is_ok()));
@@ -156,6 +157,7 @@ fn retired_shard_finishes_and_stops_accepting() {
             "job{i} diverged across the retirement"
         );
     }
+    assert_eq!(router.fleet_snapshot().check(), Ok(()));
     router.drain().unwrap();
 }
 
@@ -208,6 +210,38 @@ fn capability_filter_rejects_and_steers() {
     }
 }
 
+/// A job the front door admits but no shard can run is refused at
+/// dispatch: the refusal reaches its ticket and is counted, so the
+/// admission law still balances.
+#[test]
+fn refused_dispatch_is_counted() {
+    let small = ShardProfile {
+        max_qubits: 1,
+        ..ShardProfile::unconstrained()
+    };
+    let door = FrontDoor::new(
+        RouterConfig {
+            profiles: vec![small, small],
+            ..fleet(2, Placement::RoundRobin)
+        },
+        AdmissionConfig::default(),
+    );
+    let fits = door.submit(request("narrow", 0, 10, 1)).unwrap();
+    let wide = door.submit(request("wide", 2, 10, 2)).unwrap();
+    assert!(matches!(wide.wait(), Err(JobError::NoCapableShard)));
+    fits.wait().unwrap();
+    let snapshot = door.router().fleet_snapshot();
+    assert_eq!(snapshot.check(), Ok(()));
+    let failed = snapshot
+        .fleet_metrics
+        .counters
+        .iter()
+        .find(|c| c.name == "front.dispatch_failed")
+        .map_or(0, |c| c.value);
+    assert_eq!(failed, 1);
+    door.drain().unwrap();
+}
+
 /// Killing the only capable shard strands its jobs as `ShardLost`;
 /// universally-placeable jobs survive on the other shard.
 #[test]
@@ -255,6 +289,16 @@ fn shard_lost_when_no_capable_survivor() {
     } else {
         assert!(narrow_result.is_ok());
     }
+    // Stranded wide jobs end their recoveries as failures.
+    let snapshot = router.fleet_snapshot();
+    assert_eq!(snapshot.check(), Ok(()));
+    let failed = snapshot
+        .fleet_metrics
+        .counters
+        .iter()
+        .find(|c| c.name == "router.recoveries_failed")
+        .map_or(0, |c| c.value);
+    assert_eq!(failed, lost);
     let results = router.drain().unwrap();
     assert_eq!(results.len(), 4);
 }
@@ -293,6 +337,15 @@ fn steal_moves_whole_job_bit_identically() {
             "pile{i} diverged after the steal"
         );
     }
+    let snapshot = router.fleet_snapshot();
+    assert_eq!(snapshot.check(), Ok(()));
+    let revoked = snapshot.shards[victim]
+        .metrics
+        .counters
+        .iter()
+        .find(|c| c.name == "server.jobs_revoked")
+        .map_or(0, |c| c.value);
+    assert_eq!(revoked, 1, "the victim counts the steal as a revoke");
     router.drain().unwrap();
 }
 
@@ -320,6 +373,7 @@ fn background_stealer_balances_a_sticky_pile() {
             "pile{i} diverged under background stealing"
         );
     }
+    assert_eq!(router.fleet_snapshot().check(), Ok(()));
     router.drain().unwrap();
 }
 
@@ -371,6 +425,7 @@ fn over_budget_sheds_with_retry_after() {
         .unwrap();
     retry.wait().unwrap();
     b.wait().unwrap();
+    assert_eq!(door.router().fleet_snapshot().check(), Ok(()));
     door.drain().unwrap();
 }
 
@@ -422,6 +477,7 @@ fn drr_bounds_mouse_wait_under_hog_flood() {
     }
     let log = door.dispatch_log();
     assert_eq!(log.len(), 80, "every admitted job dispatched exactly once");
+    assert_eq!(door.router().fleet_snapshot().check(), Ok(()));
     door.drain().unwrap();
 }
 
@@ -475,6 +531,7 @@ proptest! {
                 i, shards, placement, victim, kill_after
             );
         }
+        prop_assert_eq!(router.fleet_snapshot().check(), Ok(()));
         let results = router.drain().unwrap();
         prop_assert_eq!(results.len(), jobs.len());
     }

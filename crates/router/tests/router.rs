@@ -62,8 +62,9 @@ fn ok(r: &RoutedResult) -> &JobResult {
 
 fn run_router(r: Router, jobs: &[(u8, u64, u64)]) -> Vec<RoutedResult> {
     let c = cfg();
+    let mut handles = Vec::with_capacity(jobs.len());
     for (i, (choice, shots, seed)) in jobs.iter().enumerate() {
-        let _ = r
+        let routed = r
             .submit(
                 JobRequest::new(
                     format!("job{i}"),
@@ -75,7 +76,13 @@ fn run_router(r: Router, jobs: &[(u8, u64, u64)]) -> Vec<RoutedResult> {
                 .base_seed(*seed),
             )
             .unwrap();
+        handles.push(routed.handle);
     }
+    // Once every job settled, the fleet's counters must balance.
+    for handle in &handles {
+        let _ = handle.wait();
+    }
+    assert_eq!(r.fleet_snapshot().check(), Ok(()));
     let mut results = r.drain().unwrap();
     results.sort_unstable_by_key(|r| {
         ok(r)

@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 use quape_core::{BatchAggregate, CompiledJob, QuapeConfig, ShotEngine};
 use quape_isa::Program;
-use quape_obs::{audit_complete, audit_lifecycle, flight_recorder, Recorder, TraceKind};
+use quape_obs::{
+    audit_complete, audit_lifecycle, flight_recorder, MetricsSnapshot, Recorder, TraceKind,
+};
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_router::{FaultPlan, Placement, Router, RouterConfig, ShardStatus};
 use quape_server::{JobRequest, JobServer, JobSource, ServerConfig};
@@ -144,6 +146,43 @@ fn tracing_is_side_effect_free() {
             "job {i} diverged from its solo oracle"
         );
     }
+}
+
+/// Counters and gauges are always on: one deterministic stream served
+/// traced and untraced counts identically in every scope, and the
+/// untraced snapshot is not empty. Histograms follow the trace switch,
+/// so they are left out.
+#[test]
+fn counters_ignore_the_trace_switch() {
+    fn counts(m: &MetricsSnapshot) -> Vec<(String, i64)> {
+        m.counters
+            .iter()
+            .map(|c| (c.name.clone(), c.value as i64))
+            .chain(m.gauges.iter().map(|g| (g.name.clone(), g.value)))
+            .collect()
+    }
+    let run = |recorder: Recorder| {
+        let router = Router::new(fleet(2, Placement::RoundRobin, recorder));
+        let handles: Vec<_> = (0..8u64)
+            .map(|i| {
+                let req = request(&format!("j{i}"), (i % 4) as u8, 20 + i * 5, 40 + i);
+                router.submit(req.tenant("t")).unwrap().handle
+            })
+            .collect();
+        for handle in &handles {
+            handle.wait().unwrap();
+        }
+        let snapshot = router.fleet_snapshot();
+        assert_eq!(snapshot.check(), Ok(()));
+        router.drain().unwrap();
+        let shards: Vec<_> = snapshot.shards.iter().map(|s| counts(&s.metrics)).collect();
+        (shards, counts(&snapshot.fleet_metrics))
+    };
+    let traced = run(Recorder::new());
+    let untraced = run(Recorder::off());
+    assert_eq!(traced, untraced, "the trace switch changed a count");
+    assert!(untraced.0.iter().all(|s| !s.is_empty()));
+    assert!(!untraced.1.is_empty());
 }
 
 /// Kill a shard mid-backlog: the trace must show every re-routed job

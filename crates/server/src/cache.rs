@@ -12,14 +12,17 @@
 //!   requests for the same key find the slot and block on a condvar
 //!   until the result lands, so one compilation serves them all;
 //! * **observable stats** ([`CacheStats`]): hits, misses, evictions and
-//!   actual compilations.
+//!   actual compilations, counted in the owning scope's registry.
 
 use crate::server::JobError;
 use quape_core::CompiledJob;
+use quape_obs::{Counter, ObsScope};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Hit/miss/eviction counters of a [`CompileCache`].
+/// A view over a [`CompileCache`]'s `server.cache_{hits,misses,evictions}`
+/// and `server.compiles` counters. Submits and packer lookups both count:
+/// submit-only hits are `hits` − [`PackerStats::combine_cache_hits`](crate::PackerStats::combine_cache_hits).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct CacheStats {
     /// Lookups that found an entry (possibly still compiling).
@@ -28,8 +31,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to stay within capacity.
     pub evictions: u64,
-    /// Compilations actually performed (`== misses`; kept separate so
-    /// the exactly-once property is directly observable).
+    /// Compilations actually performed, failed ones too (`== misses` at
+    /// rest; kept separate so exactly-once is directly observable).
     pub compiles: u64,
 }
 
@@ -91,17 +94,25 @@ struct Entry {
 struct Inner {
     map: HashMap<u128, Entry>,
     tick: u64,
-    stats: CacheStats,
-    /// Per-tenant attribution of the same counters: hits/misses/compiles
+    /// Per-tenant attribution of the cache counters: hits/misses/compiles
     /// go to the requesting tenant, evictions to the tenant whose insert
     /// pushed the victim out. Unattributed (tenant-less) requests only
-    /// count in the global `stats`.
+    /// count in the registry.
     tenant_stats: HashMap<String, CacheStats>,
 }
 
 impl Inner {
-    fn tenant_entry(&mut self, tenant: Option<&str>) -> Option<&mut CacheStats> {
-        tenant.map(|t| self.tenant_stats.entry(t.to_string()).or_default())
+    /// Applies `bump` to `tenant`'s row, copying the name only once.
+    fn attribute(&mut self, tenant: Option<&str>, bump: impl Fn(&mut CacheStats)) {
+        let Some(t) = tenant else { return };
+        match self.tenant_stats.get_mut(t) {
+            Some(row) => bump(row),
+            None => {
+                let mut row = CacheStats::default();
+                bump(&mut row);
+                self.tenant_stats.insert(t.to_string(), row);
+            }
+        }
     }
 }
 
@@ -111,14 +122,22 @@ impl Inner {
 pub struct CompileCache {
     capacity: usize,
     inner: Mutex<Inner>,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    compiles: Counter,
 }
 
 impl CompileCache {
-    /// Creates a cache holding at most `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> Self {
+    /// Creates a cache of at most `capacity` entries (min 1) counting into `scope`.
+    pub fn new(capacity: usize, scope: &ObsScope) -> Self {
         CompileCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner::default()),
+            hits: scope.counter("server.cache_hits"),
+            misses: scope.counter("server.cache_misses"),
+            evictions: scope.counter("server.cache_evictions"),
+            compiles: scope.counter("server.compiles"),
         }
     }
 
@@ -148,7 +167,12 @@ impl CompileCache {
 
     /// A snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().expect("cache lock poisoned").stats
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            compiles: self.compiles.get(),
+        }
     }
 
     /// Per-tenant snapshots of the same counters, sorted by tenant id.
@@ -198,6 +222,7 @@ impl CompileCache {
                 if !self.armed {
                     return;
                 }
+                self.cache.compiles.inc();
                 let mut inner = self.cache.inner.lock().expect("cache lock poisoned");
                 if inner
                     .map
@@ -218,17 +243,13 @@ impl CompileCache {
             if let Some(entry) = inner.map.get_mut(&key) {
                 entry.last_used = tick;
                 let slot = entry.slot.clone();
-                inner.stats.hits += 1;
-                if let Some(t) = inner.tenant_entry(tenant) {
-                    t.hits += 1;
-                }
+                self.hits.inc();
+                inner.attribute(tenant, |t| t.hits += 1);
                 drop(inner);
                 return slot.wait().map(|job| CacheOutcome { job, hit: true });
             }
-            inner.stats.misses += 1;
-            if let Some(t) = inner.tenant_entry(tenant) {
-                t.misses += 1;
-            }
+            self.misses.inc();
+            inner.attribute(tenant, |t| t.misses += 1);
             let slot = Arc::new(Slot::default());
             inner.map.insert(
                 key,
@@ -250,10 +271,8 @@ impl CompileCache {
                     .map(|(k, _)| k)
                 {
                     inner.map.remove(&victim);
-                    inner.stats.evictions += 1;
-                    if let Some(t) = inner.tenant_entry(tenant) {
-                        t.evictions += 1;
-                    }
+                    self.evictions.inc();
+                    inner.attribute(tenant, |t| t.evictions += 1);
                 }
             }
             slot
@@ -269,10 +288,8 @@ impl CompileCache {
         guard.armed = false;
         {
             let mut inner = self.inner.lock().expect("cache lock poisoned");
-            inner.stats.compiles += 1;
-            if let Some(t) = inner.tenant_entry(tenant) {
-                t.compiles += 1;
-            }
+            self.compiles.inc();
+            inner.attribute(tenant, |t| t.compiles += 1);
             if result.is_err() {
                 // Drop the failed entry (if it was not already evicted)
                 // so future requests retry instead of caching the error.
@@ -303,7 +320,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_same_arc() {
-        let cache = CompileCache::new(4);
+        let cache = CompileCache::new(4, &ObsScope::off());
         let a = cache
             .get_or_compile(1, None, || Ok(job("0 H q0\nSTOP\n")))
             .unwrap();
@@ -319,7 +336,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = CompileCache::new(2);
+        let cache = CompileCache::new(2, &ObsScope::off());
         let p = || Ok(job("0 H q0\nSTOP\n"));
         cache.get_or_compile(1, None, p).unwrap(); // {1}
         cache.get_or_compile(2, None, p).unwrap(); // {1, 2}
@@ -338,7 +355,7 @@ mod tests {
 
     #[test]
     fn capacity_floor_is_one() {
-        let cache = CompileCache::new(0);
+        let cache = CompileCache::new(0, &ObsScope::off());
         assert_eq!(cache.capacity(), 1);
         cache.get_or_compile(1, None, || Ok(job("STOP\n"))).unwrap();
         cache.get_or_compile(2, None, || Ok(job("STOP\n"))).unwrap();
@@ -347,7 +364,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_compiles_exactly_once() {
-        let cache = Arc::new(CompileCache::new(4));
+        let cache = Arc::new(CompileCache::new(4, &ObsScope::off()));
         let compiles = AtomicUsize::new(0);
         let outcomes: Vec<CacheOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
@@ -379,7 +396,7 @@ mod tests {
 
     #[test]
     fn panicking_compile_fails_waiters_instead_of_deadlocking() {
-        let cache = Arc::new(CompileCache::new(4));
+        let cache = Arc::new(CompileCache::new(4, &ObsScope::off()));
         let errors: Vec<JobError> = std::thread::scope(|scope| {
             let panicker = scope.spawn(|| {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -411,11 +428,14 @@ mod tests {
         assert!(!cache.contains(5));
         let ok = cache.get_or_compile(5, None, || Ok(job("STOP\n"))).unwrap();
         assert!(!ok.hit);
+        // The panicked compile still counts: compiles == misses.
+        let s = cache.stats();
+        assert_eq!((s.misses, s.compiles), (2, 2));
     }
 
     #[test]
     fn failed_compiles_are_not_cached() {
-        let cache = CompileCache::new(4);
+        let cache = CompileCache::new(4, &ObsScope::off());
         let err = cache
             .get_or_compile(9, None, || Err(JobError::EmptyJob))
             .unwrap_err();

@@ -462,7 +462,10 @@ impl Default for PackerConfig {
     }
 }
 
-/// Counters of the packer stage, read via [`JobServer::packer_stats`].
+/// Counters of the packer stage, read via [`JobServer::packer_stats`]:
+/// a view over the server scope's `server.packs_formed`,
+/// `server.jobs_packed`, `server.packed_shots`,
+/// `server.combine_cache_hits` and `server.pack_declined`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct PackerStats {
     /// Packs formed (each replaced ≥ 2 queued jobs with one entry).
@@ -499,10 +502,10 @@ pub struct ServerConfig {
     /// into packed scheduling units (see the crate docs). `None` (the
     /// default) serves every job solo.
     pub packer: Option<PackerConfig>,
-    /// Telemetry scope this server records into. The default
-    /// ([`ObsScope::off`]) is compile-time inert — every recording call
-    /// is an inlined no-op — and an enabled scope is observation-only:
-    /// it never changes scheduling, seeds, or results.
+    /// Telemetry scope whose registry is the server's only event count
+    /// (the cache and packer stats are views over it). The default
+    /// ([`ObsScope::off`]) is untraced: counters live, events and
+    /// histograms inert. Observation-only either way; clones share it.
     pub obs: ObsScope,
 }
 
@@ -899,17 +902,20 @@ pub type FinishHook = Arc<dyn Fn(&JobResult) + Send + Sync>;
 
 /// Pre-registered telemetry handles for the server's hot paths, built
 /// once at construction so nothing on the claim/complete path ever
-/// touches the registry's name-lookup mutex. All fields are inert
-/// no-ops when the configured [`ObsScope`] is off.
+/// touches the registry's name-lookup mutex. Histograms and `engine`
+/// are inert when the [`ObsScope`] does not trace; counters never are.
 struct ServerObs {
     scope: ObsScope,
     accepted: quape_obs::Counter,
-    cache_hits: quape_obs::Counter,
-    compiles: quape_obs::Counter,
     quanta: quape_obs::Counter,
-    packs: quape_obs::Counter,
     finalized: quape_obs::Counter,
     cancelled: quape_obs::Counter,
+    revoked: quape_obs::Counter,
+    packs: quape_obs::Counter,
+    jobs_packed: quape_obs::Counter,
+    packed_shots: quape_obs::Counter,
+    combine_cache_hits: quape_obs::Counter,
+    pack_declined: quape_obs::Counter,
     compile_us: quape_obs::Histogram,
     quantum_us: quape_obs::Histogram,
     latency_us: quape_obs::Histogram,
@@ -920,12 +926,15 @@ impl ServerObs {
     fn new(scope: ObsScope) -> Self {
         ServerObs {
             accepted: scope.counter("server.jobs_accepted"),
-            cache_hits: scope.counter("server.cache_hits"),
-            compiles: scope.counter("server.compiles"),
             quanta: scope.counter("server.quanta"),
-            packs: scope.counter("server.packs_formed"),
             finalized: scope.counter("server.jobs_finalized"),
             cancelled: scope.counter("server.jobs_cancelled"),
+            revoked: scope.counter("server.jobs_revoked"),
+            packs: scope.counter("server.packs_formed"),
+            jobs_packed: scope.counter("server.jobs_packed"),
+            packed_shots: scope.counter("server.packed_shots"),
+            combine_cache_hits: scope.counter("server.combine_cache_hits"),
+            pack_declined: scope.counter("server.pack_declined"),
             compile_us: scope.histogram("server.compile_us"),
             quantum_us: scope.histogram("server.quantum_us"),
             latency_us: scope.histogram("server.job_latency_us"),
@@ -941,7 +950,6 @@ struct ServerInner {
     state: Mutex<SchedState>,
     work: Condvar,
     finish_hook: Mutex<Option<FinishHook>>,
-    packer_stats: Mutex<PackerStats>,
     obs: ServerObs,
 }
 
@@ -959,7 +967,7 @@ pub struct JobServer {
 impl JobServer {
     /// Creates a server with an empty job queue and compile cache.
     pub fn new(cfg: ServerConfig) -> Self {
-        let cache = CompileCache::new(cfg.cache_capacity);
+        let cache = CompileCache::new(cfg.cache_capacity, &cfg.obs);
         let obs = ServerObs::new(cfg.obs.clone());
         JobServer {
             inner: Arc::new(ServerInner {
@@ -968,7 +976,6 @@ impl JobServer {
                 state: Mutex::new(SchedState::default()),
                 work: Condvar::new(),
                 finish_hook: Mutex::new(None),
-                packer_stats: Mutex::new(PackerStats::default()),
                 obs,
             }),
         }
@@ -1049,11 +1056,14 @@ impl JobServer {
     /// The packer stage's counters (all zero when no [`PackerConfig`]
     /// is installed).
     pub fn packer_stats(&self) -> PackerStats {
-        *self
-            .inner
-            .packer_stats
-            .lock()
-            .expect("packer stats lock poisoned")
+        let obs = &self.inner.obs;
+        PackerStats {
+            packs_formed: obs.packs.get(),
+            jobs_packed: obs.jobs_packed.get(),
+            packed_shots: obs.packed_shots.get(),
+            combine_cache_hits: obs.combine_cache_hits.get(),
+            declined: obs.pack_declined.get(),
+        }
     }
 
     /// Live packed entries, each as `(combined compiled span, member
@@ -1139,10 +1149,9 @@ impl JobServer {
         // The job leaves this shard with no terminal of its own — the
         // stolen event is its last word here; the thief's shard traces
         // the rest of its life.
-        self.inner
-            .obs
-            .scope
-            .event(TraceKind::Stolen, 0, id, shots, 0);
+        let obs = &self.inner.obs;
+        obs.revoked.inc();
+        obs.scope.event(TraceKind::Stolen, 0, id, shots, 0);
         true
     }
 
@@ -1270,10 +1279,8 @@ impl JobServer {
         obs.scope
             .event(TraceKind::Accepted, 0, id, req.shots, req.priority.weight());
         if outcome.hit {
-            obs.cache_hits.inc();
             obs.scope.event(TraceKind::CacheHit, 0, id, 0, 0);
         } else {
-            obs.compiles.inc();
             obs.compile_us.record_micros(compile_wall);
             obs.scope.event(
                 TraceKind::Compiled,
@@ -1399,9 +1406,7 @@ impl JobServer {
             completion_rank: rank,
             aggregate,
         };
-        inner.result = Some(result.clone());
-        member.cell.cond.notify_all();
-        drop(inner);
+        // Count before publishing, so a waiter sees its job counted.
         obs.latency_us.record_micros(result.latency);
         if result.cancelled {
             obs.cancelled.inc();
@@ -1422,6 +1427,9 @@ impl JobServer {
                 result.shots_requested,
             );
         }
+        inner.result = Some(result.clone());
+        member.cell.cond.notify_all();
+        drop(inner);
         result
     }
 
@@ -1859,19 +1867,14 @@ impl JobServer {
                 debug_assert_eq!(slices.len(), entries.len());
                 let id = st.next_id;
                 st.next_id += 1;
-                let shots = entries.iter().map(|e| e.members[0].shots).sum::<u64>();
-                let mut stats = self
-                    .inner
-                    .packer_stats
-                    .lock()
-                    .expect("packer stats lock poisoned");
-                stats.packs_formed += 1;
-                stats.jobs_packed += entries.len() as u64;
-                stats.packed_shots += shots;
+                let obs = &self.inner.obs;
+                obs.packs.inc();
+                obs.jobs_packed.add(entries.len() as u64);
+                obs.packed_shots
+                    .add(entries.iter().map(|e| e.members[0].shots).sum());
                 if outcome.hit {
-                    stats.combine_cache_hits += 1;
+                    obs.combine_cache_hits.inc();
                 }
-                drop(stats);
                 // All members share one pack class, hence one priority.
                 let priority = entries[0].priority;
                 let members: Vec<MemberJob> = entries
@@ -1880,8 +1883,6 @@ impl JobServer {
                     .collect();
                 // Emit under the re-insert lock so every member's packed
                 // event precedes any quantum claimed from the new entry.
-                let obs = &self.inner.obs;
-                obs.packs.inc();
                 for m in &members {
                     obs.scope
                         .event(TraceKind::Packed, worker, m.id, id, members.len() as u64);
@@ -1900,13 +1901,7 @@ impl JobServer {
                 });
             }
             Err(_) => {
-                let mut stats = self
-                    .inner
-                    .packer_stats
-                    .lock()
-                    .expect("packer stats lock poisoned");
-                stats.declined += 1;
-                drop(stats);
+                self.inner.obs.pack_declined.inc();
                 for mut e in entries {
                     e.pack = None;
                     st.jobs.push(e);

@@ -15,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One recorder observes the whole fleet: the router takes it in its
     // config and hands each shard its own scope. `Recorder::off()` here
-    // would serve the identical schedule with zero recording cost.
+    // would serve the identical schedule untraced: the same counters,
+    // no events and no histograms.
     let recorder = Recorder::new();
     let router = Router::new(RouterConfig {
         shards: 2,
@@ -83,8 +84,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nchrome trace written to {}", out.display());
 
     // The metrics side of the same recorder: wait-free counters and
-    // log2-bucketed latency histograms, aggregated across shards.
+    // log2-bucketed latency histograms, aggregated across shards. Every
+    // job has settled, so the counters' conservation laws hold.
     let snapshot = router.fleet_snapshot();
+    if let Err(violations) = snapshot.check() {
+        return Err(format!("counters do not balance: {violations:?}").into());
+    }
     for shard in &snapshot.shards {
         let accepted = shard
             .metrics
@@ -94,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map_or(0, |c| c.value);
         println!(
             "shard {}: {} jobs accepted, {} cache hits, {} compiles",
-            shard.shard, accepted, shard.cache.hits, shard.cache.misses
+            shard.shard, accepted, shard.cache.hits, shard.cache.compiles
         );
     }
     router.drain()?;
