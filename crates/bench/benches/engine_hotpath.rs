@@ -7,11 +7,14 @@
 //! ticking them, on a pre-resolved micro-op array. `*_lowered_arena`
 //! adds per-worker scratch reuse on top (no per-shot machine
 //! construction), and the `lowering` rows price the one-time
-//! compile-side lowering cost those savings amortise.
+//! compile-side lowering cost those savings amortise. The `*_16k` rows
+//! price the text front end on one ~16 KiB wire request: the qubit scan
+//! every submit pays, and the assemble, digest and compile every
+//! compile-cache miss pays.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use quape_core::{CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, StepMode};
-use quape_isa::LoweredProgram;
+use quape_isa::{assemble, scan_qubit_count, LoweredProgram};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
 use quape_workloads::pulse::pulse_train;
@@ -74,8 +77,34 @@ fn lowering_bench(c: &mut Criterion, name: &str, job: &CompiledJob) {
     });
 }
 
+/// Rounds of [`feedback_chain`] whose printed text is ~16 KiB.
+const FRONT_END_ROUNDS: usize = 234;
+
+/// The text front end and compile on one ~16 KiB feedback-chain request.
+fn front_end_bench(c: &mut Criterion, cfg: &QuapeConfig) {
+    let program = feedback_chain(0, FRONT_END_ROUNDS).expect("valid workload");
+    let text = program.to_string();
+    c.bench_function("scan_qubit_count_16k", |b| {
+        b.iter(|| scan_qubit_count(black_box(&text)))
+    });
+    c.bench_function("assemble_16k", |b| {
+        b.iter(|| assemble(black_box(&text)).expect("text assembles").len())
+    });
+    c.bench_function("program_digest_16k", |b| {
+        b.iter(|| black_box(&program).digest())
+    });
+    c.bench_function("compile_16k", |b| {
+        b.iter(|| {
+            CompiledJob::compile(cfg.clone(), program.clone())
+                .expect("job compiles")
+                .digest()
+        })
+    });
+}
+
 fn bench(c: &mut Criterion) {
     let cfg = QuapeConfig::uniprocessor().with_seed(7);
+    front_end_bench(c, &cfg);
 
     let fig02 = CompiledJob::compile(cfg.clone(), conditional_x(0).expect("valid workload"))
         .expect("job compiles");

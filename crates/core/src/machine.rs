@@ -231,10 +231,10 @@ pub struct CompiledJob {
     lowered: Arc<LoweredProgram>,
     chan: Arc<ChannelMap>,
     num_qubits: u16,
-    /// Content digest, frozen at compile time. Computing it walks (and
-    /// stringifies) the whole program, so hot paths that key caches on
-    /// job identity — e.g. the engine's per-worker scratch — must not
-    /// recompute it per shot.
+    /// Content digest, frozen at compile time — the one program digest a
+    /// compile computes. It walks the whole program, so hot paths that
+    /// key caches on job identity — e.g. the engine's per-worker
+    /// scratch — must not recompute it per shot.
     digest: u64,
 }
 

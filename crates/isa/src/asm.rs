@@ -76,9 +76,9 @@ impl From<ProgramError> for AsmError {
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
     let mut b = ProgramBuilder::new();
-    for (idx, raw) in source.lines().enumerate() {
+    for (idx, code) in code_lines(source).enumerate() {
         let line_no = idx + 1;
-        let line = strip_comment(raw).trim();
+        let line = trim(code);
         if line.is_empty() {
             continue;
         }
@@ -87,9 +87,70 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
     b.finish().map_err(AsmError::from)
 }
 
-fn strip_comment(line: &str) -> &str {
-    let cut = line.find(['#', ';']).unwrap_or(line.len());
-    &line[..cut]
+/// The lines of `source` (split as [`str::lines`] splits them; a `\r`
+/// before the `\n` is left to [`trim`]) with their comments cut: each
+/// line up to its first `#` or `;`. One forward pass finds both the
+/// comment and the line end; all three bytes are ASCII, so every cut is
+/// a char boundary.
+fn code_lines(source: &str) -> impl Iterator<Item = &str> {
+    let mut rest = source;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let bytes = rest.as_bytes();
+        let stop = bytes
+            .iter()
+            .position(|&b| matches!(b, b'\n' | b'#' | b';'))
+            .unwrap_or(bytes.len());
+        let code = &rest[..stop];
+        let end = match bytes.get(stop) {
+            Some(b'\n') | None => stop,
+            Some(_) => bytes[stop..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |n| stop + n),
+        };
+        rest = rest.get(end + 1..).unwrap_or("");
+        Some(code)
+    })
+}
+
+/// The ASCII bytes [`char::is_whitespace`] accepts
+/// ([`u8::is_ascii_whitespace`] leaves out the vertical tab).
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r')
+}
+
+/// [`str::trim_start`]: ASCII whitespace is skipped bytewise, and only a
+/// non-ASCII char after it falls back to `str::trim_start` for the
+/// Unicode whitespace set.
+fn trim_start(s: &str) -> &str {
+    let start = s
+        .bytes()
+        .position(|b| !is_ascii_space(b))
+        .unwrap_or(s.len());
+    let t = &s[start..];
+    if t.bytes().next().is_some_and(|b| !b.is_ascii()) {
+        t.trim_start()
+    } else {
+        t
+    }
+}
+
+/// [`str::trim`], with both ends handled as in [`trim_start`].
+fn trim(s: &str) -> &str {
+    let s = trim_start(s);
+    let end = s
+        .bytes()
+        .rposition(|b| !is_ascii_space(b))
+        .map_or(0, |i| i + 1);
+    let t = &s[..end];
+    if t.bytes().next_back().is_some_and(|b| !b.is_ascii()) {
+        t.trim_end()
+    } else {
+        t
+    }
 }
 
 /// Lexically scans timed-QASM text for the number of qubits it touches —
@@ -99,70 +160,95 @@ fn strip_comment(line: &str) -> &str {
 /// paying for a parse (requests are only assembled on compile-cache
 /// misses, and the scan must not change that).
 ///
+/// It runs on every submit, cache hits included, so it is one forward
+/// pass over the bytes with no allocation: a few nanoseconds per byte.
+///
 /// The scan is a heuristic twin of [`Program::num_qubits`] — both reduce
 /// their qubit references with the one audited counting rule,
 /// [`qubit_span`](crate::qubit_span). A token counts when `q` starts at
 /// a word boundary, is followed by digits only up to the next
 /// non-alphanumeric character, and the line is not a comment. On text
 /// produced by [`Program`]'s display (the round-trip format every
-/// generator in this workspace emits) it is exact; on hand-written text
-/// a `q`-prefixed label could over-count, which errs toward *rejecting*
-/// a shard, never toward a silent capacity overrun.
+/// generator in this workspace emits) it is exact. On any text
+/// [`assemble`] accepts it is at least the program's count: a
+/// `q`-prefixed label can over-count, which errs toward *rejecting* a
+/// shard, never toward a silent capacity overrun. An index too large for
+/// `u16` saturates the count at `u16::MAX`, so an out-of-range operand
+/// such as `q70000` reads as wider than [`MAX_QUBITS`](crate::MAX_QUBITS),
+/// as `q128` does, and no shard can claim it.
 ///
 /// ```
 /// use quape_isa::scan_qubit_count;
 /// assert_eq!(scan_qubit_count("0 H q0\n1 CNOT q0, q3\nSTOP\n"), 4);
 /// assert_eq!(scan_qubit_count("STOP\n"), 0);
+/// assert_eq!(scan_qubit_count("0 H q70000\n"), u16::MAX);
 /// ```
 pub fn scan_qubit_count(source: &str) -> u16 {
-    crate::qubit_span(source.lines().flat_map(scan_line_qubit_indices))
+    crate::qubit_span(QubitTokens {
+        text: source.as_bytes(),
+        at: 0,
+    })
 }
 
-/// The qubit indices a single line of wire text references, lexically:
-/// every word-boundary `q<digits>` token outside a comment.
-fn scan_line_qubit_indices(raw: &str) -> Vec<u16> {
-    let line = strip_comment(raw);
-    let bytes = line.as_bytes();
-    let mut indices = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let at_boundary = i == 0 || !bytes[i - 1].is_ascii_alphanumeric() && bytes[i - 1] != b'_';
-        if at_boundary && (bytes[i] == b'q' || bytes[i] == b'Q') {
-            let start = i + 1;
-            let mut end = start;
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
-            }
-            let terminated =
-                end == bytes.len() || !bytes[end].is_ascii_alphanumeric() && bytes[end] != b'_';
-            if end > start && terminated {
-                if let Ok(index) = line[start..end].parse::<u16>() {
-                    indices.push(index);
+/// The indices of the word-boundary `q<digits>` tokens of wire text that
+/// lie outside comments, in one forward pass over its bytes.
+struct QubitTokens<'a> {
+    text: &'a [u8],
+    at: usize,
+}
+
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+impl Iterator for QubitTokens<'_> {
+    type Item = u16;
+
+    fn next(&mut self) -> Option<u16> {
+        let text = self.text;
+        while let Some(&b) = text.get(self.at) {
+            let i = self.at;
+            match b {
+                // A comment runs to the end of its line.
+                b'#' | b';' => {
+                    self.at = text[i..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(text.len(), |n| i + n);
                 }
+                b'q' | b'Q' if i == 0 || !is_word_byte(text[i - 1]) => {
+                    let digits = &text[i + 1..];
+                    let digits =
+                        &digits[..digits.iter().take_while(|d| d.is_ascii_digit()).count()];
+                    self.at = i + 1 + digits.len();
+                    if !digits.is_empty() && text.get(self.at).is_none_or(|&c| !is_word_byte(c)) {
+                        return Some(u16::try_from(digits_value(digits)).unwrap_or(u16::MAX));
+                    }
+                }
+                _ => self.at += 1,
             }
-            i = end;
-        } else {
-            i += 1;
         }
+        None
     }
-    indices
 }
 
 fn parse_line(b: &mut ProgramBuilder, line: &str, no: usize) -> Result<(), AsmError> {
     if let Some(rest) = line.strip_prefix('.') {
         return parse_directive(b, rest, no);
     }
-    // `label:` optionally followed by an instruction.
-    if let Some(colon) = line.find(':') {
-        let (name, rest) = line.split_at(colon);
-        if is_identifier(name) {
-            b.label(name);
-            let rest = rest[1..].trim();
-            if rest.is_empty() {
-                return Ok(());
-            }
-            return parse_instruction(b, rest, no);
+    // `label:` optionally followed by an instruction. A label is an
+    // identifier, so only an identifier-char prefix can end at the colon.
+    let name_len = line
+        .bytes()
+        .position(|c| !is_word_byte(c))
+        .unwrap_or(line.len());
+    if line.as_bytes().get(name_len) == Some(&b':') && is_identifier(&line[..name_len]) {
+        b.label(&line[..name_len]);
+        let rest = trim(&line[name_len + 1..]);
+        if rest.is_empty() {
+            return Ok(());
         }
+        return parse_instruction(b, rest, no);
     }
     parse_instruction(b, line, no)
 }
@@ -179,6 +265,12 @@ fn parse_directive(b: &mut ProgramBuilder, rest: &str, no: usize) -> Result<(), 
     let mut parts = rest.split_whitespace();
     match parts.next() {
         Some("block") => {
+            if b.in_block() {
+                return Err(AsmError::new(
+                    no,
+                    "nested .block (close the open one with .endblock)",
+                ));
+            }
             let name = parts
                 .next()
                 .ok_or_else(|| AsmError::new(no, ".block requires a name"))?
@@ -230,7 +322,7 @@ fn parse_directive(b: &mut ProgramBuilder, rest: &str, no: usize) -> Result<(), 
 }
 
 fn parse_instruction(b: &mut ProgramBuilder, line: &str, no: usize) -> Result<(), AsmError> {
-    let (head, rest) = split_head(line);
+    let (head, rest) = split_word(line);
     // A line starting with an integer is a quantum instruction.
     if let Ok(timing) = head.parse::<u32>() {
         if timing > crate::MAX_TIMING {
@@ -242,31 +334,107 @@ fn parse_instruction(b: &mut ProgramBuilder, line: &str, no: usize) -> Result<()
                 ),
             ));
         }
-        let op = parse_quantum_op(rest.trim(), no)?;
+        let op = parse_quantum_op(rest, no)?;
         b.push(Instruction::quantum(timing, op));
         return Ok(());
     }
-    parse_classical(b, &head.to_ascii_uppercase(), rest.trim(), no)
+    parse_classical(b, head, rest, no)
 }
 
-fn split_head(line: &str) -> (&str, &str) {
-    match line.find(char::is_whitespace) {
-        Some(i) => (&line[..i], &line[i..]),
+/// Splits a trimmed `line` at its first whitespace char into the word
+/// before it and the rest after the whitespace run. ASCII bytes are
+/// classified bytewise, and the first non-ASCII byte hands the remainder
+/// to [`char::is_whitespace`].
+fn split_word(line: &str) -> (&str, &str) {
+    let at = match line
+        .bytes()
+        .position(|b| is_ascii_space(b) || !b.is_ascii())
+    {
+        Some(i) if !line.as_bytes()[i].is_ascii() => {
+            line[i..].find(char::is_whitespace).map(|n| i + n)
+        }
+        found => found,
+    };
+    match at {
+        Some(i) => (&line[..i], trim_start(&line[i..])),
         None => (line, ""),
     }
 }
 
-fn operands(rest: &str) -> Vec<&str> {
-    rest.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect()
+/// `word` upper-cased (ASCII letters only, as
+/// [`str::to_ascii_uppercase`]) into `buf`, or an empty key when it is
+/// longer than any mnemonic.
+fn mnemonic_key<'b>(word: &str, buf: &'b mut [u8; 8]) -> &'b [u8] {
+    match buf.get_mut(..word.len()) {
+        Some(key) => {
+            key.copy_from_slice(word.as_bytes());
+            key.make_ascii_uppercase();
+            key
+        }
+        None => &[],
+    }
+}
+
+/// The non-empty, trimmed, comma-separated operands of an instruction:
+/// the first four (no instruction takes more) and how many there were.
+struct Operands<'a> {
+    first: [&'a str; 4],
+    len: usize,
+}
+
+impl<'a> Operands<'a> {
+    fn parse(rest: &'a str) -> Self {
+        let mut ops = Operands {
+            first: [""; 4],
+            len: 0,
+        };
+        for op in rest.split(',').map(trim).filter(|s| !s.is_empty()) {
+            if let Some(slot) = ops.first.get_mut(ops.len) {
+                *slot = op;
+            }
+            ops.len += 1;
+        }
+        ops
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
+impl<'a> std::ops::Index<usize> for Operands<'a> {
+    type Output = &'a str;
+
+    fn index(&self, i: usize) -> &&'a str {
+        &self.first[i]
+    }
+}
+
+/// The value of a run of ASCII digits, saturating at `u32::MAX`. The
+/// one rule both the assembler's operands and the qubit scan's tokens
+/// read indices with.
+fn digits_value(digits: &[u8]) -> u32 {
+    digits.iter().fold(0u32, |n, &d| {
+        n.saturating_mul(10).saturating_add(u32::from(d - b'0'))
+    })
+}
+
+/// The index of a `<prefix><digits>` operand, either case of `prefix`,
+/// when it fits `T`. Only ASCII digits count: integer `FromStr` would
+/// also take a leading `+`, which the qubit scan does not.
+fn operand_index<T: TryFrom<u32>>(tok: &str, prefix: u8) -> Option<T> {
+    let (first, digits) = tok.as_bytes().split_first()?;
+    if !first.eq_ignore_ascii_case(&prefix)
+        || digits.is_empty()
+        || !digits.iter().all(u8::is_ascii_digit)
+    {
+        return None;
+    }
+    T::try_from(digits_value(digits)).ok()
 }
 
 fn parse_qubit(tok: &str, no: usize) -> Result<Qubit, AsmError> {
-    let idx = tok
-        .strip_prefix(['q', 'Q'])
-        .and_then(|n| n.parse::<u16>().ok())
+    let idx: u16 = operand_index(tok, b'q')
         .ok_or_else(|| AsmError::new(no, format!("expected qubit operand, got `{tok}`")))?;
     if usize::from(idx) >= crate::MAX_QUBITS {
         return Err(AsmError::new(
@@ -281,18 +449,14 @@ fn parse_qubit(tok: &str, no: usize) -> Result<Qubit, AsmError> {
 }
 
 fn parse_reg(tok: &str, no: usize) -> Result<Reg, AsmError> {
-    let idx = tok
-        .strip_prefix(['r', 'R'])
-        .and_then(|n| n.parse::<u8>().ok())
+    let idx = operand_index::<u8>(tok, b'r')
         .filter(|&n| (n as usize) < crate::REG_COUNT)
         .ok_or_else(|| AsmError::new(no, format!("expected register operand, got `{tok}`")))?;
     Ok(Reg::new(idx))
 }
 
 fn parse_sreg(tok: &str, no: usize) -> Result<SharedReg, AsmError> {
-    let idx = tok
-        .strip_prefix(['s', 'S'])
-        .and_then(|n| n.parse::<u8>().ok())
+    let idx = operand_index::<u8>(tok, b's')
         .filter(|&n| (n as usize) < crate::SHARED_REG_COUNT)
         .ok_or_else(|| AsmError::new(no, format!("expected shared register, got `{tok}`")))?;
     Ok(SharedReg::new(idx))
@@ -303,19 +467,27 @@ fn parse_imm(tok: &str, no: usize) -> Result<i16, AsmError> {
         .map_err(|_| AsmError::new(no, format!("bad immediate `{tok}`")))
 }
 
+/// The rotation gate constructor of an `RX[`/`RY[`/`RZ[` prefix.
+fn rotation_axis(mnem: &str) -> Option<fn(Angle) -> Gate1> {
+    match mnem.as_bytes() {
+        [r, axis, b'[', ..] if r.eq_ignore_ascii_case(&b'r') => match axis.to_ascii_uppercase() {
+            b'X' => Some(Gate1::Rx),
+            b'Y' => Some(Gate1::Ry),
+            b'Z' => Some(Gate1::Rz),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
-    let (mnem, ops_text) = split_head(rest);
-    let mnem_upper = mnem.to_ascii_uppercase();
-    let ops = operands(ops_text);
+    let (mnem, ops_text) = split_word(rest);
+    let ops = Operands::parse(ops_text);
 
     // Rotations: RX[k] / RY[k] / RZ[k].
-    if let Some(idx_part) = mnem_upper
-        .strip_prefix("RX[")
-        .or_else(|| mnem_upper.strip_prefix("RY["))
-        .or_else(|| mnem_upper.strip_prefix("RZ["))
-    {
-        let axis = &mnem_upper[..2];
-        let k: u8 = idx_part
+    if let Some(rotation) = rotation_axis(mnem) {
+        // The three prefix bytes are ASCII, so byte 3 is a char boundary.
+        let k: u8 = mnem[3..]
             .strip_suffix(']')
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| AsmError::new(no, format!("bad rotation index in `{mnem}`")))?;
@@ -325,30 +497,30 @@ fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
                 format!("rotation index {k} out of range"),
             ));
         }
-        let gate = match axis {
-            "RX" => Gate1::Rx(Angle::new(k)),
-            "RY" => Gate1::Ry(Angle::new(k)),
-            _ => Gate1::Rz(Angle::new(k)),
-        };
         let q = single_operand(&ops, no)?;
-        return Ok(QuantumOp::Gate1(gate, parse_qubit(q, no)?));
+        return Ok(QuantumOp::Gate1(
+            rotation(Angle::new(k)),
+            parse_qubit(q, no)?,
+        ));
     }
 
-    let gate1 = match mnem_upper.as_str() {
-        "I" => Some(Gate1::I),
-        "X" => Some(Gate1::X),
-        "Y" => Some(Gate1::Y),
-        "Z" => Some(Gate1::Z),
-        "H" => Some(Gate1::H),
-        "S" => Some(Gate1::S),
-        "SDG" => Some(Gate1::Sdg),
-        "T" => Some(Gate1::T),
-        "TDG" => Some(Gate1::Tdg),
-        "X90" => Some(Gate1::X90),
-        "XM90" => Some(Gate1::Xm90),
-        "Y90" => Some(Gate1::Y90),
-        "YM90" => Some(Gate1::Ym90),
-        "RESET" => Some(Gate1::Reset),
+    let mut buf = [0u8; 8];
+    let key = mnemonic_key(mnem, &mut buf);
+    let gate1 = match key {
+        b"I" => Some(Gate1::I),
+        b"X" => Some(Gate1::X),
+        b"Y" => Some(Gate1::Y),
+        b"Z" => Some(Gate1::Z),
+        b"H" => Some(Gate1::H),
+        b"S" => Some(Gate1::S),
+        b"SDG" => Some(Gate1::Sdg),
+        b"T" => Some(Gate1::T),
+        b"TDG" => Some(Gate1::Tdg),
+        b"X90" => Some(Gate1::X90),
+        b"XM90" => Some(Gate1::Xm90),
+        b"Y90" => Some(Gate1::Y90),
+        b"YM90" => Some(Gate1::Ym90),
+        b"RESET" => Some(Gate1::Reset),
         _ => None,
     };
     if let Some(g) = gate1 {
@@ -356,10 +528,10 @@ fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
         return Ok(QuantumOp::Gate1(g, parse_qubit(q, no)?));
     }
 
-    let gate2 = match mnem_upper.as_str() {
-        "CNOT" => Some(Gate2::Cnot),
-        "CZ" => Some(Gate2::Cz),
-        "SWAP" => Some(Gate2::Swap),
+    let gate2 = match key {
+        b"CNOT" => Some(Gate2::Cnot),
+        b"CZ" => Some(Gate2::Cz),
+        b"SWAP" => Some(Gate2::Swap),
         _ => None,
     };
     if let Some(g) = gate2 {
@@ -376,7 +548,7 @@ fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
         ));
     }
 
-    if mnem_upper == "MEAS" || mnem_upper == "MEASURE" {
+    if key == b"MEAS" || key == b"MEASURE" {
         let q = single_operand(&ops, no)?;
         return Ok(QuantumOp::Measure(parse_qubit(q, no)?));
     }
@@ -387,7 +559,7 @@ fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
     ))
 }
 
-fn single_operand<'a>(ops: &[&'a str], no: usize) -> Result<&'a str, AsmError> {
+fn single_operand<'a>(ops: &Operands<'a>, no: usize) -> Result<&'a str, AsmError> {
     if ops.len() == 1 {
         Ok(ops[0])
     } else {
@@ -448,50 +620,56 @@ fn parse_target(
 
 fn parse_classical(
     b: &mut ProgramBuilder,
-    mnem: &str,
+    head: &str,
     rest: &str,
     no: usize,
 ) -> Result<(), AsmError> {
-    let ops = operands(rest);
+    let ops = Operands::parse(rest);
     let wrong_arity = |n: usize| {
         AsmError::new(
             no,
-            format!("{mnem} expects {n} operand(s), got {}", ops.len()),
+            format!(
+                "{} expects {n} operand(s), got {}",
+                head.to_ascii_uppercase(),
+                ops.len()
+            ),
         )
     };
+    let mut buf = [0u8; 8];
+    let mnem = mnemonic_key(head, &mut buf);
     match mnem {
-        "NOP" => {
+        b"NOP" => {
             b.push(ClassicalOp::Nop);
         }
-        "STOP" => {
+        b"STOP" => {
             b.push(ClassicalOp::Stop);
         }
-        "HALT" => {
+        b"HALT" => {
             b.push(ClassicalOp::Halt);
         }
-        "RET" => {
+        b"RET" => {
             b.push(ClassicalOp::Ret);
         }
-        "JMP" => {
+        b"JMP" => {
             if ops.len() != 1 {
                 return Err(wrong_arity(1));
             }
             parse_target(b, ops[0], None, false, no)?;
         }
-        "CALL" => {
+        b"CALL" => {
             if ops.len() != 1 {
                 return Err(wrong_arity(1));
             }
             parse_target(b, ops[0], None, true, no)?;
         }
-        "BR" => {
+        b"BR" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
             let cond = parse_cond(ops[0], no)?;
             parse_target(b, ops[1], Some(cond), false, no)?;
         }
-        "LDI" => {
+        b"LDI" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -500,7 +678,7 @@ fn parse_classical(
                 imm: parse_imm(ops[1], no)?,
             });
         }
-        "MOV" => {
+        b"MOV" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -509,7 +687,7 @@ fn parse_classical(
                 rs: parse_reg(ops[1], no)?,
             });
         }
-        "ADD" | "SUB" | "AND" | "OR" | "XOR" => {
+        b"ADD" | b"SUB" | b"AND" | b"OR" | b"XOR" => {
             if ops.len() != 3 {
                 return Err(wrong_arity(3));
             }
@@ -517,14 +695,14 @@ fn parse_classical(
             let rs1 = parse_reg(ops[1], no)?;
             let rs2 = parse_reg(ops[2], no)?;
             b.push(match mnem {
-                "ADD" => ClassicalOp::Add { rd, rs1, rs2 },
-                "SUB" => ClassicalOp::Sub { rd, rs1, rs2 },
-                "AND" => ClassicalOp::And { rd, rs1, rs2 },
-                "OR" => ClassicalOp::Or { rd, rs1, rs2 },
+                b"ADD" => ClassicalOp::Add { rd, rs1, rs2 },
+                b"SUB" => ClassicalOp::Sub { rd, rs1, rs2 },
+                b"AND" => ClassicalOp::And { rd, rs1, rs2 },
+                b"OR" => ClassicalOp::Or { rd, rs1, rs2 },
                 _ => ClassicalOp::Xor { rd, rs1, rs2 },
             });
         }
-        "ADDI" => {
+        b"ADDI" => {
             if ops.len() != 3 {
                 return Err(wrong_arity(3));
             }
@@ -534,7 +712,7 @@ fn parse_classical(
                 imm: parse_imm(ops[2], no)?,
             });
         }
-        "NOT" => {
+        b"NOT" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -543,7 +721,7 @@ fn parse_classical(
                 rs: parse_reg(ops[1], no)?,
             });
         }
-        "CMP" => {
+        b"CMP" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -552,7 +730,7 @@ fn parse_classical(
                 rs2: parse_reg(ops[1], no)?,
             });
         }
-        "CMPI" => {
+        b"CMPI" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -561,7 +739,7 @@ fn parse_classical(
                 imm: parse_imm(ops[1], no)?,
             });
         }
-        "FMR" => {
+        b"FMR" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -570,7 +748,7 @@ fn parse_classical(
                 qubit: parse_qubit(ops[1], no)?,
             });
         }
-        "QWAIT" => {
+        b"QWAIT" => {
             if ops.len() != 1 {
                 return Err(wrong_arity(1));
             }
@@ -581,7 +759,7 @@ fn parse_classical(
                 cycles: Cycles::new(cycles),
             });
         }
-        "LDS" => {
+        b"LDS" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -590,7 +768,7 @@ fn parse_classical(
                 sreg: parse_sreg(ops[1], no)?,
             });
         }
-        "STS" => {
+        b"STS" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -599,7 +777,7 @@ fn parse_classical(
                 rs: parse_reg(ops[1], no)?,
             });
         }
-        "MRCE" => {
+        b"MRCE" => {
             if ops.len() != 4 {
                 return Err(wrong_arity(4));
             }
@@ -610,7 +788,12 @@ fn parse_classical(
                 op_if_zero: parse_condop(ops[3], no)?,
             });
         }
-        other => return Err(AsmError::new(no, format!("unknown mnemonic `{other}`"))),
+        _ => {
+            return Err(AsmError::new(
+                no,
+                format!("unknown mnemonic `{}`", head.to_ascii_uppercase()),
+            ))
+        }
     }
     Ok(())
 }
@@ -740,6 +923,48 @@ STOP
         // Every qubit operand position goes through the same check.
         assert_eq!(assemble("0 CNOT q0, q200\n").unwrap_err().line, 1);
         assert_eq!(assemble("FMR r0, q128\n").unwrap_err().line, 1);
+    }
+
+    #[test]
+    fn operand_indices_are_ascii_digits_only() {
+        // Integer `FromStr` takes a leading `+`; operand indices do not.
+        for (text, line) in [
+            ("0 H q+5\nSTOP\n", 1),
+            ("0 X q0\nLDI r+3, 1\n", 2),
+            ("0 X q0\nNOP\nLDS r0, s+1\n", 3),
+            ("MRCE q0, q+1, X, NONE\n", 1),
+        ] {
+            let err = assemble(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}");
+            assert!(err.message.contains("expected"), "{}", err.message);
+        }
+        assert_eq!(scan_qubit_count("0 H q+5\nSTOP\n"), 0);
+    }
+
+    #[test]
+    fn scan_saturates_past_max_qubits_instead_of_dropping() {
+        // The assembler rejects both; the scan must not read them as
+        // narrow, or placement would hand them to a small shard.
+        assert!(assemble("0 H q70000\n").is_err());
+        assert_eq!(scan_qubit_count("0 H q70000\n"), u16::MAX);
+        assert_eq!(
+            scan_qubit_count("0 H q0\n0 X q99999999999999999999\n"),
+            u16::MAX
+        );
+        assert_eq!(scan_qubit_count("0 H q128\n"), 129);
+        assert_eq!(scan_qubit_count("0 H q0007\n"), 8);
+    }
+
+    #[test]
+    fn scan_skips_comments_and_non_tokens() {
+        let text = "0 H q1 # q9\n; q7\n0 X q2;q8\nxq9 q9x q_1 q\r\n0 Z Q4\r\n";
+        assert_eq!(scan_qubit_count(text), 5);
+    }
+
+    #[test]
+    fn nested_blocks_are_an_error_not_a_panic() {
+        let err = assemble(".block a\n0 H q0\n.block b\n0 H q1\n.endblock\n").unwrap_err();
+        assert_eq!(err.line, 3);
     }
 
     #[test]

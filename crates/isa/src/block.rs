@@ -38,7 +38,7 @@ impl fmt::Display for BlockId {
 }
 
 /// Dependency of one program block on others.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Dependency {
     /// Direct addressing: the block may start once every listed block is
     /// done. An empty list means "ready immediately".
@@ -109,7 +109,7 @@ impl fmt::Display for BlockStatus {
 
 /// One entry of the block information table: name, address range in the
 /// centralized instruction memory, and dependency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BlockInfo {
     /// Human-readable block name (e.g. `w1`, `stab3_verify`).
     pub name: String,

@@ -8,17 +8,19 @@
 //! program that affects execution: the instruction stream, the block
 //! information table, and the instruction→step map.
 
-use crate::block::Dependency;
-use crate::instruction::Instruction;
 use crate::program::Program;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Incremental FNV-1a 64-bit hasher.
 ///
-/// Deliberately *not* `std::hash::Hasher`-based: `DefaultHasher` is
-/// randomly keyed per process, which would make digests unusable as
-/// cross-run cache keys. FNV-1a is stable, allocation-free, and fast
-/// enough for compile-time deduplication.
+/// Unkeyed on purpose: `std`'s `DefaultHasher` is randomly keyed per
+/// process, which would make digests unusable as cross-run cache keys.
+/// FNV-1a is stable, allocation-free, and fast enough for compile-time
+/// deduplication. It also implements [`Hasher`], so `#[derive(Hash)]`
+/// values (an [`Instruction`](crate::Instruction), a
+/// [`BlockInfo`](crate::BlockInfo)) feed it field by field; see that
+/// impl for how it absorbs integers.
 ///
 /// Multi-byte writes include no implicit separators; callers hashing
 /// variable-length fields should write an explicit length first (as
@@ -62,11 +64,59 @@ impl Fnv64 {
     pub fn finish(&self) -> u64 {
         self.0
     }
+
+    /// One word-wise FNV step (see the [`Hasher`] impl).
+    fn absorb_word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(FNV_PRIME);
+    }
 }
 
 impl Default for Fnv64 {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The [`Hash`] route into the same state. Byte slices (names) absorb
+/// byte by byte, as [`Fnv64::write`]; each integer — a field, an enum
+/// discriminant, a length prefix — absorbs as one word, the word-wise
+/// FNV step of [`content_hash_64`]. A step is a bijection of the word for
+/// a given state, so two streams of one shape diverge at the first
+/// differing field. Which writes a value makes is up to its `Hash` impl
+/// (for derived impls, the compiler's), so values hashed this way are
+/// stable across processes of one build, not across toolchains. The
+/// inherent [`Fnv64::write_u32`]/[`Fnv64::write_u64`] stay byte-serial.
+impl Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv64::write(self, bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.absorb_word(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.absorb_word(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.absorb_word(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.absorb_word(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.absorb_word(v as u64);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.absorb_word(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        Fnv64::finish(self)
     }
 }
 
@@ -142,51 +192,26 @@ impl fmt::Display for ProgramDigest {
 }
 
 impl Program {
-    /// Computes the program's stable content digest: instructions (via
-    /// their canonical display form, which round-trips through the
-    /// assembler), block-table entries (name, range, dependency), and the
-    /// instruction→step map. Two programs built independently but
-    /// structurally equal hash identically, across processes and runs.
+    /// Computes the program's stable content digest: instructions,
+    /// block-table entries (name, range, dependency), and the
+    /// instruction→step map, each fed field by field through
+    /// [`Fnv64`]'s [`Hasher`] impl (no value is formatted to text). Two
+    /// programs built independently but structurally equal hash
+    /// identically.
+    ///
+    /// The value is stable across processes and runs of one build, which
+    /// is what an in-memory compile cache keyed on it needs. It is not a
+    /// format: nothing in this repository persists a program digest, and
+    /// another toolchain or a change to the instruction types may compute
+    /// different values.
     pub fn digest(&self) -> ProgramDigest {
         let mut h = Fnv64::new();
-        h.write_u64(self.len() as u64);
-        for instr in self.instructions() {
-            match instr {
-                // The display form is total (encoding can fail; printing
-                // cannot) and uniquely determines the instruction — the
-                // assembler parses it back to an equal value.
-                Instruction::Quantum(q) => {
-                    h.write_u32(1).write_u32(q.timing.count());
-                    h.write_str(&q.op.to_string());
-                }
-                Instruction::Classical(op) => {
-                    h.write_u32(2);
-                    h.write_str(&op.to_string());
-                }
-            }
-        }
-        h.write_u64(self.blocks().len() as u64);
+        self.instructions().hash(&mut h);
+        self.blocks().len().hash(&mut h);
         for (_, info) in self.blocks().iter() {
-            h.write_str(&info.name);
-            h.write_u32(info.range.start).write_u32(info.range.end);
-            match &info.dependency {
-                Dependency::Direct(deps) => {
-                    h.write_u32(1).write_u64(deps.len() as u64);
-                    for d in deps {
-                        h.write_u32(u32::from(d.0));
-                    }
-                }
-                Dependency::Priority(p) => {
-                    h.write_u32(2).write_u32(u32::from(*p));
-                }
-            }
+            info.hash(&mut h);
         }
-        for step in self.step_map() {
-            match step {
-                None => h.write_u32(0),
-                Some(s) => h.write_u32(1).write_u32(s.0),
-            };
-        }
+        self.step_map().hash(&mut h);
         ProgramDigest(h.finish())
     }
 }
@@ -204,7 +229,7 @@ mod tests {
         let b = assemble(RUS).unwrap();
         assert_eq!(a.digest(), b.digest());
         // Round-tripping through the canonical text form preserves the
-        // digest (the display form is what the digest walks).
+        // digest.
         let c = assemble(&a.to_string()).unwrap();
         assert_eq!(a.digest(), c.digest());
     }

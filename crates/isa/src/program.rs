@@ -520,6 +520,11 @@ impl ProgramBuilder {
         self
     }
 
+    /// True while a block is open (begun and not yet ended).
+    pub fn in_block(&self) -> bool {
+        self.open_block.is_some()
+    }
+
     /// True if a block with this name has been declared.
     pub fn has_block(&self, name: &str) -> bool {
         self.blocks.iter().any(|(n, ..)| n == name)

@@ -1,126 +1,15 @@
 //! Property tests: every valid instruction survives binary encoding and
-//! text assembly roundtrips, and programs with random block structure
-//! survive print → parse.
+//! text assembly roundtrips, programs with random block structure
+//! survive print → parse with their digest, and the digest tells
+//! programs apart.
+
+mod strategies;
 
 use proptest::prelude::*;
 use quape_isa::{
-    assemble, decode, encode, Angle, BlockInfo, BlockInfoTable, ClassicalOp, Cond, CondOp, Cycles,
-    Dependency, Gate1, Gate2, Instruction, Program, QuantumOp, Qubit, Reg, SharedReg, StepId,
+    assemble, decode, encode, BlockInfo, BlockInfoTable, Dependency, Instruction, Program,
 };
-
-fn arb_qubit() -> impl Strategy<Value = Qubit> {
-    (0u16..128).prop_map(Qubit::new)
-}
-
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0u8..32).prop_map(Reg::new)
-}
-
-fn arb_sreg() -> impl Strategy<Value = SharedReg> {
-    (0u8..16).prop_map(SharedReg::new)
-}
-
-fn arb_angle() -> impl Strategy<Value = Angle> {
-    (0u8..32).prop_map(Angle::new)
-}
-
-fn arb_gate1() -> impl Strategy<Value = Gate1> {
-    prop_oneof![
-        proptest::sample::select(Gate1::FIXED.to_vec()),
-        arb_angle().prop_map(Gate1::Rx),
-        arb_angle().prop_map(Gate1::Ry),
-        arb_angle().prop_map(Gate1::Rz),
-    ]
-}
-
-fn arb_quantum_op() -> impl Strategy<Value = QuantumOp> {
-    prop_oneof![
-        (arb_gate1(), arb_qubit()).prop_map(|(g, q)| QuantumOp::Gate1(g, q)),
-        (
-            proptest::sample::select(Gate2::ALL.to_vec()),
-            arb_qubit(),
-            arb_qubit()
-        )
-            .prop_map(|(g, a, b)| QuantumOp::Gate2(g, a, b)),
-        arb_qubit().prop_map(QuantumOp::Measure),
-    ]
-}
-
-fn arb_cond() -> impl Strategy<Value = Cond> {
-    proptest::sample::select(Cond::ALL.to_vec())
-}
-
-fn arb_condop() -> impl Strategy<Value = CondOp> {
-    proptest::sample::select(CondOp::ALL.to_vec())
-}
-
-fn arb_classical() -> impl Strategy<Value = ClassicalOp> {
-    prop_oneof![
-        Just(ClassicalOp::Nop),
-        Just(ClassicalOp::Stop),
-        Just(ClassicalOp::Halt),
-        Just(ClassicalOp::Ret),
-        (0u32..(1 << 25)).prop_map(|target| ClassicalOp::Jmp { target }),
-        (arb_cond(), 0u32..(1 << 22)).prop_map(|(cond, target)| ClassicalOp::Br { cond, target }),
-        (0u32..(1 << 25)).prop_map(|target| ClassicalOp::Call { target }),
-        (arb_reg(), any::<i16>()).prop_map(|(rd, imm)| ClassicalOp::Ldi { rd, imm }),
-        (arb_reg(), arb_reg()).prop_map(|(rd, rs)| ClassicalOp::Mov { rd, rs }),
-        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| ClassicalOp::Add {
-            rd,
-            rs1,
-            rs2
-        }),
-        (arb_reg(), arb_reg(), -2048i16..=2047).prop_map(|(rd, rs, imm)| ClassicalOp::Addi {
-            rd,
-            rs,
-            imm
-        }),
-        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| ClassicalOp::Sub {
-            rd,
-            rs1,
-            rs2
-        }),
-        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| ClassicalOp::And {
-            rd,
-            rs1,
-            rs2
-        }),
-        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| ClassicalOp::Or {
-            rd,
-            rs1,
-            rs2
-        }),
-        (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| ClassicalOp::Xor {
-            rd,
-            rs1,
-            rs2
-        }),
-        (arb_reg(), arb_reg()).prop_map(|(rd, rs)| ClassicalOp::Not { rd, rs }),
-        (arb_reg(), arb_reg()).prop_map(|(rs1, rs2)| ClassicalOp::Cmp { rs1, rs2 }),
-        (arb_reg(), any::<i16>()).prop_map(|(rs, imm)| ClassicalOp::Cmpi { rs, imm }),
-        (arb_reg(), arb_qubit()).prop_map(|(rd, qubit)| ClassicalOp::Fmr { rd, qubit }),
-        (0u32..(1 << 25)).prop_map(|c| ClassicalOp::Qwait {
-            cycles: Cycles::new(c)
-        }),
-        (arb_reg(), arb_sreg()).prop_map(|(rd, sreg)| ClassicalOp::Lds { rd, sreg }),
-        (arb_sreg(), arb_reg()).prop_map(|(sreg, rs)| ClassicalOp::Sts { sreg, rs }),
-        (arb_qubit(), arb_qubit(), arb_condop(), arb_condop()).prop_map(
-            |(qubit, target, op_if_one, op_if_zero)| ClassicalOp::Mrce {
-                qubit,
-                target,
-                op_if_one,
-                op_if_zero
-            }
-        ),
-    ]
-}
-
-fn arb_instruction() -> impl Strategy<Value = Instruction> {
-    prop_oneof![
-        (0u32..=127, arb_quantum_op()).prop_map(|(t, op)| Instruction::quantum(t, op)),
-        arb_classical().prop_map(Instruction::Classical),
-    ]
-}
+use strategies::{arb_blocked_program, arb_instruction, arb_program, clamp_target};
 
 proptest! {
     #[test]
@@ -146,36 +35,27 @@ proptest! {
     }
 
     #[test]
-    fn program_print_parse_roundtrip(
-        qubits in proptest::collection::vec(0u16..32, 1..40),
-        block_sizes in proptest::collection::vec(1usize..6, 1..8),
-        use_priority in any::<bool>(),
-    ) {
-        // Build a program of H gates carved into contiguous blocks.
-        let mut builder = quape_isa::ProgramBuilder::new();
-        let mut qi = qubits.iter().cycle();
-        for (bi, &size) in block_sizes.iter().enumerate() {
-            let dep = if use_priority {
-                Dependency::Priority(bi as u16 / 2)
-            } else if bi == 0 {
-                Dependency::none()
-            } else {
-                Dependency::Direct(vec![quape_isa::BlockId((bi - 1) as u16)])
-            };
-            builder.begin_block(format!("w{bi}"), dep);
-            builder.set_step(Some(StepId(bi as u32)));
-            for _ in 0..size {
-                let q = *qi.next().expect("cycled iterator");
-                builder.quantum(0, QuantumOp::Gate1(Gate1::H, Qubit::new(q)));
-            }
-            builder.set_step(None);
-            builder.push(ClassicalOp::Stop);
-            builder.end_block();
-        }
-        let p = builder.finish().expect("valid program");
+    fn program_print_parse_roundtrip(p in arb_blocked_program()) {
         let text = p.to_string();
         let q = assemble(&text).unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
+        prop_assert_eq!(q.digest(), p.digest());
         prop_assert_eq!(p, q);
+    }
+
+    #[test]
+    fn replacing_an_instruction_changes_the_digest(
+        p in arb_program(),
+        at in any::<usize>(),
+        replacement in arb_instruction(),
+    ) {
+        let mut instrs = p.instructions().to_vec();
+        let at = at % instrs.len();
+        let replacement = clamp_target(replacement, instrs.len());
+        if instrs[at] != replacement {
+            instrs[at] = replacement;
+            let q = Program::new(instrs).expect("targets clamped in range");
+            prop_assert_ne!(q.digest(), p.digest());
+        }
     }
 
     #[test]

@@ -514,8 +514,10 @@ impl Router {
     /// # Errors
     ///
     /// [`JobError::NoCapableShard`] when no live shard satisfies the
-    /// requirements; otherwise as [`JobServer::submit`] — parse/compile
-    /// failures, zero shots, or a router that is draining.
+    /// requirements (none does for a job wider than
+    /// [`MAX_QUBITS`](quape_isa::MAX_QUBITS)); otherwise as
+    /// [`JobServer::submit`] — parse/compile failures, zero shots, or a
+    /// router that is draining.
     pub fn submit(&self, req: JobRequest) -> Result<RoutedJob, JobError> {
         self.inner.submit_routed(req)
     }
@@ -845,6 +847,11 @@ impl RouterInner {
         let fleet = self.lock_fleet();
         if fleet.stopping {
             return Err(JobError::NotAccepting);
+        }
+        // No machine compiles a job wider than the ISA addresses, so no
+        // shard can run one, whatever its profile admits.
+        if usize::from(req.qubits) > quape_isa::MAX_QUBITS {
+            return Err(JobError::NoCapableShard);
         }
         let capable: Vec<(usize, u64)> = fleet
             .shards

@@ -149,7 +149,11 @@ pub struct JobRequirements {
 impl JobRequirements {
     /// Derives the requirements of a request. Text sources are scanned
     /// lexically (never assembled — capability filtering must stay far
-    /// cheaper than a compile-cache hit).
+    /// cheaper than a compile-cache hit): [`scan_qubit_count`] is one
+    /// allocation-free pass over the text. A token past
+    /// [`MAX_QUBITS`](quape_isa::MAX_QUBITS) (`q128`, or `q70000`, which
+    /// saturates) makes the requirement wider than any machine compiles,
+    /// and the router refuses such a job before anything parses it.
     pub fn of(req: &JobRequest) -> Self {
         let span = match &req.source {
             JobSource::Text(text) => scan_qubit_count(text),

@@ -210,6 +210,35 @@ fn capability_filter_rejects_and_steers() {
     }
 }
 
+/// Wire text naming a qubit past the ISA's range is refused at
+/// placement, even by unconstrained shards: the lexical scan saturates
+/// (`q70000` overflows `u16`) instead of dropping the token, so nothing
+/// is assembled and no shard is handed a job it cannot compile.
+#[test]
+fn out_of_range_wire_qubits_have_no_capable_shard() {
+    let router = Router::new(fleet(2, Placement::RoundRobin));
+    for text in ["0 H q70000\nSTOP\n", "0 H q0\n0 X q128\nSTOP\n"] {
+        let c = cfg();
+        let req = JobRequest::new(
+            "hostile",
+            JobSource::Text(text.into()),
+            c.clone(),
+            coin(&c),
+            4,
+        );
+        assert!(
+            matches!(router.submit(req), Err(JobError::NoCapableShard)),
+            "{text:?}"
+        );
+    }
+    assert!(
+        router.cache_stats().iter().all(|c| c.misses == 0),
+        "nothing reached a shard's compile cache"
+    );
+    assert_eq!(router.fleet_snapshot().check(), Ok(()));
+    router.drain().unwrap();
+}
+
 /// A job the front door admits but no shard can run is refused at
 /// dispatch: the refusal reaches its ticket and is counted, so the
 /// admission law still balances.

@@ -228,6 +228,9 @@ impl MachineSpec {
 pub enum JobSource {
     /// Timed-QASM source text. Cache keys hash the raw text (far cheaper
     /// than assembling it); the text is only parsed on a cache miss.
+    /// Every submit still reads it once more: a router derives the job's
+    /// qubit requirement with one lexical pass
+    /// ([`quape_isa::scan_qubit_count`]) before placing it.
     Text(String),
     /// A pre-built program, keyed by its structural
     /// [`digest`](Program::digest).
@@ -257,7 +260,10 @@ impl JobSource {
                 let h = quape_isa::content_hash_128(text.as_bytes());
                 (1u32, (h >> 64) as u64, h as u64)
             }
-            JobSource::Program(p) => (2u32, p.digest().0, p.digest().0),
+            JobSource::Program(p) => {
+                let d = p.digest().0;
+                (2u32, d, d)
+            }
         };
         let cfg_digest = cfg.content_digest();
         let mut hi = Fnv64::new();
