@@ -11,9 +11,14 @@
 //! committed baseline, and `--min-speedup 1.0` turns the run into a CI
 //! gate that fails when any lowered-vs-cycle speedup drops below the
 //! threshold times the row's gate floor (a correctness-of-claim check:
-//! the fast path must never be slower than the cycle oracle). Pair the
-//! gate with `--repeats 3` so each mode reports its fastest pass and one
-//! noisy scheduling slice on a shared runner cannot flake the gate.
+//! the fast path must never be slower than the cycle oracle).
+//!
+//! Each workload is timed by `quape_bench::measure`: one warm-up round,
+//! then `--repeats` (default 1) measured rounds that run both modes
+//! once each, starting from the other mode in turn. Shots/sec is taken
+//! at each mode's median wall time, and the gated speedup is the median
+//! of the per-round cycle/lowered wall-time ratios, so host-speed drift
+//! cancels instead of gating. Pair the gate with `--repeats 3`.
 
 use quape_bench::fig02;
 use quape_bench::table::{to_json, write_json, TextTable};
@@ -23,7 +28,7 @@ struct Args {
     json: bool,
     json_out: Option<String>,
     compare: bool,
-    repeats: u64,
+    repeats: usize,
     min_speedup: Option<f64>,
 }
 
@@ -79,6 +84,8 @@ fn main() {
                 "p50 cycles",
                 "cycle shots/s",
                 "lowered shots/s",
+                "cycle ms (min-max, n)",
+                "lowered ms (min-max, n)",
                 "speedup",
             ]);
             for r in &results {
@@ -89,6 +96,8 @@ fn main() {
                     r.p50_cycles.to_string(),
                     format!("{:.0}", r.cycle_shots_per_sec),
                     format!("{:.0}", r.lowered_shots_per_sec),
+                    r.cycle_wall.to_string(),
+                    r.lowered_wall.to_string(),
                     format!("{:.2}x", r.speedup),
                 ]);
             }

@@ -36,13 +36,16 @@
 //! `--check-trace-schema <path>` verifies the committed trace baseline's
 //! fingerprint (refresh it with `--trace-schema-out`).
 //!
-//! Each scenario reports its fastest of `--repeats` passes (default 3),
-//! shedding host scheduler noise — the simulated work is deterministic,
-//! so the minimum is the honest per-scenario estimate.
+//! Every comparison is timed by `quape_bench::measure`: one warm-up
+//! round, then `--repeats` (default 3) measured rounds that run every
+//! scenario once each, starting from the next scenario in turn. Rows
+//! report each scenario's median wall time with its min, max and pass
+//! count; every gate ratio is the median of the per-round ratios, so
+//! host-speed drift cancels instead of gating.
 //!
-//! Every request's aggregate is asserted bit-identical across the
-//! scenarios (the run is a differential test of the serving layer), so
-//! the throughput numbers compare *equal work*. After every server pass
+//! Every pass's per-request aggregates are asserted bit-identical to the
+//! first pass's (the run is a differential test of the serving layer),
+//! so the throughput numbers compare *equal work*. After every server pass
 //! the drained server's counters must satisfy the conservation laws of
 //! `ShardSnapshot::check` — the binary exits nonzero before writing any
 //! output otherwise. `--json-out BENCH_traffic.json` refreshes the
@@ -51,11 +54,11 @@
 //! to beat the naive client by the given factor.
 
 use quape_bench::mixed::{
-    run_mixed_traffic_observed, run_obs_overhead, run_packed_traffic_observed, warm_speedup,
-    ScenarioResult,
+    run_mixed_traffic_observed, run_obs_overhead, run_packed_traffic_observed,
 };
 use quape_bench::sweep::resolve_machine;
 use quape_bench::table::{check_schema, to_json, write_json, TextTable};
+use quape_bench::ServingRow;
 use quape_obs::{audit_complete, chrome_trace, Recorder, TraceKind};
 
 struct Args {
@@ -147,20 +150,8 @@ fn parse_args() -> Args {
 
 /// A value-free sample row: its rendered JSON carries this binary's
 /// current schema, the committed baseline must fingerprint identically.
-fn sample_rows() -> Vec<ScenarioResult> {
-    vec![ScenarioResult {
-        scenario: String::new(),
-        requests: 0,
-        total_shots: 0,
-        wall_ms: 0.0,
-        jobs_per_sec: 0.0,
-        p50_latency_us: 0,
-        p95_latency_us: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_evictions: 0,
-        compiles: 0,
-    }]
+fn sample_rows() -> Vec<ServingRow> {
+    vec![ServingRow::default()]
 }
 
 /// A synthetic trace covering every [`TraceKind`] once: its rendered
@@ -241,10 +232,11 @@ fn export_obs(recorder: &Recorder, args: &Args, min_jobs: usize) {
     }
 }
 
-fn render_rows(rows: &[ScenarioResult]) -> String {
+fn render_rows(rows: &[ServingRow]) -> String {
     let mut t = TextTable::new([
         "scenario",
         "jobs/s",
+        "wall ms (min-max, n)",
         "p50 latency",
         "p95 latency",
         "hits",
@@ -256,6 +248,7 @@ fn render_rows(rows: &[ScenarioResult]) -> String {
         t.row([
             r.scenario.clone(),
             format!("{:.1}", r.jobs_per_sec),
+            r.wall.to_string(),
             format!("{:.1} ms", r.p50_latency_us as f64 / 1000.0),
             format!("{:.1} ms", r.p95_latency_us as f64 / 1000.0),
             r.cache_hits.to_string(),
@@ -398,7 +391,7 @@ fn main() {
     if let Some(spec) = &args.machine {
         eprintln!("machine: {spec}");
     }
-    let (rows, tenants) = run_mixed_traffic_observed(
+    let outcome = run_mixed_traffic_observed(
         machine.as_ref(),
         args.seed,
         args.requests,
@@ -406,23 +399,23 @@ fn main() {
         args.repeats,
         &recorder,
     );
-    // Every cold server instance plus the warm re-drives traced a full
-    // pass each; the weakest floor is one pass of lifecycles.
+    // Every server pass traced a full pass of lifecycles; the weakest
+    // floor is one pass.
     export_obs(&recorder, &args, args.requests);
     if let Some(path) = &args.json_out {
-        write_json(path, &rows);
+        write_json(path, &outcome.rows);
     }
     if args.json {
-        println!("{}", to_json(&rows));
+        println!("{}", to_json(&outcome.rows));
     } else {
         println!(
             "Mixed-traffic serving: {} requests, seed {} (aggregates verified identical):",
             args.requests, args.seed
         );
-        println!("{}", render_rows(&rows));
-        println!("Per-tenant compile-cache accounting (server passes):");
+        println!("{}", render_rows(&outcome.rows));
+        println!("Per-tenant compile-cache accounting (warm server, all passes):");
         let mut tt = TextTable::new(["tenant", "hits", "misses", "evict", "compiles", "hit rate"]);
-        for (tenant, s) in &tenants {
+        for (tenant, s) in &outcome.tenants {
             let lookups = s.hits + s.misses;
             let rate = if lookups == 0 {
                 0.0
@@ -440,7 +433,7 @@ fn main() {
         }
         println!("{}", tt.render());
     }
-    let speedup = warm_speedup(&rows);
+    let speedup = outcome.warm_speedup;
     eprintln!("cache-warm server over naive client: {speedup:.2}x jobs/sec");
     if let Some(min) = args.min_warm_speedup {
         if speedup.is_nan() || speedup < min {

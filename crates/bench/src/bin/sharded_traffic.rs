@@ -28,8 +28,13 @@
 //! description instead of the uniprocessor baseline: a `machines/*.json`
 //! path or a builtin name (`baseline`, `superscalar-8`, ...).
 //!
-//! Every request's aggregate is asserted bit-identical across all
-//! configurations (the run is a differential test of the router), so
+//! The grid is timed by `quape_bench::measure`: one priming round, then
+//! `--repeats` (default 3) measured rounds that run every configuration
+//! once each, starting from the next configuration in turn. Rows report
+//! each configuration's median wall time with its min, max and pass
+//! count, and the sticky ratio is the median of the per-round ratios.
+//! Every pass's per-request aggregates are asserted bit-identical to the
+//! 1-shard oracle (the run is a differential test of the router), so
 //! the throughput numbers compare *equal work*. Every fleet's counters
 //! must also satisfy the conservation laws of `FleetSnapshot::check`
 //! once its jobs settle — the binary exits nonzero before writing any
@@ -45,12 +50,12 @@
 //! maximum shard count.
 
 use quape_bench::sharded::{
-    run_hot_tenant, run_kill_shard, run_observed_fleet, run_sharded_traffic, sticky_speedup,
-    AdmissionScenarioResult, FailoverScenarioResult, RouterBenchReport, ShardedScenarioResult,
-    ShardedTrafficConfig,
+    run_hot_tenant, run_kill_shard, run_observed_fleet, run_sharded_traffic,
+    AdmissionScenarioResult, FailoverScenarioResult, RouterBenchReport, ShardedTrafficConfig,
 };
 use quape_bench::sweep::resolve_machine;
 use quape_bench::table::{check_schema, schema_fingerprint, to_json, write_json, TextTable};
+use quape_bench::ServingRow;
 use quape_obs::{chrome_trace, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 use quape_router::{FleetSnapshot, ShardSnapshot, TenantStatsRow};
 use quape_server::{CacheStats, PackerStats};
@@ -119,19 +124,7 @@ fn sample_fleet_snapshot() -> FleetSnapshot {
 /// `BENCH_router.json` must fingerprint identically.
 fn sample_report() -> RouterBenchReport {
     RouterBenchReport {
-        grid: vec![ShardedScenarioResult {
-            scenario: String::new(),
-            shards: 0,
-            placement: String::new(),
-            requests: 0,
-            total_shots: 0,
-            wall_ms: 0.0,
-            jobs_per_sec: 0.0,
-            p50_latency_us: 0,
-            p95_latency_us: 0,
-            steady_misses: 0,
-            steady_compiles: 0,
-        }],
+        grid: vec![ServingRow::default()],
         failover: Some(FailoverScenarioResult {
             scenario: String::new(),
             shards: 0,
@@ -369,14 +362,14 @@ fn main() {
             }
         }
     }
-    let rows = run_sharded_traffic(&args.bench);
+    let grid = run_sharded_traffic(&args.bench);
     // Both scenarios assert their own gate internally (lost job,
     // aggregate divergence, starvation-bound violation all panic), so
     // reaching the report below *is* the CI gate passing.
     let failover = args.kill_shard.then(|| run_kill_shard(&args.bench));
     let admission = args.hot_tenant.then(|| run_hot_tenant(&args.bench));
     let report = RouterBenchReport {
-        grid: rows,
+        grid: grid.rows,
         failover,
         admission,
     };
@@ -395,6 +388,7 @@ fn main() {
             "scenario",
             "shards",
             "jobs/s",
+            "wall ms (min-max, n)",
             "p50 latency",
             "p95 latency",
             "steady misses",
@@ -405,10 +399,11 @@ fn main() {
                 r.scenario.clone(),
                 r.shards.to_string(),
                 format!("{:.1}", r.jobs_per_sec),
+                r.wall.to_string(),
                 format!("{:.1} ms", r.p50_latency_us as f64 / 1000.0),
                 format!("{:.1} ms", r.p95_latency_us as f64 / 1000.0),
-                r.steady_misses.to_string(),
-                r.steady_compiles.to_string(),
+                r.cache_misses.to_string(),
+                r.compiles.to_string(),
             ]);
         }
         println!("{}", t.render());
@@ -430,7 +425,7 @@ fn main() {
     if args.metrics_out.is_some() || args.trace_out.is_some() {
         run_observed(&args);
     }
-    let ratio = sticky_speedup(&report.grid);
+    let ratio = grid.sticky_ratio;
     eprintln!("warm sticky over warm round-robin at max shards: {ratio:.2}x jobs/sec");
     if let Some(min) = args.min_sticky_ratio {
         if ratio.is_nan() || ratio < min {

@@ -2,6 +2,7 @@
 //! plus the step-mode host-performance comparison on DAQ-wait-bound
 //! feedback workloads.
 
+use crate::measure::{measure, Pass, Spread};
 use quape_core::{CompiledJob, Machine, QuapeConfig, ShotEngine, StepMode};
 use quape_qpu::{BehavioralQpu, BehavioralQpuFactory, MeasurementModel};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
@@ -66,15 +67,21 @@ pub struct StepModeComparison {
     pub workload: String,
     /// Feedback rounds per shot.
     pub rounds: usize,
-    /// Shots executed per mode.
+    /// Shots executed per pass.
     pub shots: u64,
     /// Median simulated cycles per shot.
     pub p50_cycles: u64,
-    /// Cycle-stepped reference host throughput.
+    /// Cycle-stepped reference: wall time of one pass of `shots` shots.
+    pub cycle_wall: Spread,
+    /// Lowered (micro-op fast path): wall time of one pass.
+    pub lowered_wall: Spread,
+    /// Cycle-stepped host throughput at the median wall time.
     pub cycle_shots_per_sec: f64,
-    /// Lowered (micro-op fast path) host throughput.
+    /// Lowered host throughput at the median wall time.
     pub lowered_shots_per_sec: f64,
-    /// Lowered over cycle-stepped speedup.
+    /// Lowered over cycle-stepped speedup, as a
+    /// [`Measurement::ratio`](crate::measure::Measurement::ratio) (the
+    /// CI gate statistic).
     pub speedup: f64,
     /// Per-workload floor the CI gate scales its `--min-speedup` by:
     /// 1.0 for the wait-dominated workloads, 0.9 for the
@@ -85,58 +92,47 @@ pub struct StepModeComparison {
 }
 
 /// Runs `shots` single-thread shots of a feedback workload under both
-/// executors and reports throughput, keeping each mode's fastest of
-/// `repeats` passes (the simulated work is deterministic, so repeat
-/// variance is pure host noise — best-of makes the speedup a property
-/// of the execution core, not of the machine's scheduler). Panics if
-/// the two modes ever disagree on the deterministic aggregate — the
-/// comparison doubles as an end-to-end equivalence assertion.
+/// executors through [`measure`]: one warm-up round, then `repeats`
+/// alternating measured rounds. Panics if the two modes ever disagree
+/// on the deterministic aggregate — the comparison doubles as an
+/// end-to-end equivalence assertion.
 fn compare_one(
     workload: &str,
     cfg: &QuapeConfig,
     program: quape_isa::Program,
     rounds: usize,
     shots: u64,
-    repeats: u64,
+    repeats: usize,
     gate_floor: f64,
 ) -> StepModeComparison {
     let job = CompiledJob::compile(cfg.clone(), program).expect("valid workload");
-    let factory =
-        || BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
-    let run = |mode: StepMode| {
-        ShotEngine::new(job.clone(), factory())
-            .step_mode(mode)
+    let modes = [StepMode::Cycle, StepMode::Lowered];
+    let names = [format!("{workload} cycle"), format!("{workload} lowered")];
+    let m = measure(&names, 1, repeats, |v| {
+        let factory =
+            BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
+        let report = ShotEngine::new(job.clone(), factory)
+            .step_mode(modes[v])
             .threads(1)
-            .run(shots)
-    };
-    let mut cycle = run(StepMode::Cycle);
-    let mut lowered = run(StepMode::Lowered);
-    assert_eq!(
-        cycle.aggregate, lowered.aggregate,
-        "step modes must agree on {workload}"
-    );
-    for _ in 1..repeats.max(1) {
-        let c = run(StepMode::Cycle);
-        let l = run(StepMode::Lowered);
-        assert_eq!(
-            c.aggregate, l.aggregate,
-            "step modes must agree on {workload}"
-        );
-        if c.wall_time < cycle.wall_time {
-            cycle = c;
+            .run(shots);
+        Pass {
+            wall: report.wall_time,
+            aggregate: report.aggregate,
+            output: (),
         }
-        if l.wall_time < lowered.wall_time {
-            lowered = l;
-        }
-    }
+    });
+    let (cycle_wall, lowered_wall) = (m.spread(0), m.spread(1));
+    let shots_per_sec = |wall: Spread| shots as f64 / (wall.median_ms / 1000.0);
     StepModeComparison {
         workload: workload.to_string(),
         rounds,
         shots,
-        p50_cycles: lowered.aggregate.cycles.p50,
-        cycle_shots_per_sec: cycle.shots_per_sec(),
-        lowered_shots_per_sec: lowered.shots_per_sec(),
-        speedup: lowered.shots_per_sec() / cycle.shots_per_sec(),
+        p50_cycles: m.aggregate.cycles.p50,
+        cycle_shots_per_sec: shots_per_sec(cycle_wall),
+        lowered_shots_per_sec: shots_per_sec(lowered_wall),
+        cycle_wall,
+        lowered_wall,
+        speedup: m.ratio(0, 1),
         gate_floor,
     }
 }
@@ -145,13 +141,12 @@ fn compare_one(
 /// on the Fig. 2 round trip, on deep FMR/MRCE feedback chains (where
 /// per-shot cost is simulation-dominated) and on a dense pulse train.
 /// `scale` multiplies the shot counts (1 = the committed-baseline
-/// workload sizes); each mode reports its fastest of `repeats` passes
-/// per workload, so a single noisy pass on a shared runner cannot push
-/// a real ≥ 1× speedup below the CI `bench-smoke` threshold.
+/// workload sizes); `repeats` is the number of measured rounds per
+/// workload.
 pub fn compare_executors(
     cfg_base: &QuapeConfig,
     scale: u64,
-    repeats: u64,
+    repeats: usize,
 ) -> Vec<StepModeComparison> {
     let cfg = cfg_base.clone().with_seed(7);
     let chain_rounds = 1000;

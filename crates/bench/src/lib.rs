@@ -22,6 +22,11 @@
 //! [`sharded`] / `sharded_traffic` benchmark the HiMA-style front
 //! router (`quape-router`): shard-count scaling and warm-cache sticky
 //! placement against round-robin.
+//!
+//! Every timed comparison — fig02's cycle vs lowered executors and the
+//! serving benches' scenarios — runs through [`measure::measure`]:
+//! warm-up, alternating measured rounds, aggregates asserted equal in
+//! every pass, medians with their spread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +38,12 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
+pub mod measure;
 pub mod mixed;
 pub mod sharded;
 mod support;
 pub mod sweep;
 pub mod table;
 pub mod tables;
+
+pub use support::ServingRow;

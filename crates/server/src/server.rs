@@ -70,7 +70,7 @@
 use crate::cache::{CacheStats, CompileCache};
 use quape_core::{
     BatchAggregate, CompiledJob, DescriptionError, EngineObs, MachineDescription, MachineError,
-    QpuFactory, QuapeConfig, ShotEngine, ShotSummary, StepMode, WorkerScratch,
+    QpuFactory, QuapeConfig, ShotEngine, ShotSummary, WorkerScratch,
 };
 use quape_isa::{AsmError, Dependency, Fnv64, Program};
 use quape_obs::{ObsScope, TraceKind};
@@ -96,7 +96,7 @@ pub enum JobError {
     /// The server is draining or shut down and accepts no new jobs.
     NotAccepting,
     /// No shard in the fleet satisfies the job's requirements (qubit
-    /// count, readout layout, demod slots, step mode) — emitted by a
+    /// count, readout layout, demod slots) — emitted by a
     /// capability-aware front router, never by a single server.
     NoCapableShard,
     /// The shard executing the job died and, after bounded re-routing
@@ -344,15 +344,10 @@ pub struct JobRequest {
     pub base_seed: u64,
     /// Per-shot cycle budget (defaults to the engine's 10 million).
     pub cycle_limit: u64,
-    /// Which executor runs the shots (defaults to
-    /// [`StepMode::Lowered`]; [`StepMode::Cycle`] is the reference
-    /// oracle).
-    pub step_mode: StepMode,
 }
 
 impl JobRequest {
-    /// Creates a request with default priority, seed, cycle budget and
-    /// step mode.
+    /// Creates a request with default priority, seed and cycle budget.
     pub fn new(
         name: impl Into<String>,
         source: JobSource,
@@ -372,7 +367,6 @@ impl JobRequest {
             priority: Priority::default(),
             base_seed,
             cycle_limit: 10_000_000,
-            step_mode: StepMode::default(),
         }
     }
 
@@ -400,15 +394,9 @@ impl JobRequest {
         self
     }
 
-    /// Sets the step mode.
-    pub fn step_mode(mut self, step_mode: StepMode) -> Self {
-        self.step_mode = step_mode;
-        self
-    }
-
     /// Replaces the request's machine configuration with one lowered
     /// from a [`MachineSpec`] — a builtin name or an inline description.
-    /// Seed, cycle budget, priority and step mode are untouched.
+    /// Seed, cycle budget and priority are untouched.
     ///
     /// # Errors
     ///
@@ -753,7 +741,7 @@ impl JobHandle {
 
 /// One submitted job inside a scheduler entry. A solo entry holds one
 /// member; a packed entry holds every member of the pack. Each member
-/// keeps its own engine (its own factory, base seed, and step mode), so
+/// keeps its own engine (its own factory and base seed), so
 /// its summaries — and therefore its aggregate — are independent of how
 /// the scheduler grouped it.
 struct MemberJob {
@@ -792,8 +780,8 @@ impl MemberJob {
 
 /// The packing-compatibility class of a queued solo entry, computed at
 /// submit. Two entries may pack together only when their classes agree:
-/// the `key` hashes the config's content digest, step mode, cycle
-/// limit, priority, and the shot-policy bucket; `cfg_digest` is
+/// the `key` hashes the config's content digest, cycle limit,
+/// priority, and the shot-policy bucket; `cfg_digest` is
 /// compared outright so a key collision cannot merge incompatible
 /// configs; `span` is the member program's qubit width — the region it
 /// will occupy after relocation.
@@ -1231,7 +1219,6 @@ impl JobServer {
         let engine = ShotEngine::new(outcome.job.as_ref().clone(), req.factory)
             .base_seed(req.base_seed)
             .cycle_limit(req.cycle_limit)
-            .step_mode(req.step_mode)
             .obs(self.inner.obs.engine.clone())
             .threads(1);
         let cell = Arc::new(JobCell {
@@ -1247,13 +1234,7 @@ impl JobServer {
             cond: Condvar::new(),
         });
         let engine = Arc::new(engine);
-        let pack = self.pack_class(
-            &engine,
-            req.shots,
-            req.priority,
-            req.cycle_limit,
-            req.step_mode,
-        );
+        let pack = self.pack_class(&engine, req.shots, req.priority, req.cycle_limit);
         let mut st = self.lock_state();
         if matches!(st.phase, ServePhase::Draining | ServePhase::Shutdown) {
             return Err(JobError::NotAccepting);
@@ -1310,7 +1291,7 @@ impl JobServer {
     /// the pack cap, or priority-dependent blocks — which
     /// [`multiprogramming::pack`] would flatten). The class key hashes
     /// everything the compatibility predicate requires: digest-equal
-    /// configs, equal step modes, cycle limits and priorities, and the
+    /// configs, equal cycle limits and priorities, and the
     /// [`ShotPolicy`] shot bucket. Base seeds and factories may differ
     /// freely — each member runs through its own engine.
     fn pack_class(
@@ -1319,7 +1300,6 @@ impl JobServer {
         shots: u64,
         priority: Priority,
         cycle_limit: u64,
-        step_mode: StepMode,
     ) -> Option<PackClass> {
         let pc = self.inner.cfg.packer.as_ref()?;
         if shots > pc.max_member_shots {
@@ -1339,10 +1319,6 @@ impl JobServer {
             return None;
         }
         let cfg_digest = job.cfg().content_digest();
-        let step_code: u32 = match step_mode {
-            StepMode::Cycle => 0,
-            StepMode::Lowered => 1,
-        };
         let priority_code: u32 = match priority {
             Priority::Low => 0,
             Priority::Normal => 1,
@@ -1357,7 +1333,6 @@ impl JobServer {
         };
         let mut h = Fnv64::new();
         h.write_u64(cfg_digest)
-            .write_u32(step_code)
             .write_u64(cycle_limit)
             .write_u32(priority_code)
             .write_u64(bucket);

@@ -2,7 +2,7 @@
 //! differential equivalence with solo `ShotEngine` runs, and scheduling
 //! fairness.
 
-use quape_core::{CompiledJob, QuapeConfig, ShotEngine, StepMode};
+use quape_core::{CompiledJob, QuapeConfig, ShotEngine};
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_server::{JobError, JobRequest, JobServer, JobSource, Priority, ServerConfig};
 use quape_workloads::feedback::{conditional_x, feedback_chain, rus_block};
@@ -78,28 +78,6 @@ fn per_job_aggregates_match_solo_engine_runs() {
             );
         }
     }
-}
-
-/// Both step modes flow through the service unchanged (the cycle oracle
-/// and the lowered default agree on every job).
-#[test]
-fn cycle_and_lowered_agree_through_the_server() {
-    let cfg = QuapeConfig::uniprocessor();
-    let run_mode = |mode: StepMode| {
-        let srv = server(2, 4);
-        let req = JobRequest::new(
-            "chain",
-            JobSource::Program(feedback_chain(0, 10).unwrap()),
-            cfg.clone(),
-            coin(&cfg),
-            24,
-        )
-        .base_seed(5)
-        .step_mode(mode);
-        let _ = srv.submit(req).unwrap();
-        srv.run().remove(0).aggregate
-    };
-    assert_eq!(run_mode(StepMode::Cycle), run_mode(StepMode::Lowered));
 }
 
 /// Concurrent submissions of the same source text compile exactly once;
