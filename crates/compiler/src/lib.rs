@@ -39,7 +39,5 @@ mod partition;
 mod vliw;
 
 pub use lower::{CompileError, Compiler, CompilerOptions, TimedStepOps};
-pub use partition::{
-    partition_best_cut, partition_crosstalk_aware, partition_two_blocks, PartitionReport,
-};
+pub use partition::{partition_two_blocks, PartitionReport};
 pub use vliw::{somq_report, vliw_report, SomqReport, VliwReport};

@@ -136,109 +136,6 @@ pub fn partition_two_blocks(
     partition_at(compiler, circuit, circuit.num_qubits().div_ceil(2))
 }
 
-/// Partitions a circuit like [`partition_two_blocks`], but searches every
-/// cut position for the one that maximizes the operations placed in
-/// parallel blocks — the "block division methods" exploration §9 lists as
-/// future work. The paper's evaluation uses the fixed middle cut; this
-/// variant shows how much a smarter compiler recovers on circuits whose
-/// natural boundary is off-centre.
-///
-/// # Errors
-///
-/// Returns [`CompileError::EmptyCircuit`] for empty circuits, and any
-/// validation error from program assembly.
-pub fn partition_best_cut(
-    compiler: &Compiler,
-    circuit: &Circuit,
-) -> Result<(Program, PartitionReport), CompileError> {
-    let sched = circuit.schedule();
-    if sched.depth() == 0 {
-        return Err(CompileError::EmptyCircuit);
-    }
-    let n = circuit.num_qubits();
-    let mut best: Option<(Program, PartitionReport)> = None;
-    for cut in 1..n.max(2) {
-        let candidate = partition_at(compiler, circuit, cut)?;
-        let better = match &best {
-            None => true,
-            Some((_, report)) => {
-                // Primary: more parallelizable ops; tie-break: a more
-                // even split produces better load balance.
-                candidate.1.parallel_ops > report.parallel_ops
-                    || (candidate.1.parallel_ops == report.parallel_ops
-                        && (i32::from(cut) - i32::from(n / 2)).abs()
-                            < (i32::from(report.half) - i32::from(n / 2)).abs())
-            }
-        };
-        if better {
-            best = Some(candidate);
-        }
-    }
-    Ok(best.expect("at least one cut evaluated"))
-}
-
-/// Crosstalk-aware variant of [`partition_best_cut`] (§9 future work:
-/// "trade-offs between parallelism and cross-talk").
-///
-/// Blocks of one parallel section drive their qubits simultaneously; when
-/// operations land on the two qubits adjacent across the cut in the same
-/// step, the always-on ZZ coupling between them turns into coherent
-/// crosstalk error. This partitioner scores each cut as
-/// `parallel_ops − penalty_weight × boundary_conflicts` (where a conflict
-/// is a step of a parallel section driving both cut-adjacent qubits) and
-/// picks the maximum.
-///
-/// # Errors
-///
-/// Returns [`CompileError::EmptyCircuit`] for empty circuits.
-pub fn partition_crosstalk_aware(
-    compiler: &Compiler,
-    circuit: &Circuit,
-    penalty_weight: f64,
-) -> Result<(Program, PartitionReport, f64), CompileError> {
-    let sched = circuit.schedule();
-    if sched.depth() == 0 {
-        return Err(CompileError::EmptyCircuit);
-    }
-    let n = circuit.num_qubits();
-    let mut best: Option<(Program, PartitionReport, f64)> = None;
-    for cut in 1..n.max(2) {
-        let (program, report) = partition_at(compiler, circuit, cut)?;
-        let conflicts = boundary_conflicts(&sched, cut);
-        let score = report.parallel_ops as f64 - penalty_weight * conflicts as f64;
-        if best.as_ref().is_none_or(|(_, _, s)| score > *s) {
-            best = Some((program, report, score));
-        }
-    }
-    Ok(best.expect("at least one cut evaluated"))
-}
-
-/// Steps in which both cut-adjacent qubits (`cut − 1` and `cut`) are
-/// driven simultaneously by *parallel-section* operations.
-fn boundary_conflicts(sched: &quape_circuit::ScheduledCircuit, cut: u16) -> usize {
-    if cut == 0 {
-        return 0;
-    }
-    let (lo, hi) = (cut - 1, cut);
-    sched
-        .steps()
-        .iter()
-        .filter(|step| {
-            // Only count steps that would actually split (no cross-cut op).
-            let splits = !step.ops().iter().any(|o| side_of(o, cut) == Side::Both);
-            if !splits {
-                return false;
-            }
-            let drives = |q: u16| {
-                step.ops()
-                    .iter()
-                    .any(|o| o.qubits().iter().any(|qb| qb.index() == q))
-            };
-            drives(lo) && drives(hi)
-        })
-        .count()
-}
-
 fn partition_at(
     compiler: &Compiler,
     circuit: &Circuit,
@@ -465,88 +362,5 @@ mod tests {
             partition_two_blocks(&Compiler::new(), &c),
             Err(CompileError::EmptyCircuit)
         ));
-        assert!(matches!(
-            partition_best_cut(&Compiler::new(), &c),
-            Err(CompileError::EmptyCircuit)
-        ));
-    }
-
-    #[test]
-    fn best_cut_finds_an_off_centre_boundary() {
-        // 6 qubits where the natural boundary is after qubit 2: chains
-        // 0–1–2 and 3–4–5 with the cross edge only at 2–3 would make the
-        // middle cut fine; shift the structure so qubits 0..2 interact
-        // heavily and 2..6 are one block — best cut is 2, not 3.
-        let mut c = Circuit::new(6);
-        for _ in 0..6 {
-            c.cnot(0, 1).unwrap();
-            c.cnot(2, 3).unwrap();
-            c.cnot(4, 5).unwrap();
-            c.cnot(2, 4).unwrap(); // 2,3,4,5 form one cluster
-        }
-        let (_, fixed) = partition_two_blocks(&Compiler::new(), &c).unwrap();
-        let (_, best) = partition_best_cut(&Compiler::new(), &c).unwrap();
-        assert_eq!(best.half, 2, "best cut separates {{0,1}} from {{2..6}}");
-        assert!(
-            best.parallel_ops >= fixed.parallel_ops,
-            "best cut ({}) must not lose parallel ops vs fixed ({})",
-            best.parallel_ops,
-            fixed.parallel_ops
-        );
-    }
-
-    #[test]
-    fn best_cut_matches_fixed_on_symmetric_circuits() {
-        let circuit = mixed_circuit(8);
-        let (_, fixed) = partition_two_blocks(&Compiler::new(), &circuit).unwrap();
-        let (_, best) = partition_best_cut(&Compiler::new(), &circuit).unwrap();
-        assert!(best.parallel_ops >= fixed.parallel_ops);
-    }
-
-    #[test]
-    fn crosstalk_penalty_moves_the_cut_off_a_hot_boundary() {
-        // 6 qubits, two independent 3-qubit groups {0,1,2} and {3,4,5},
-        // where qubits 2 and 3 are driven in the same steps throughout.
-        // With no penalty any balanced cut works; with a strong penalty
-        // the partitioner must still pick cut = 3 (the only cut with no
-        // cross ops) — but compare scores across penalties.
-        let mut c = Circuit::new(6);
-        for _ in 0..8 {
-            for q in 0..6 {
-                c.x(q).unwrap();
-            }
-            c.barrier_all();
-        }
-        let (_, report0, score0) = partition_crosstalk_aware(&Compiler::new(), &c, 0.0).unwrap();
-        let (_, _, score_hot) = partition_crosstalk_aware(&Compiler::new(), &c, 100.0).unwrap();
-        assert!(report0.parallel_ops > 0);
-        // With everything-simultaneous layers, every cut has conflicts, so
-        // the penalized score is strictly lower.
-        assert!(score_hot < score0);
-    }
-
-    #[test]
-    fn crosstalk_aware_prefers_quiet_boundaries() {
-        // Qubits 0..3 busy together; qubits 3..6 busy together, but qubit
-        // 2 and 3 never active in the same step. The quiet boundary is at
-        // cut = 3.
-        let mut c = Circuit::new(6);
-        for round in 0..6 {
-            if round % 2 == 0 {
-                for q in 0..3 {
-                    c.x(q).unwrap();
-                }
-            } else {
-                for q in 3..6 {
-                    c.y(q).unwrap();
-                }
-            }
-            c.barrier_all();
-        }
-        let (_, report, _) = partition_crosstalk_aware(&Compiler::new(), &c, 10.0).unwrap();
-        assert_eq!(
-            report.half, 3,
-            "the quiet boundary separates the alternating groups"
-        );
     }
 }

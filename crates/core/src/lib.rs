@@ -45,7 +45,6 @@
 
 mod backend;
 mod config;
-mod decoherence;
 mod devices;
 mod engine;
 mod fast;
@@ -60,7 +59,6 @@ mod timeline;
 
 pub use backend::{QpuBackend, StateVectorQpu};
 pub use config::QuapeConfig;
-pub use decoherence::{decoherence_cost, CoherenceParams, DecoherenceCost};
 pub use devices::{
     AwgBank, AwgViolation, AwgViolationKind, ChannelMap, Daq, MeasurementFile, MrrEntry,
     PendingResult, PlaybackEvent, QubitChannels,

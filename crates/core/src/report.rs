@@ -98,23 +98,6 @@ impl MachineStats {
     pub fn total_quantum(&self) -> u64 {
         self.processors.iter().map(|p| p.dispatched_quantum).sum()
     }
-
-    /// Sum of classical instructions executed across processors.
-    pub fn total_classical(&self) -> u64 {
-        self.processors.iter().map(|p| p.dispatched_classical).sum()
-    }
-
-    /// Mean processor utilization (the CLP load-balance indicator).
-    pub fn mean_utilization(&self, total_cycles: u64) -> f64 {
-        if self.processors.is_empty() {
-            return 0.0;
-        }
-        self.processors
-            .iter()
-            .map(|p| p.busy_fraction(total_cycles))
-            .sum::<f64>()
-            / self.processors.len() as f64
-    }
 }
 
 /// Why the run ended.

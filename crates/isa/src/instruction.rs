@@ -417,20 +417,6 @@ impl fmt::Display for ClassicalOp {
     }
 }
 
-/// A classical instruction (a thin wrapper so quantum and classical
-/// instructions print uniformly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ClassicalInstruction {
-    /// The operation.
-    pub op: ClassicalOp,
-}
-
-impl fmt::Display for ClassicalInstruction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.op.fmt(f)
-    }
-}
-
 /// A post-compilation instruction: either quantum (with timing label) or
 /// classical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

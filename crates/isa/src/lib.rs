@@ -73,9 +73,7 @@ pub use digest::{content_hash_128, content_hash_64, fnv1a_64, Fnv64, ProgramDige
 pub use encoding::{decode, encode, DecodeError, EncodeError};
 pub use error::IsaError;
 pub use gate::{Angle, CondOp, Gate1, Gate2};
-pub use instruction::{
-    qubit_span, ClassicalInstruction, ClassicalOp, Cond, Instruction, QuantumInstruction, QuantumOp,
-};
+pub use instruction::{qubit_span, ClassicalOp, Cond, Instruction, QuantumInstruction, QuantumOp};
 pub use lowered::{
     flags as micro_flags, waveform_index, LoweredBlock, LoweredProgram, MicroOp, MicroWord,
 };

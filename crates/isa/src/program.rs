@@ -403,24 +403,12 @@ pub struct ProgramBuilder {
     fixups: Vec<(usize, String)>,
     blocks: Vec<(String, u32, Option<u32>, Dependency)>,
     open_block: Option<usize>,
-    capacity: usize,
 }
 
 impl ProgramBuilder {
-    /// Creates an empty builder (default block-table capacity).
+    /// Creates an empty builder.
     pub fn new() -> Self {
-        ProgramBuilder {
-            capacity: crate::BLOCK_TABLE_CAPACITY,
-            ..Default::default()
-        }
-    }
-
-    /// Creates a builder whose block table has a custom capacity.
-    pub fn with_block_capacity(capacity: usize) -> Self {
-        ProgramBuilder {
-            capacity,
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Current instruction address (where the next `push` will land).
@@ -450,11 +438,6 @@ impl ProgramBuilder {
         let name = name.into();
         self.labels.insert(name, self.here());
         self
-    }
-
-    /// Returns the address bound to a label, if already defined.
-    pub fn address_of(&self, label: &str) -> Option<u32> {
-        self.labels.get(label).copied()
     }
 
     /// Pushes any instruction, returning its address.
@@ -583,7 +566,7 @@ impl ProgramBuilder {
                 self.instructions[*addr] = Instruction::Classical(op.with_target(target));
             }
         }
-        let mut table = BlockInfoTable::with_capacity(self.capacity);
+        let mut table = BlockInfoTable::new();
         for (name, start, end, dep) in self.blocks {
             let end = end.expect("closed block has an end");
             table.push(BlockInfo::new(name, start..end, dep))?;

@@ -218,11 +218,6 @@ impl BehavioralQpu {
     pub fn makespan_ns(&self) -> u64 {
         self.busy_until.iter().copied().max().unwrap_or(0)
     }
-
-    /// Replaces the measurement model (e.g. between benchmark phases).
-    pub fn set_model(&mut self, model: MeasurementModel) {
-        self.model = model;
-    }
 }
 
 #[cfg(test)]

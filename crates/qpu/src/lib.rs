@@ -45,11 +45,8 @@ pub use clifford::{CliffordGroup, CliffordId, CLIFFORD_COUNT};
 pub use complex::Complex;
 pub use factory::BehavioralQpuFactory;
 pub use fit::{fit_decay, DecayFit, FitError};
-pub use noise::{CrosstalkModel, DepolarizingNoise, ReadoutError, RelaxationNoise};
-pub use rb::{
-    run_interleaved_rb, run_simrb_experiment, InterleavedRbReport, RbConfig, RbCurve, RbPoint,
-    SimRbReport,
-};
+pub use noise::{CrosstalkModel, DepolarizingNoise, ReadoutError};
+pub use rb::{run_simrb_experiment, RbConfig, RbCurve, RbPoint, SimRbReport};
 pub use statevector::{
     gate1_matrix, matmul2, rotation_matrix_x, rotation_matrix_y, rotation_matrix_z, Matrix2,
     StateVector,

@@ -11,9 +11,6 @@ use quape_isa::{Gate1, Qubit};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-// (RelaxationNoise below complements DepolarizingNoise: the former models
-// idle-time decay, the latter gate-induced error.)
-
 /// Stochastic-Pauli noise intensity per applied Clifford/gate.
 ///
 /// With probability `pauli_error_prob` a uniformly random Pauli (X, Y or Z)
@@ -71,55 +68,6 @@ impl CrosstalkModel {
         drive_leakage_a_to_b: 0.0,
         drive_leakage_b_to_a: 0.0,
     };
-}
-
-/// Energy relaxation (T1) and pure dephasing (T2) as a quantum-trajectory
-/// channel, applied per idle interval.
-///
-/// Amplitude damping is unravelled with the Kraus pair
-/// `K0 = diag(1, √(1−γ))`, `K1 = |0⟩⟨1|·√γ`: a jump occurs with
-/// probability `γ·P(|1⟩)` and resets the qubit amplitude into |0⟩;
-/// otherwise the no-jump back-action damps the excited amplitude. Pure
-/// dephasing applies Z with probability `λ/2`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RelaxationNoise {
-    /// T1 time in nanoseconds.
-    pub t1_ns: f64,
-    /// Pure-dephasing time Tφ in nanoseconds
-    /// (`1/T2 = 1/(2·T1) + 1/Tφ`).
-    pub tphi_ns: f64,
-}
-
-impl RelaxationNoise {
-    /// §2.3's nominal coherence regime (T1 = 80 µs, Tφ = 120 µs).
-    pub const fn paper() -> Self {
-        RelaxationNoise {
-            t1_ns: 80_000.0,
-            tphi_ns: 120_000.0,
-        }
-    }
-
-    /// Damping probability accumulated over `dt_ns` of idling.
-    pub fn gamma(&self, dt_ns: f64) -> f64 {
-        1.0 - (-dt_ns / self.t1_ns).exp()
-    }
-
-    /// Dephasing probability accumulated over `dt_ns` of idling.
-    pub fn lambda(&self, dt_ns: f64) -> f64 {
-        1.0 - (-dt_ns / self.tphi_ns).exp()
-    }
-
-    /// Applies the channel to `q` for an idle interval of `dt_ns`.
-    pub fn apply(&self, state: &mut StateVector, q: Qubit, dt_ns: f64, rng: &mut impl Rng) {
-        let gamma = self.gamma(dt_ns);
-        if gamma > 0.0 {
-            state.apply_amplitude_damping(q, gamma, rng);
-        }
-        let lambda = self.lambda(dt_ns);
-        if lambda > 0.0 && rng.gen_bool((lambda / 2.0).clamp(0.0, 1.0)) {
-            state.apply_gate1(Gate1::Z, q);
-        }
-    }
 }
 
 /// Readout assignment error: the classical bit is flipped with the given
@@ -188,72 +136,6 @@ mod tests {
         }
         // X or Y ⇒ flip: expect ≈ 2/3.
         assert!((hits as f64 / 300.0 - 2.0 / 3.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn relaxation_decays_excited_state() {
-        let noise = RelaxationNoise {
-            t1_ns: 1000.0,
-            tphi_ns: 1e12,
-        };
-        let mut rng = SmallRng::seed_from_u64(5);
-        // P(survive 1000 ns in |1⟩) = e^{-1} ≈ 0.368.
-        let mut survived = 0;
-        const N: usize = 3000;
-        for _ in 0..N {
-            let mut s = StateVector::new(1);
-            s.apply_gate1(Gate1::X, Qubit::new(0));
-            noise.apply(&mut s, Qubit::new(0), 1000.0, &mut rng);
-            if s.prob_one(Qubit::new(0)) > 0.5 {
-                survived += 1;
-            }
-        }
-        let f = survived as f64 / N as f64;
-        assert!((f - (-1.0f64).exp()).abs() < 0.04, "survival {f}");
-    }
-
-    #[test]
-    fn relaxation_leaves_ground_state_alone() {
-        let noise = RelaxationNoise::paper();
-        let mut rng = SmallRng::seed_from_u64(6);
-        let mut s = StateVector::new(1);
-        for _ in 0..100 {
-            noise.apply(&mut s, Qubit::new(0), 500.0, &mut rng);
-        }
-        assert!(s.prob_one(Qubit::new(0)) < 1e-12);
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dephasing_kills_coherence_not_population() {
-        // Strong pure dephasing on |+⟩: P(1) stays 1/2, but after many
-        // random Z kicks the averaged X expectation vanishes. Check one
-        // trajectory stays normalized with P(1) = 1/2.
-        let noise = RelaxationNoise {
-            t1_ns: 1e12,
-            tphi_ns: 10.0,
-        };
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut s = StateVector::new(1);
-        s.apply_gate1(Gate1::H, Qubit::new(0));
-        for _ in 0..50 {
-            noise.apply(&mut s, Qubit::new(0), 100.0, &mut rng);
-        }
-        // Tolerance covers the residual 1/T1 = 1e-12 damping back-action.
-        assert!((s.prob_one(Qubit::new(0)) - 0.5).abs() < 1e-6);
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gamma_lambda_limits() {
-        let n = RelaxationNoise {
-            t1_ns: 100.0,
-            tphi_ns: 200.0,
-        };
-        assert_eq!(n.gamma(0.0), 0.0);
-        assert!((n.gamma(100.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        assert!(n.gamma(1e9) > 0.999999);
-        assert!(n.lambda(200.0) > n.lambda(100.0));
     }
 
     #[test]

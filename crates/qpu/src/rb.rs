@@ -16,8 +16,6 @@ use crate::fit::{fit_decay, DecayFit, FitError};
 use crate::noise::{CrosstalkModel, DepolarizingNoise, ReadoutError};
 use crate::statevector::StateVector;
 use quape_isa::{Gate1, Qubit};
-// Interleaved RB (run_interleaved_rb) extends the §8 tooling with the
-// standard per-gate fidelity extraction.
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -102,127 +100,6 @@ pub struct SimRbReport {
     pub simultaneous_a: RbCurve,
     /// Simultaneous RB, qubit B.
     pub simultaneous_b: RbCurve,
-}
-
-/// Result of an interleaved-RB experiment on one qubit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InterleavedRbReport {
-    /// The reference (plain RB) curve.
-    pub reference: RbCurve,
-    /// The interleaved curve (target gate inserted after every random
-    /// Clifford).
-    pub interleaved: RbCurve,
-    /// The interleaved gate.
-    pub gate: Gate1,
-}
-
-impl InterleavedRbReport {
-    /// The interleaved gate's fidelity estimate:
-    /// `1 − (1 − p_int/p_ref)·(d−1)/d` (Magesan et al. 2012).
-    pub fn gate_fidelity(&self) -> f64 {
-        let ratio = self.interleaved.fit.decay / self.reference.fit.decay;
-        1.0 - (1.0 - ratio) / 2.0
-    }
-}
-
-/// Runs interleaved randomized benchmarking of a single-qubit `gate` on
-/// qubit A: a reference RB decay, then a decay with `gate` inserted after
-/// every random Clifford. The ratio of the two decays isolates the
-/// interleaved gate's own fidelity — the standard follow-up to the §8
-/// experiment when one gate is suspected of underperforming.
-///
-/// # Errors
-///
-/// Propagates [`FitError`] when the configured lengths are too few to fit.
-///
-/// # Panics
-///
-/// Panics if `gate` is not a Clifford under the group's phase-invariant
-/// matching (e.g. `T`), since the recovery element would not exist.
-pub fn run_interleaved_rb(cfg: &RbConfig, gate: Gate1) -> Result<InterleavedRbReport, FitError> {
-    let group = CliffordGroup::new();
-    let gate_id = clifford_id_of(&group, gate)
-        .unwrap_or_else(|| panic!("{gate} is not a single-qubit Clifford"));
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-    let mut curve = |interleave: Option<CliffordId>| -> Result<RbCurve, FitError> {
-        let mut points = Vec::with_capacity(cfg.lengths.len());
-        for &m in &cfg.lengths {
-            let mut sum = 0.0;
-            for _ in 0..cfg.samples_per_length {
-                let mut state = StateVector::new(1);
-                let mut seq = Vec::with_capacity(2 * m as usize);
-                for _ in 0..m {
-                    let c = CliffordId(rng.gen_range(0..CLIFFORD_COUNT as u8));
-                    seq.push(c);
-                    apply_single(&group, &mut state, c);
-                    cfg.noise_a.apply(&mut state, Qubit::new(0), &mut rng);
-                    if let Some(g) = interleave {
-                        seq.push(g);
-                        apply_single(&group, &mut state, g);
-                        cfg.noise_a.apply(&mut state, Qubit::new(0), &mut rng);
-                    }
-                }
-                let rec = group.recovery(seq.iter().copied());
-                apply_single(&group, &mut state, rec);
-                cfg.noise_a.apply(&mut state, Qubit::new(0), &mut rng);
-                sum += 1.0 - state.prob_one(Qubit::new(0));
-            }
-            points.push(RbPoint {
-                length: m,
-                survival: sum / cfg.samples_per_length as f64,
-            });
-        }
-        let ms: Vec<u32> = points.iter().map(|p| p.length).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.survival).collect();
-        Ok(RbCurve {
-            points,
-            fit: fit_decay(&ms, &ys)?,
-        })
-    };
-
-    let reference = curve(None)?;
-    let interleaved = curve(Some(gate_id))?;
-    Ok(InterleavedRbReport {
-        reference,
-        interleaved,
-        gate,
-    })
-}
-
-fn apply_single(group: &CliffordGroup, state: &mut StateVector, c: CliffordId) {
-    for &p in group.pulses(c) {
-        state.apply_gate1(p, Qubit::new(0));
-    }
-}
-
-/// Finds the Clifford element equal to a fixed gate (up to global
-/// phase), if the gate is a Clifford.
-fn clifford_id_of(group: &CliffordGroup, gate: Gate1) -> Option<CliffordId> {
-    use quape_isa::Qubit as Q;
-    // Compare action on two fiducial states (|0⟩ and |+⟩) — sufficient
-    // to identify a single-qubit unitary up to global phase.
-    let target = |init_h: bool| {
-        let mut s = StateVector::new(1);
-        if init_h {
-            s.apply_gate1(Gate1::H, Q::new(0));
-        }
-        s.apply_gate1(gate, Q::new(0));
-        s
-    };
-    let (t0, tp) = (target(false), target(true));
-    (0..CLIFFORD_COUNT as u8).map(CliffordId).find(|&c| {
-        let probe = |init_h: bool| {
-            let mut s = StateVector::new(1);
-            if init_h {
-                s.apply_gate1(Gate1::H, Q::new(0));
-            }
-            apply_single(group, &mut s, c);
-            s
-        };
-        (probe(false).fidelity(&t0) - 1.0).abs() < 1e-9
-            && (probe(true).fidelity(&tp) - 1.0).abs() < 1e-9
-    })
 }
 
 /// Runs individual RB and simRB on a two-qubit pair.
@@ -486,58 +363,6 @@ mod tests {
         let report = run_simrb_experiment(&quick_cfg()).unwrap();
         assert!(report.simultaneous_a.fidelity() < report.individual_a.fidelity());
         assert!(report.simultaneous_b.fidelity() < report.individual_b.fidelity());
-    }
-
-    #[test]
-    fn interleaved_rb_recovers_clifford_gate_fidelity() {
-        // All gates share the same depolarizing noise, so the interleaved
-        // estimate should land near the per-Clifford fidelity.
-        // Short sequences: the interleaved curve decays twice as fast, so
-        // long lengths would sit on the 0.5 floor and only add fit noise.
-        let cfg = RbConfig {
-            lengths: vec![1, 3, 6, 10, 16, 24, 34],
-            samples_per_length: 400,
-            noise_a: DepolarizingNoise::for_fidelity(0.99),
-            noise_b: DepolarizingNoise::for_fidelity(0.99),
-            crosstalk: CrosstalkModel::NONE,
-            readout: ReadoutError::default(),
-            seed: 9,
-        };
-        let r = run_interleaved_rb(&cfg, Gate1::X).unwrap();
-        let f = r.gate_fidelity();
-        assert!((f - 0.99).abs() < 0.01, "interleaved X fidelity {f}");
-        // The interleaved curve decays at least as fast as the reference.
-        assert!(r.interleaved.fit.decay <= r.reference.fit.decay + 1e-3);
-    }
-
-    #[test]
-    fn clifford_id_lookup_identifies_standard_gates() {
-        let group = CliffordGroup::new();
-        for g in [
-            Gate1::I,
-            Gate1::X,
-            Gate1::Y,
-            Gate1::Z,
-            Gate1::H,
-            Gate1::S,
-            Gate1::X90,
-        ] {
-            assert!(
-                clifford_id_of(&group, g).is_some(),
-                "{g} should be a Clifford"
-            );
-        }
-        assert!(
-            clifford_id_of(&group, Gate1::T).is_none(),
-            "T is not a Clifford"
-        );
-        assert_eq!(clifford_id_of(&group, Gate1::I), Some(CliffordId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a single-qubit Clifford")]
-    fn interleaving_a_non_clifford_panics() {
-        let _ = run_interleaved_rb(&RbConfig::paper(), Gate1::T);
     }
 
     #[test]

@@ -418,11 +418,6 @@ impl Router {
         &self.inner.servers[index]
     }
 
-    /// One shard's capability profile.
-    pub fn shard_profile(&self, index: usize) -> ShardProfile {
-        self.inner.lock_fleet().shards[index].profile
-    }
-
     /// One shard's availability.
     pub fn shard_status(&self, index: usize) -> ShardStatus {
         self.inner.lock_fleet().shards[index].status

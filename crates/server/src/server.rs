@@ -46,18 +46,18 @@
 //!
 //! With a [`PackerConfig`] installed, a queue-scan stage between
 //! admission and the worker pool merges **compatible queued small
-//! jobs** into one packed scheduling unit: the members' programs are
-//! relocated into disjoint qubit regions and combined via
-//! [`quape_workloads::multiprogramming::pack`], the combined program is
-//! compiled through the compile cache (so a recurring pack shape
-//! compiles once), and its packed qubit span is checked against the
-//! machine's capacity — the combined [`CompiledJob`] is exactly what a
-//! real fleet would load onto the shared control stack. The pack then
-//! runs as **one** scheduler entity: a single claim takes the next shot
-//! quantum *for every member at once*, amortizing the per-job
+//! jobs** into one packed scheduling unit. The members' programs are
+//! relocated into disjoint qubit regions, combined via
+//! [`quape_workloads::multiprogramming::combine`], and compiled through
+//! the compile cache (keyed by the member compile keys, so a recurring
+//! pack shape combines and compiles once). That compile is the pack's
+//! validity check: if the combined program cannot be built or does not
+//! fit the machine, the pack is declined and its members run solo. The
+//! pack then runs as **one** scheduler entity: a single claim takes the
+//! next shot quantum *for every member at once*, amortizing the per-job
 //! claim/complete/notify round-trips the interleaved path pays per job.
 //!
-//! Because `pack` guarantees zero cross-member dependencies (disjoint
+//! Because `combine` guarantees zero cross-member dependencies (disjoint
 //! qubit regions, unconstrained blocks), the members' shot streams are
 //! independent by construction — pre-determined allocation, in the
 //! paper's terms. The packed executor exploits exactly that: packed
@@ -74,7 +74,7 @@ use quape_core::{
 };
 use quape_isa::{AsmError, Dependency, Fnv64, Program};
 use quape_obs::{ObsScope, TraceKind};
-use quape_workloads::multiprogramming::{self, MemberSlice};
+use quape_workloads::multiprogramming;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -504,14 +504,6 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A default-sized server fronting the described machine.
-    pub fn for_machine(machine: MachineDescription) -> Self {
-        ServerConfig {
-            machine: Some(machine),
-            ..ServerConfig::default()
-        }
-    }
-
     /// Enables the packer stage with the given knobs.
     pub fn packer(mut self, packer: PackerConfig) -> Self {
         self.packer = Some(packer);
@@ -792,16 +784,6 @@ struct PackClass {
     span: u16,
 }
 
-/// A formed pack's machine-visible footprint: the combined program of
-/// every member, relocated into disjoint qubit regions and compiled
-/// through the compile cache — what a real fleet would load onto the
-/// shared control stack — plus the per-member slice metadata that maps
-/// each member onto its region of the combined run.
-struct PackInfo {
-    job: Arc<CompiledJob>,
-    slices: Vec<MemberSlice>,
-}
-
 /// One scheduler queue entry: a solo job, or a pack of members sharing
 /// a single claim stream. The entry claims a monotone prefix of packed
 /// shot indices; packed index `s` stands for shot `s` of every live
@@ -818,8 +800,8 @@ struct ActiveEntry {
     source_key: u128,
     /// `Some` while the entry is an unstarted solo packing candidate.
     pack: Option<PackClass>,
-    /// `Some` for packed entries.
-    packed: Option<PackInfo>,
+    /// True for packed entries.
+    packed: bool,
     members: Vec<MemberJob>,
 }
 
@@ -1060,27 +1042,6 @@ impl JobServer {
         }
     }
 
-    /// Live packed entries, each as `(combined compiled span, member
-    /// qubit offsets)`. The span is the *machine-visible footprint* of
-    /// the pack — the qubit count of the combined [`CompiledJob`] a
-    /// capability-aware router admits against — and the offsets are the
-    /// relocation bases the de-multiplexer slices by. Advisory: packs
-    /// retire as their members finish.
-    pub fn packed_live(&self) -> Vec<(u16, Vec<u16>)> {
-        self.lock_state()
-            .jobs
-            .iter()
-            .filter_map(|e| {
-                e.packed.as_ref().map(|p| {
-                    (
-                        p.job.num_qubits(),
-                        p.slices.iter().map(|s| s.qubit_offset).collect(),
-                    )
-                })
-            })
-            .collect()
-    }
-
     /// Installs (or replaces) the job-completion callback: it fires once
     /// per job, after the job's [`JobResult`] is published to its cell,
     /// with **no server locks held** — the hook may call back into this
@@ -1107,10 +1068,7 @@ impl JobServer {
             // belong to different submissions); packing-aware stealing
             // is a follow-on.
             .filter(|e| {
-                e.next_shot == 0
-                    && e.packed.is_none()
-                    && e.members.len() == 1
-                    && !e.members[0].cancelled()
+                e.next_shot == 0 && !e.packed && e.members.len() == 1 && !e.members[0].cancelled()
             })
             .map(|e| (e.id, e.members[0].shots))
             .collect()
@@ -1132,7 +1090,7 @@ impl JobServer {
         };
         let entry = &st.jobs[index];
         if entry.next_shot != 0
-            || entry.packed.is_some()
+            || entry.packed
             || entry.members.len() != 1
             || entry.members[0].cancelled()
         {
@@ -1247,7 +1205,7 @@ impl JobServer {
             next_shot: 0,
             source_key: key,
             pack,
-            packed: None,
+            packed: false,
             members: vec![MemberJob {
                 id,
                 shots: req.shots,
@@ -1747,11 +1705,7 @@ impl JobServer {
         let mut groups: Vec<Group> = Vec::new();
         for (i, e) in st.jobs.iter().enumerate() {
             let Some(class) = e.pack else { continue };
-            if e.next_shot != 0
-                || e.packed.is_some()
-                || e.members.len() != 1
-                || e.members[0].cancelled()
-            {
+            if e.next_shot != 0 || e.packed || e.members.len() != 1 || e.members[0].cancelled() {
                 continue;
             }
             // Compare the config digest outright, not just the hashed
@@ -1787,17 +1741,9 @@ impl JobServer {
         Some(entries)
     }
 
-    /// The de-multiplexer layout of a scanned group, computed without
-    /// building the combined program ([`multiprogramming::layout`]):
-    /// keeps cache-warm pack formation free of the O(combined program)
-    /// relocation pass.
-    fn member_slices(entries: &[ActiveEntry]) -> Vec<MemberSlice> {
-        multiprogramming::layout(entries.iter().map(|e| e.members[0].engine.job().program()))
-    }
-
     /// Combines a scanned group into one packed entry: relocates the
     /// member programs into disjoint qubit regions
-    /// ([`multiprogramming::pack`]), compiles the combined program
+    /// ([`multiprogramming::combine`]), compiles the combined program
     /// through the compile cache (recurring pack shapes are cache-warm —
     /// keyed by the member compile keys, so a warm formation skips the
     /// combine entirely), and re-queues a single [`ActiveEntry`] whose
@@ -1839,13 +1785,11 @@ impl JobServer {
                     .map_err(|e| JobError::Compile(MachineError::Config(e.to_string())))?;
                 JobSource::Program(combined).compile(cfg)
             })
-            .map(|outcome| (outcome, Self::member_slices(&entries)))
             .map_err(|_| ());
         let mut st = self.lock_state();
         st.forming -= 1;
         match outcome {
-            Ok((outcome, slices)) => {
-                debug_assert_eq!(slices.len(), entries.len());
+            Ok(outcome) => {
                 let id = st.next_id;
                 st.next_id += 1;
                 let obs = &self.inner.obs;
@@ -1874,10 +1818,7 @@ impl JobServer {
                     next_shot: 0,
                     source_key: key,
                     pack: None,
-                    packed: Some(PackInfo {
-                        job: outcome.job,
-                        slices,
-                    }),
+                    packed: true,
                     members,
                 });
             }

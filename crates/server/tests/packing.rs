@@ -5,12 +5,16 @@
 
 use proptest::prelude::*;
 use quape_core::{BatchAggregate, CompiledJob, QuapeConfig, ShotEngine};
-use quape_isa::{assemble, Program};
+use quape_isa::{
+    assemble, BlockId, BlockTableError, ClassicalOp, Dependency, Gate1, Program, ProgramBuilder,
+    ProgramError, QuantumOp, Qubit, BLOCK_TABLE_CAPACITY,
+};
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_server::{
     JobRequest, JobServer, JobSource, PackerConfig, Priority, ServerConfig, ShotPolicy,
 };
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
+use quape_workloads::multiprogramming::{combine, CombineError};
 
 fn cfg() -> QuapeConfig {
     QuapeConfig::superscalar(4)
@@ -280,6 +284,59 @@ fn packer_declines_incompatible_jobs() {
         .unwrap();
     let _ = srv.run();
     assert_eq!(srv.packer_stats().packs_formed, 0);
+}
+
+/// A one-qubit program of `blocks` serial blocks (block `i` waits for
+/// block `i − 1`), each a coin-flip measurement.
+fn serial_blocks(blocks: u16) -> Program {
+    let mut b = ProgramBuilder::new();
+    for i in 0..blocks {
+        let dep = if i == 0 {
+            Dependency::none()
+        } else {
+            Dependency::Direct(vec![BlockId(i - 1)])
+        };
+        b.begin_block(format!("b{i}"), dep);
+        b.quantum(0, QuantumOp::Gate1(Gate1::H, Qubit::new(0)));
+        b.quantum(1, QuantumOp::Measure(Qubit::new(0)));
+        b.push(ClassicalOp::Stop);
+        b.end_block();
+    }
+    b.finish().unwrap()
+}
+
+/// A pack whose combined program cannot be built is declined: two
+/// 33-block members overflow the 64-entry block table, so the combined
+/// compile fails. The decline is counted once, and both jobs still run
+/// solo with aggregates bit-identical to their solo engines.
+#[test]
+fn pack_overflowing_the_block_table_is_declined() {
+    let p = serial_blocks(33);
+    assert!(2 * p.blocks().len() > BLOCK_TABLE_CAPACITY);
+    assert!(matches!(
+        combine(&[p.clone(), p.clone()]),
+        Err(CombineError::Program(ProgramError::BlockTable(
+            BlockTableError::CapacityExceeded { .. }
+        )))
+    ));
+    let srv = packing_server(1, 4, PackerConfig::default());
+    let _ = srv.submit(request("x", p.clone(), 10, 1)).unwrap();
+    let _ = srv.submit(request("y", p.clone(), 10, 2)).unwrap();
+    let results = srv.run();
+    let stats = srv.packer_stats();
+    assert_eq!(stats.packs_formed, 0);
+    assert_eq!(stats.jobs_packed, 0);
+    assert_eq!(stats.declined, 1);
+    assert_eq!(results.len(), 2);
+    for (name, seed) in [("x", 1u64), ("y", 2)] {
+        let r = results
+            .iter()
+            .find(|r| r.name == name)
+            .expect("result present");
+        assert!(!r.cancelled);
+        assert_eq!(r.shots, 10);
+        assert_eq!(r.aggregate, solo(&p, 10, seed), "{name} diverged");
+    }
 }
 
 /// Packs of identical program pairs re-use one combined compilation:

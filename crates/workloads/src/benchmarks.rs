@@ -279,56 +279,6 @@ pub fn rd84_143() -> Circuit {
     c
 }
 
-/// GHZ-state preparation on `n` qubits: one H plus a CNOT fan-out chain
-/// (not part of the paper's suite; a common smoke-test workload).
-pub fn ghz(n: u16) -> Circuit {
-    let mut c = Circuit::named(format!("ghz_{n}"), n);
-    c.h(0).unwrap();
-    for q in 0..n - 1 {
-        c.cnot(q, q + 1).unwrap();
-    }
-    // Transversal readout: all qubits measured simultaneously.
-    c.barrier_all();
-    for q in 0..n {
-        c.measure(q).unwrap();
-    }
-    c
-}
-
-/// One QAOA layer pair (cost + mixer) on an `n`-qubit ring, repeated
-/// `p` times — the canonical NISQ variational workload (not part of the
-/// paper's suite; included for the extended registry).
-pub fn qaoa(n: u16, p: usize) -> Circuit {
-    let mut c = Circuit::named(format!("qaoa_{n}_{p}"), n);
-    for q in 0..n {
-        c.h(q).unwrap();
-    }
-    for layer in 0..p {
-        // Cost layer: ZZ on ring edges via CNOT–RZ–CNOT, even then odd.
-        let gamma = 0.3 + 0.1 * layer as f64;
-        for parity in 0..2u16 {
-            for q in (parity..n).step_by(2) {
-                c.cnot(q, (q + 1) % n).unwrap();
-            }
-            for q in (parity..n).step_by(2) {
-                c.rz((q + 1) % n, gamma).unwrap();
-            }
-            for q in (parity..n).step_by(2) {
-                c.cnot(q, (q + 1) % n).unwrap();
-            }
-        }
-        // Mixer layer: RX on every qubit.
-        let beta = 0.7 - 0.1 * layer as f64;
-        for q in 0..n {
-            c.rx(q, beta).unwrap();
-        }
-    }
-    for q in 0..n {
-        c.measure(q).unwrap();
-    }
-    c
-}
-
 /// The seven-benchmark suite of Figs. 12–13, in the paper's spirit:
 /// three Qiskit, two ScaffCC, two RevLib circuits.
 pub fn benchmark_suite() -> Vec<Benchmark> {
@@ -369,23 +319,6 @@ pub fn benchmark_suite() -> Vec<Benchmark> {
             circuit: sym9_146(),
         },
     ]
-}
-
-/// The suite plus the extra NISQ workloads (`ghz_16`, `qaoa_16_2`) —
-/// everything a downstream user can run out of the box.
-pub fn extended_suite() -> Vec<Benchmark> {
-    let mut suite = benchmark_suite();
-    suite.push(Benchmark {
-        name: "ghz_16",
-        source: BenchmarkSource::Qiskit,
-        circuit: ghz(16),
-    });
-    suite.push(Benchmark {
-        name: "qaoa_16_2",
-        source: BenchmarkSource::ScaffCC,
-        circuit: qaoa(16, 2),
-    });
-    suite
 }
 
 #[cfg(test)]
@@ -456,35 +389,5 @@ mod tests {
         let p = qft(10).schedule().profile();
         assert!(p.mean_width() < 4.0, "mean width {}", p.mean_width());
         assert!(p.max_width() <= 10);
-    }
-
-    #[test]
-    fn ghz_is_one_wide_chain() {
-        let p = ghz(16).schedule().profile();
-        // H + 15 serial CNOTs + 1 measure layer.
-        assert_eq!(p.depth(), 17);
-        assert_eq!(p.max_width(), 16); // the transversal measurement
-    }
-
-    #[test]
-    fn qaoa_layers_are_ring_wide() {
-        let s = qaoa(16, 2).schedule();
-        assert_eq!(s.find_step_conflict(), None);
-        let prof = s.profile();
-        assert!(prof.max_width() >= 16, "mixer layer should be 16 wide");
-    }
-
-    #[test]
-    fn extended_suite_adds_two_workloads() {
-        let ext = extended_suite();
-        assert_eq!(ext.len(), 9);
-        for b in &ext {
-            assert_eq!(
-                b.circuit.schedule().find_step_conflict(),
-                None,
-                "{}",
-                b.name
-            );
-        }
     }
 }

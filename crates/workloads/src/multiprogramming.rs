@@ -217,60 +217,11 @@ pub fn pack(programs: &[Program]) -> Result<PackedProgram, CombineError> {
     })
 }
 
-/// The [`MemberSlice`] layout [`pack`] would assign, computed without
-/// building the combined program: member *i* sits at the prefix sums of
-/// the earlier members' qubit spans, instruction counts, and block
-/// counts (an untabled program contributes one implicit block). A
-/// caller that already holds the compiled combine for this member
-/// sequence (e.g. the job server's pack cache) reconstructs the
-/// de-multiplexer metadata in O(members) instead of re-running the
-/// relocation pass.
-pub fn layout<'a>(programs: impl IntoIterator<Item = &'a Program>) -> Vec<MemberSlice> {
-    let mut qubit_offset: u16 = 0;
-    let mut addr: u32 = 0;
-    let mut block: u16 = 0;
-    programs
-        .into_iter()
-        .map(|p| {
-            let qubit_count = p.num_qubits();
-            let blocks = if p.blocks().is_empty() {
-                1
-            } else {
-                p.blocks().len() as u16
-            };
-            let slice = MemberSlice {
-                qubit_offset,
-                qubit_count,
-                addrs: addr..addr + p.len() as u32,
-                blocks: block..block + blocks,
-            };
-            qubit_offset += qubit_count;
-            addr += p.len() as u32;
-            block += blocks;
-            slice
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::feedback::rus_block;
     use quape_isa::{assemble, ClassicalOp, QuantumOp};
-
-    #[test]
-    fn layout_matches_the_slices_pack_assigns() {
-        // Mix of block-table and untabled programs, including a
-        // zero-qubit-width member (pure classical STOP).
-        let programs = vec![
-            assemble("top: 0 X q0\n1 MEAS q0\nFMR r0, q0\nCMPI r0, 1\nBR EQ, top\nSTOP\n").unwrap(),
-            rus_block(0).unwrap(),
-            assemble("0 H q0\n0 H q1\nSTOP\n").unwrap(),
-            assemble("LDI r0, 3\nSTOP\n").unwrap(),
-        ];
-        let packed = pack(&programs).unwrap();
-        assert_eq!(layout(&programs), packed.members);
-    }
 
     #[test]
     fn combine_relocates_qubits_and_targets() {
