@@ -105,8 +105,8 @@ fn main() {
         }
         if let Some(min) = args.min_speedup {
             // Each workload's threshold is `--min-speedup` scaled by its
-            // gate_floor (1.0 for the wait-dominated workloads, 0.9 for
-            // the device-saturated pulse train).
+            // gate_floor (0.9 for the simulated, device-saturated pulse
+            // train, 1.0 for every other workload).
             let failing: Vec<&fig02::StepModeComparison> = results
                 .iter()
                 .filter(|r| r.speedup < min * r.gate_floor)

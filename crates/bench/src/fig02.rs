@@ -6,7 +6,7 @@ use crate::measure::{measure, Pass, Spread};
 use quape_core::{CompiledJob, Machine, QuapeConfig, ShotEngine, StepMode};
 use quape_qpu::{BehavioralQpu, BehavioralQpuFactory, MeasurementModel};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
-use quape_workloads::pulse::pulse_train;
+use quape_workloads::pulse::{pulse_train, pulse_train_with_feedback};
 use serde::{Deserialize, Serialize};
 
 /// Measured stage latencies of a feedback-control process.
@@ -84,10 +84,10 @@ pub struct StepModeComparison {
     /// CI gate statistic).
     pub speedup: f64,
     /// Per-workload floor the CI gate scales its `--min-speedup` by:
-    /// 1.0 for the wait-dominated workloads, 0.9 for the
-    /// device-saturated pulse train where there is almost no idle time
-    /// to skip, so a strict ≥ 1.0 gate would rest on the pre-decode win
-    /// alone.
+    /// 1.0 for the wait-dominated workloads and the replayed pulse train,
+    /// 0.9 for the simulated pulse train, where there is almost no idle
+    /// time to skip, so a strict ≥ 1.0 gate would rest on the pre-decode
+    /// win alone.
     pub gate_floor: f64,
 }
 
@@ -139,7 +139,9 @@ fn compare_one(
 
 /// The `--compare-step-modes` suite: cycle-stepped vs lowered wall time
 /// on the Fig. 2 round trip, on deep FMR/MRCE feedback chains (where
-/// per-shot cost is simulation-dominated) and on a dense pulse train.
+/// per-shot cost is simulation-dominated) and on a dense pulse train,
+/// once feedback-free (the lowered side replays it from the second shot)
+/// and once ending in an `MRCE` (every shot simulated).
 /// `scale` multiplies the shot counts (1 = the committed-baseline
 /// workload sizes); `repeats` is the number of measured rounds per
 /// workload.
@@ -150,6 +152,9 @@ pub fn compare_executors(
 ) -> Vec<StepModeComparison> {
     let cfg = cfg_base.clone().with_seed(7);
     let chain_rounds = 1000;
+    let pulse_cfg = QuapeConfig::superscalar(8)
+        .with_seed(7)
+        .with_readout_lines(2);
     vec![
         compare_one(
             "fig02_conditional_x",
@@ -180,13 +185,24 @@ pub fn compare_executors(
         ),
         // Device-model hot path: dense parallel pulse trains on a
         // multiplexed readout, where the AWG playback timeline and the
-        // DAQ demod servers carry the load instead of idle skipping.
+        // DAQ demod servers carry the load instead of idle skipping. The
+        // plain train has no feedback, so from its second shot the
+        // lowered side replays the recorded issue stream (backend and DAQ
+        // only); the `MRCE` variant simulates every shot, as do the three
+        // feedback rows above.
         compare_one(
             "awg_playback_pulse_train",
-            &QuapeConfig::superscalar(8)
-                .with_seed(7)
-                .with_readout_lines(2),
+            &pulse_cfg,
             pulse_train(4, 256).expect("valid workload"),
+            256,
+            1000 * scale,
+            repeats,
+            1.0,
+        ),
+        compare_one(
+            "awg_playback_pulse_train_mrce",
+            &pulse_cfg,
+            pulse_train_with_feedback(4, 256).expect("valid workload"),
             256,
             1000 * scale,
             repeats,

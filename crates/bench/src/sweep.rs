@@ -7,10 +7,16 @@
 //! pulse train, a 10-qubit readout burst, and a slice of the
 //! mixed-traffic request stream) and reports per-cell aggregates. Every cell is executed `repeats ≥ 2`
 //! times and the run **fails** if any repeat's [`BatchAggregate`]
-//! diverges: the sweep doubles as a determinism check across the whole
-//! declarative config surface.
+//! diverges. The first run is a batch, where feedback-free shots replay
+//! their worker's recorded issue stream; every repeat folds fresh
+//! per-shot [`ShotEngine::run_shot`] summaries, which simulate every
+//! shot. So the sweep doubles as a determinism check across the whole
+//! declarative config surface and proves replay equal to full
+//! simulation on every machine.
 
-use quape_core::{BatchAggregate, CompiledJob, MachineDescription, QuapeConfig, ShotEngine};
+use quape_core::{
+    BatchAggregate, CompiledJob, MachineDescription, QuapeConfig, ShotEngine, ShotSummary,
+};
 use quape_isa::content_hash_128;
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_workloads::feedback::feedback_chain;
@@ -199,10 +205,13 @@ fn workload_grid(seed: u64) -> Vec<Workload> {
     grid
 }
 
+/// Runs one grid cell: as batches, or (`fresh`) as folds of fresh
+/// per-shot summaries, each shot simulated in full.
 fn run_cell(
     cfg: &QuapeConfig,
     workload: &Workload,
     base_seed: u64,
+    fresh: bool,
 ) -> Result<Vec<BatchAggregate>, String> {
     workload
         .programs
@@ -213,11 +222,14 @@ fn run_cell(
                 .map_err(|e| format!("{}: {e}", workload.name))?;
             let factory =
                 BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
-            Ok(ShotEngine::new(job, factory)
-                .base_seed(base_seed + i as u64)
-                .threads(1)
-                .run(*shots)
-                .aggregate)
+            let seed = base_seed + i as u64;
+            let engine = ShotEngine::new(job, factory).base_seed(seed).threads(1);
+            Ok(if fresh {
+                let summaries: Vec<ShotSummary> = (0..*shots).map(|s| engine.run_shot(s)).collect();
+                BatchAggregate::from_summaries(seed, &summaries)
+            } else {
+                engine.run(*shots).aggregate
+            })
         })
         .collect()
 }
@@ -242,7 +254,9 @@ fn summarize(machine: &str, workload: &str, aggs: &[BatchAggregate]) -> SweepRow
 /// Runs the workload grid across `machines`. Every cell executes
 /// `repeats` times (min 2) and must produce bit-identical aggregates
 /// each time — the sweep asserts the declarative surface changes *what*
-/// runs, never *whether* a run is reproducible.
+/// runs, never *whether* a run is reproducible. The first run is a
+/// batch; the repeats fold fresh per-shot summaries, so they also hold
+/// shot replay to full simulation.
 ///
 /// # Errors
 ///
@@ -262,15 +276,15 @@ pub fn run_sweep(
             .to_config()
             .map_err(|e| format!("machine {}: {e}", m.name))?;
         for workload in &grid {
-            let first =
-                run_cell(&cfg, workload, seed).map_err(|e| format!("machine {}: {e}", m.name))?;
+            let first = run_cell(&cfg, workload, seed, false)
+                .map_err(|e| format!("machine {}: {e}", m.name))?;
             for rerun in 1..repeats {
-                let again = run_cell(&cfg, workload, seed)
+                let again = run_cell(&cfg, workload, seed, true)
                     .map_err(|e| format!("machine {}: {e}", m.name))?;
                 if again != first {
                     return Err(format!(
-                        "nondeterministic aggregate: machine {} workload {} diverged on \
-                         repeat {rerun}",
+                        "diverging aggregate: machine {} workload {} differs from its \
+                         fresh per-shot rerun on repeat {rerun}",
                         m.name, workload.name
                     ));
                 }

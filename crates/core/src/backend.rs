@@ -15,8 +15,10 @@ use rand::SeedableRng;
 
 /// A quantum processing unit as seen by the control stack.
 pub trait QpuBackend {
-    /// Applies an operation at `time_ns`; returns the outcome for
-    /// measurements.
+    /// Applies an operation at `time_ns`; returns `Some(outcome)` for
+    /// every measurement and `None` for every other operation. Shot
+    /// replay routes a recorded stream's readouts through the DAQ before
+    /// the backend sees it, and relies on this.
     fn apply(&mut self, time_ns: u64, op: QuantumOp) -> Option<bool>;
 
     /// Every operation received so far, in arrival order.
@@ -34,7 +36,10 @@ pub trait QpuBackend {
     /// per-operation log — the [`ReportMode::Lean`](crate::ReportMode)
     /// hook for batch/serving paths that only read counters. Backends
     /// that ignore the hint stay correct, just slower; outcomes must be
-    /// identical either way.
+    /// identical either way. With `lean` false the log must hold every
+    /// operation: shot replay records a job's issue stream from it (and
+    /// keeps no trace when its length differs from
+    /// [`issued_count`](QpuBackend::issued_count)).
     fn set_lean(&mut self, lean: bool) {
         let _ = lean;
     }

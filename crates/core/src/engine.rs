@@ -16,7 +16,13 @@
 //!   rather than O(shots × full report);
 //! * the [`BatchReport`] carries per-qubit outcome histograms and survival
 //!   estimates, cycle/lateness distributions (p50/p95/max), stop-reason
-//!   counts, and the measured wall time / shots-per-second.
+//!   counts, and the measured wall time / shots-per-second;
+//! * each worker runs its shots on one reused [`LoweredShotRunner`]. For
+//!   a job without feedback (no `FMR`/`MRCE`) the runner simulates the
+//!   control stack once, then replays the recorded issue stream into each
+//!   later shot's backend and DAQ; a shot whose stop would reach the
+//!   cycle budget is simulated in full (see [`LoweredShotRunner`]).
+//!   Summaries are bit-identical to simulating every shot.
 
 use crate::backend::{QpuBackend, StateVectorQpu};
 use crate::machine::{CompiledJob, LoweredShotRunner, MeasurementRecord, ReportMode, StepMode};
@@ -419,9 +425,12 @@ impl EngineObs {
 ///
 /// One scratch per worker thread; the engine's own `run` loops keep one
 /// per worker automatically. The scratch lazily holds a
-/// [`LoweredShotRunner`] keyed by job digest: shots of the same job
-/// reuse its arena, a different job rebuilds it (so external pools —
-/// e.g. the job service's workers — may hold one scratch across jobs).
+/// [`LoweredShotRunner`] keyed by job identity: shots of the same
+/// compiled job (or a clone of it) reuse its arena and its replay trace,
+/// and any other job rebuilds it, so external pools (e.g. the job
+/// service's workers) may hold one scratch across jobs. Identity is the
+/// shared artifact itself, not the content digest: a digest collision
+/// must never replay one job's issue stream for another.
 #[derive(Default)]
 pub struct WorkerScratch {
     runner: Option<LoweredShotRunner>,
@@ -439,7 +448,7 @@ impl WorkerScratch {
         let stale = self
             .runner
             .as_ref()
-            .is_none_or(|r| r.job().digest() != job.digest());
+            .is_none_or(|r| !r.job().is_same_artifact(job));
         if stale {
             self.runner = Some(LoweredShotRunner::new(job.clone()));
         }
@@ -568,9 +577,11 @@ impl ShotEngine {
     /// multi-tenant job service schedules quanta of shots from many jobs
     /// onto one worker pool through this entry point.
     ///
-    /// Each call builds the per-shot machine state from scratch; a
-    /// worker executing many quanta should hold a [`WorkerScratch`] and
-    /// call [`run_shot_reusing`](ShotEngine::run_shot_reusing) instead.
+    /// Each call builds the per-shot machine state from scratch and
+    /// simulates the whole shot (so a fold of `run_shot` summaries is the
+    /// full-simulation oracle for replayed batches); a worker executing
+    /// many quanta should hold a [`WorkerScratch`] and call
+    /// [`run_shot_reusing`](ShotEngine::run_shot_reusing) instead.
     pub fn run_shot(&self, shot: u64) -> ShotSummary {
         self.run_shot_reusing(shot, &mut WorkerScratch::default())
     }
@@ -578,12 +589,13 @@ impl ShotEngine {
     /// [`run_shot`](ShotEngine::run_shot) with a per-worker reusable
     /// arena: in the lean lowered configuration (the engine's hot path)
     /// the shot runs on `scratch`'s [`LoweredShotRunner`], so machine
-    /// state is reset in place instead of reallocated per shot. Any
-    /// other step/report mode falls back to the fresh-state path. The
-    /// summary is bit-identical either way — `scratch` affects host
-    /// allocation behaviour only, and it revalidates itself against the
-    /// engine's job, so one scratch may serve engines of different jobs
-    /// sequentially.
+    /// state is reset in place instead of reallocated per shot, and a
+    /// feedback-free job's later shots replay the first one's issue
+    /// stream. Any other step/report mode falls back to the fresh-state
+    /// path, which simulates every shot. The summary is bit-identical
+    /// either way — `scratch` affects host cost only, and it revalidates
+    /// itself against the engine's job, so one scratch may serve engines
+    /// of different jobs sequentially.
     pub fn run_shot_reusing(&self, shot: u64, scratch: &mut WorkerScratch) -> ShotSummary {
         let seed = shot_seed(self.base_seed, shot);
         // Distinct derived streams for the backend and the machine's DAQ
@@ -771,6 +783,41 @@ mod tests {
         summaries.sort_unstable_by_key(|s| s.shot);
         let folded = BatchAggregate::from_summaries(42, &summaries);
         assert_eq!(whole.aggregate, folded);
+    }
+
+    #[test]
+    fn one_scratch_serves_alternating_jobs_exactly() {
+        // Two feedback-free jobs (each scratch runner records and replays
+        // an issue stream) and two clones of one of them: however the
+        // scratch alternates, every summary equals a fresh shot's.
+        let other = CompiledJob::compile(
+            QuapeConfig::superscalar(4),
+            quape_isa::assemble("0 X q1\n3 MEAS q1\n0 H q0\n5 MEAS q0\nSTOP\n")
+                .expect("valid program"),
+        )
+        .expect("job compiles");
+        let job = tiny_job(5);
+        let engines = [
+            ShotEngine::new(job.clone(), coin_factory(&job)),
+            ShotEngine::new(other.clone(), coin_factory(&other)),
+            ShotEngine::new(job.clone(), coin_factory(&job)),
+        ];
+        let mut scratch = WorkerScratch::new();
+        let mut shot = 0;
+        for _round in 0..4 {
+            for (i, engine) in engines.iter().enumerate() {
+                // A few back-to-back shots, so the runner replays; the
+                // clone (engine 2) keeps engine 0's runner and trace.
+                for _ in 0..3 {
+                    assert_eq!(
+                        engine.run_shot_reusing(shot, &mut scratch),
+                        engine.run_shot(shot),
+                        "engine {i}, shot {shot}"
+                    );
+                    shot += 1;
+                }
+            }
+        }
     }
 
     #[test]

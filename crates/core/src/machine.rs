@@ -26,13 +26,14 @@ use crate::backend::QpuBackend;
 use crate::config::QuapeConfig;
 use crate::devices::{AwgBank, ChannelMap, Daq, MeasurementFile};
 use crate::fast::{FastProcessor, StallInfo};
-use crate::processor::{Env, Processor, ProcessorCore};
+use crate::processor::{route_readout, Env, Processor, ProcessorCore};
 use crate::report::{MachineStats, RunReport, StepDispatch, StopReason};
 use crate::scheduler::Scheduler;
 use quape_isa::{
     BlockInfo, BlockInfoTable, Dependency, Instruction, LoweredProgram, Program, ProgramError,
-    SHARED_REG_COUNT,
+    QuantumOp, SHARED_REG_COUNT,
 };
+use quape_qpu::IssuedOp;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -320,6 +321,16 @@ impl CompiledJob {
         self.digest
     }
 
+    /// True when `other` is this compiled artifact or a clone of it (the
+    /// same `Arc`-shared lowering and configuration), not merely a job
+    /// with an equal [`digest`](Self::digest). Per-worker state derived
+    /// from a job, such as an arena and its replay trace, is keyed on
+    /// this: the 64-bit digest is not collision-resistant, and tenants
+    /// choose the program text.
+    pub(crate) fn is_same_artifact(&self, other: &CompiledJob) -> bool {
+        Arc::ptr_eq(&self.lowered, &other.lowered) && Arc::ptr_eq(&self.cfg, &other.cfg)
+    }
+
     /// The block-wrapped program.
     pub fn program(&self) -> &Program {
         &self.program
@@ -380,6 +391,7 @@ impl CompiledJob {
             stats,
             step_dispatches: EventSink::new(true),
             wait_cycles: EventSink::new(true),
+            settle: Settle::Off,
             late_issues: 0,
             late_cycles: 0,
             measurements: Vec::new(),
@@ -437,6 +449,9 @@ pub(crate) struct ShotCore<P: ProcessorCore> {
     stats: MachineStats,
     step_dispatches: EventSink<StepDispatch>,
     wait_cycles: EventSink<u64>,
+    /// What a recording lowered run saw of the processor side of the
+    /// stop condition (see [`ReplayTrace`]).
+    settle: Settle,
     late_issues: u64,
     late_cycles: u64,
     measurements: Vec<MeasurementRecord>,
@@ -506,21 +521,6 @@ impl<P: ProcessorCore> ShotCore<P> {
         progress
     }
 
-    fn quiescent(&self) -> bool {
-        self.scheduler.all_done()
-            && self
-                .processors
-                .iter()
-                .all(|p| p.is_idle() && !p.has_pending_work())
-            && self.daq.in_flight() == 0
-    }
-
-    fn drained_after_halt(&self) -> bool {
-        self.halt
-            && self.processors.iter().all(|p| !p.has_pending_work())
-            && self.daq.in_flight() == 0
-    }
-
     /// Runs until completion, a `HALT`, an error, or the cycle budget,
     /// stepping every cycle — the [`StepMode::Cycle`] oracle.
     pub(crate) fn run_loop(mut self, max_cycles: u64) -> RunReport {
@@ -534,11 +534,11 @@ impl<P: ProcessorCore> ShotCore<P> {
                 if self.error {
                     break StopReason::Error;
                 }
-                if self.quiescent() {
-                    break StopReason::Completed;
-                }
-                if self.drained_after_halt() {
-                    break StopReason::Halted;
+                let all_done = self.scheduler.all_done();
+                if let Some(stop) = processor_stop(&self.processors, all_done, self.halt) {
+                    if self.daq.in_flight() == 0 {
+                        break stop;
+                    }
                 }
             }
             if self.cycle >= max_cycles {
@@ -618,6 +618,7 @@ impl ShotCore<FastProcessor> {
         self.stats.processors.fill(Default::default());
         self.step_dispatches.clear();
         self.wait_cycles.clear();
+        self.settle = Settle::Off;
         self.late_issues = 0;
         self.late_cycles = 0;
         self.measurements.clear();
@@ -626,12 +627,12 @@ impl ShotCore<FastProcessor> {
 
     /// Reduces the finished shot to a borrowed [`ShotOutcome`]: the exact
     /// counters [`into_report`](ShotCore::into_report) would surface,
-    /// without materialising an owned [`RunReport`]. Drains the QPU/AWG
+    /// without materialising an owned [`RunReport`]. Drains the QPU
     /// result accumulators as a side effect (they restart empty on the
-    /// next reset).
-    fn finish_outcome(&mut self, stop: StopReason) -> ShotOutcome<'_> {
+    /// next reset). The AWG's violation count comes from the caller: a
+    /// replayed shot does not drive the AWG.
+    fn finish_outcome(&mut self, stop: StopReason, awg_violations: u64) -> ShotOutcome<'_> {
         let (_issued, violations) = self.qpu.take_results();
-        let (_playback, awg_violations) = self.awg.take_results();
         ShotOutcome {
             cycles: self.cycle,
             ns: self.cycle * self.job.cfg.clock_ns,
@@ -640,11 +641,121 @@ impl ShotCore<FastProcessor> {
             late_issues: self.late_issues,
             late_cycles: self.late_cycles,
             violations: violations.len() as u64,
-            awg_violations: awg_violations.len() as u64,
+            awg_violations,
             daq_contended: self.daq.contended_results(),
             qpu_makespan_ns: self.qpu.makespan_ns(),
             measurements: &self.measurements,
         }
+    }
+
+    /// Turns a finished recording shot, seeded `rng_seed`, into a
+    /// [`ReplayTrace`] built from the backend's log. Returns `None` when
+    /// the shot cannot serve as one: it did not stop by the processor
+    /// side holding unchanged since it first held, it issued an operation
+    /// after that point, its log is incomplete or longer than
+    /// [`MAX_RECORDED_ISSUES`], or running its own readouts through a
+    /// fresh DAQ does not reproduce its stop cycle and DAQ contention.
+    fn take_trace(&self, stop: StopReason, rng_seed: u64) -> Option<ReplayTrace> {
+        let Settle::Held {
+            cycle: settled_cycle,
+            reason,
+        } = self.settle
+        else {
+            return None;
+        };
+        let cfg: &QuapeConfig = &self.job.cfg;
+        let issues = self.qpu.log();
+        let measured = issues
+            .iter()
+            .filter(|i| matches!(i.op, QuantumOp::Measure(_)))
+            .count();
+        if reason != stop
+            || issues.len() > MAX_RECORDED_ISSUES
+            || issues.len() as u64 != self.qpu.issued_count()
+            || measured != self.measurements.len()
+            || issues
+                .iter()
+                .any(|i| i.time_ns >= settled_cycle * cfg.clock_ns)
+        {
+            return None;
+        }
+        let mut trace = ReplayTrace {
+            issues: Vec::new(),
+            settled_cycle,
+            // Once every block is done, no processor can act again; after
+            // a `HALT`, the others may still run past the recorded stop.
+            held_until: match stop {
+                StopReason::Completed => u64::MAX,
+                _ => self.cycle,
+            },
+            stop,
+            late_issues: self.late_issues,
+            late_cycles: self.late_cycles,
+            awg_violations: self.awg.violations().len() as u64,
+        };
+        let mut daq = Daq::new(cfg.daq_demod_slots);
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let latest = route_readouts(cfg, &self.job.chan, &mut rng, &mut daq, issues);
+        let reproduced = trace.stop_cycle(latest, cfg.clock_ns) == Some(self.cycle)
+            && daq.contended_results() == self.daq.contended_results();
+        debug_assert!(reproduced, "replay missed a recorded shot's stop");
+        if !reproduced {
+            return None;
+        }
+        trace.issues = issues.to_vec();
+        Some(trace)
+    }
+
+    /// Replays `trace` as the shot that drives `qpu` with the machine
+    /// PRNG seeded `rng_seed`, leaving the result in the core's counters
+    /// for [`finish_outcome`](Self::finish_outcome).
+    ///
+    /// Readout timing depends on when and on which qubit each measurement
+    /// was issued and on the jitter draws, never on outcomes. So the DAQ
+    /// pass runs first and fixes the stop cycle before the backend sees
+    /// an operation. A shot whose stop the trace cannot tell, or that
+    /// would reach `max_cycles`, hands `qpu` back untouched, to be
+    /// simulated in full.
+    fn replay(
+        &mut self,
+        trace: &ReplayTrace,
+        mut qpu: Box<dyn QpuBackend>,
+        rng_seed: u64,
+        max_cycles: u64,
+    ) -> Result<(), Box<dyn QpuBackend>> {
+        let cfg: &QuapeConfig = &self.job.cfg;
+        self.daq.reset();
+        self.rng = SmallRng::seed_from_u64(rng_seed);
+        let latest = route_readouts(
+            cfg,
+            &self.job.chan,
+            &mut self.rng,
+            &mut self.daq,
+            &trace.issues,
+        );
+        let Some(stop_cycle) = trace
+            .stop_cycle(latest, cfg.clock_ns)
+            .filter(|&c| c < max_cycles)
+        else {
+            return Err(qpu);
+        };
+        qpu.set_lean(true);
+        self.measurements.clear();
+        for issued in &trace.issues {
+            let outcome = qpu.apply(issued.time_ns, issued.op);
+            if let (QuantumOp::Measure(qubit), Some(value)) = (issued.op, outcome) {
+                self.measurements.push(MeasurementRecord {
+                    time_ns: issued.time_ns,
+                    qubit,
+                    value,
+                });
+            }
+        }
+        self.qpu = qpu;
+        self.cycle = stop_cycle;
+        self.late_issues = trace.late_issues;
+        self.late_cycles = trace.late_cycles;
+        Ok(())
     }
 
     /// The lowered run loop — [`StepMode::Lowered`]'s whole-shot entry
@@ -708,6 +819,7 @@ impl ShotCore<FastProcessor> {
             let stats = &mut self.stats;
             let skip_scratch = &mut self.skip_scratch;
             let cycle = &mut self.cycle;
+            let settle = &mut self.settle;
             let mut env = Env {
                 cfg,
                 program,
@@ -745,24 +857,20 @@ impl ShotCore<FastProcessor> {
             // instead of probing the device queues.
             let mut daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
             let mut awg_next = env.awg.next_event_ns().unwrap_or(u64::MAX);
+            let watch_settle = *settle != Settle::Off;
             loop {
                 if !maybe_stalled {
                     if *env.error {
                         break StopReason::Error;
                     }
-                    if all_done
-                        && processors
-                            .iter()
-                            .all(|p| p.is_idle() && !p.has_pending_work())
-                        && env.daq.in_flight() == 0
-                    {
-                        break StopReason::Completed;
+                    let stop = processor_stop(processors, all_done, *env.halt);
+                    if watch_settle {
+                        settle.observe(*cycle, stop);
                     }
-                    if *env.halt
-                        && processors.iter().all(|p| !p.has_pending_work())
-                        && env.daq.in_flight() == 0
-                    {
-                        break StopReason::Halted;
+                    if let Some(stop) = stop {
+                        if env.daq.in_flight() == 0 {
+                            break stop;
+                        }
                     }
                 }
                 if *cycle >= max_cycles {
@@ -966,6 +1074,56 @@ impl ShotCore<FastProcessor> {
     }
 }
 
+/// The processor side of the stop condition, shared by both run loops:
+/// `Completed` once every block is done and every processor is idle with
+/// nothing queued, else `Halted` once a `HALT` executed and no processor
+/// has anything queued. A shot stops at the first loop top at which this
+/// holds and the DAQ has no result in flight.
+#[inline]
+fn processor_stop<P: ProcessorCore>(
+    processors: &[P],
+    all_done: bool,
+    halt: bool,
+) -> Option<StopReason> {
+    if all_done
+        && processors
+            .iter()
+            .all(|p| p.is_idle() && !p.has_pending_work())
+    {
+        Some(StopReason::Completed)
+    } else if halt && processors.iter().all(|p| !p.has_pending_work()) {
+        Some(StopReason::Halted)
+    } else {
+        None
+    }
+}
+
+/// What a recording lowered run saw of [`processor_stop`] at its loop
+/// tops (see [`ReplayTrace`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settle {
+    /// The run is not recording.
+    Off,
+    /// Recording; the processor side has not held yet.
+    Watching,
+    /// The processor side first held at loop top `cycle`, with `reason`,
+    /// and has held unchanged at every loop top since.
+    Held { cycle: u64, reason: StopReason },
+    /// It held, then changed: the stop-cycle rule cannot replay the job.
+    Broken,
+}
+
+impl Settle {
+    #[inline]
+    fn observe(&mut self, cycle: u64, stop: Option<StopReason>) {
+        match (*self, stop) {
+            (Settle::Watching, Some(reason)) => *self = Settle::Held { cycle, reason },
+            (Settle::Held { reason, .. }, now) if now != Some(reason) => *self = Settle::Broken,
+            _ => {}
+        }
+    }
+}
+
 /// The borrowed result view of one arena shot (see
 /// [`LoweredShotRunner`]): every counter a batch digest needs, plus the
 /// measurement records in issue order, without the owned vectors of a
@@ -1005,6 +1163,75 @@ impl ShotOutcome<'_> {
     }
 }
 
+/// Longest issue stream a [`LoweredShotRunner`] keeps for replay (4 MiB
+/// of operations). Tenants choose the program, and a feedback-free loop
+/// can issue millions of operations within its cycle budget; a job whose
+/// stream outgrows this is simulated on every shot instead.
+const MAX_RECORDED_ISSUES: usize = 1 << 18;
+
+/// Sends every measurement of `issues` through `daq` in issue order,
+/// drawing jitter from `rng` as the issue path does; returns the latest
+/// delivery time. The outcomes are placeholders: replay never delivers.
+fn route_readouts(
+    cfg: &QuapeConfig,
+    chan: &ChannelMap,
+    rng: &mut SmallRng,
+    daq: &mut Daq,
+    issues: &[IssuedOp],
+) -> Option<u64> {
+    let mut latest = None;
+    for issued in issues {
+        if let QuantumOp::Measure(q) = issued.op {
+            let at = route_readout(cfg, chan, rng, daq, issued.time_ns, q, false);
+            latest = latest.max(Some(at));
+        }
+    }
+    latest
+}
+
+/// What replaying a feedback-free job needs from one fully simulated
+/// shot.
+///
+/// Without `FMR` or `MRCE` no instruction reads a measurement value
+/// ([`LoweredProgram::reads_measurements`]), the scheduler never does,
+/// and the machine PRNG only draws DAQ jitter. So the processors, the
+/// scheduler, the timing queues and the AWG follow the same trajectory on
+/// every shot, and issue the same `(t_ns, op)` stream. Only the backend's
+/// outcomes, the jitter draws and the DAQ contention those draws cause
+/// differ per shot, and the DAQ only decides *when* the shot stops.
+///
+/// The recording shot checked that [`processor_stop`] held, with the
+/// same reason, at every loop top from `settled_cycle` to its own stop,
+/// and that every operation was issued before `settled_cycle`. So up to
+/// `held_until`, a shot stops at the first loop top from `settled_cycle`
+/// on at which no result is in flight ([`stop_cycle`](Self::stop_cycle)).
+struct ReplayTrace {
+    /// Every operation sent to the QPU, with its issue time, in order.
+    issues: Vec<IssuedOp>,
+    /// First loop top at which the processor side of the stop condition
+    /// held.
+    settled_cycle: u64,
+    /// Last loop top up to which it is known to keep holding.
+    held_until: u64,
+    stop: StopReason,
+    late_issues: u64,
+    late_cycles: u64,
+    awg_violations: u64,
+}
+
+impl ReplayTrace {
+    /// The cycle at which a shot whose last readout lands at
+    /// `latest_delivery_ns` stops: the settled cycle, or the loop top
+    /// after the cycle that delivers the last result
+    /// (`⌈latest / clock⌉ + 1`), whichever is later. `None` past
+    /// `held_until`, where the recording cannot tell.
+    fn stop_cycle(&self, latest_delivery_ns: Option<u64>, clock_ns: u64) -> Option<u64> {
+        let drained = latest_delivery_ns.map_or(0, |ns| ns.div_ceil(clock_ns) + 1);
+        let stop = self.settled_cycle.max(drained);
+        (stop <= self.held_until).then_some(stop)
+    }
+}
+
 /// A reusable [`StepMode::Lowered`] shot arena.
 ///
 /// [`CompiledJob::shot`] rebuilds the whole per-shot state — processors,
@@ -1024,16 +1251,57 @@ impl ShotOutcome<'_> {
 /// runner's outcomes are bit-identical to fresh
 /// [`Shot`]-per-shot runs, and [`ShotEngine`](crate::ShotEngine)
 /// aggregates stay bit-identical across both step modes.
+///
+/// **Shot replay.** A job whose program never reads a measurement value
+/// (no `FMR`, no `MRCE`: [`LoweredProgram::reads_measurements`]) issues
+/// the same timed operation stream on every shot. The runner records
+/// that stream, from the backend's log, on its first shot that stops
+/// `Completed` or `Halted`, and replays every later shot instead of
+/// simulating it:
+///
+/// 1. the recorded measurements run through the core's own DAQ model,
+///    with this shot's jitter draws, which fixes its DAQ contention and
+///    its last delivery;
+/// 2. the stop cycle is the *settled* cycle (the first loop top at which
+///    the recording saw the processor side of the stop condition hold,
+///    the same check the run loop breaks on) or the loop top after the
+///    cycle that delivers the last result (`⌈last delivery / clock⌉ +
+///    1`), whichever is later;
+/// 3. the recorded stream is applied to this shot's backend, which
+///    yields the outcomes, violations, issued count and makespan.
+///
+/// Late issues, AWG violations and the stop reason are the recorded
+/// ones. The rule in step 2 is exact only if the processor side kept
+/// holding, with the same reason, from the settled cycle to the stop,
+/// and nothing was issued from the settled cycle on. The recording shot
+/// checks both, and checks that the rule reproduces its own stop; after a
+/// `HALT` the other processors may still run, so there the rule is
+/// trusted only up to the recorded stop. These run in full instead:
+/// every shot of a job that reads measurements, whose recording fails a
+/// check, or that issues more than `MAX_RECORDED_ISSUES` (2^18)
+/// operations in a shot; shots before a trace exists; and any shot whose
+/// stop the trace cannot tell or that would reach the cycle budget.
 pub struct LoweredShotRunner {
     job: CompiledJob,
     core: Option<ShotCore<FastProcessor>>,
+    trace: Option<ReplayTrace>,
+    /// False for jobs that read measurements and for jobs whose
+    /// recording failed for a reason that repeats on every shot: those
+    /// never replay.
+    recordable: bool,
 }
 
 impl LoweredShotRunner {
     /// Creates an empty runner for `job` (the arena is built lazily by
     /// the first [`run_shot`](LoweredShotRunner::run_shot)).
     pub fn new(job: CompiledJob) -> Self {
-        LoweredShotRunner { job, core: None }
+        let recordable = !job.lowered.reads_measurements();
+        LoweredShotRunner {
+            job,
+            core: None,
+            trace: None,
+            recordable,
+        }
     }
 
     /// The job this runner executes.
@@ -1046,21 +1314,50 @@ impl LoweredShotRunner {
     /// digest. Equivalent to
     /// `job.shot(qpu, rng_seed).report_mode(ReportMode::Lean)
     /// .run_with_mode(StepMode::Lowered, max_cycles)` reduced to its
-    /// summary counters.
+    /// summary counters, whether the shot is simulated or replayed.
     pub fn run_shot(
         &mut self,
         qpu: Box<dyn QpuBackend>,
         rng_seed: u64,
         max_cycles: u64,
     ) -> ShotOutcome<'_> {
+        let replayed = match (&self.trace, &mut self.core) {
+            (Some(trace), Some(core)) => core
+                .replay(trace, qpu, rng_seed, max_cycles)
+                .map(|()| (trace.stop, trace.awg_violations)),
+            _ => Err(qpu),
+        };
+        let qpu = match replayed {
+            Ok((stop, awg_violations)) => {
+                let core = self.core.as_mut().expect("replayed on the arena");
+                return core.finish_outcome(stop, awg_violations);
+            }
+            Err(qpu) => qpu,
+        };
         match &mut self.core {
             Some(core) => core.reset_for_shot(qpu, rng_seed),
             slot @ None => *slot = Some(self.job.fast_core(qpu, rng_seed)),
         }
         let core = self.core.as_mut().expect("core just ensured");
         core.set_report_mode(ReportMode::Lean);
+        let record = self.trace.is_none() && self.recordable;
+        if record {
+            // The backend's log is the recorded issue stream.
+            core.qpu.set_lean(false);
+            core.settle = Settle::Watching;
+        }
         let stop = core.run_fast_loop(max_cycles);
-        core.finish_outcome(stop)
+        if record {
+            self.trace = core.take_trace(stop, rng_seed);
+            // A shot cut short by the budget (or an error) may be followed
+            // by one that completes; any other reason to keep no trace
+            // would repeat on every shot.
+            self.recordable = self.trace.is_some()
+                || (!matches!(stop, StopReason::Completed | StopReason::Halted)
+                    && core.qpu.log().len() <= MAX_RECORDED_ISSUES);
+        }
+        let awg_violations = core.awg.take_results().1.len() as u64;
+        core.finish_outcome(stop, awg_violations)
     }
 }
 
@@ -1174,6 +1471,7 @@ impl Shot {
             stats: core.stats,
             step_dispatches: core.step_dispatches,
             wait_cycles: core.wait_cycles,
+            settle: core.settle,
             late_issues: core.late_issues,
             late_cycles: core.late_cycles,
             measurements: core.measurements,
@@ -1411,6 +1709,60 @@ mod tests {
             .map(|o| (o.time_ns, o.op.to_string()))
             .collect();
         assert_eq!(a, b);
+    }
+
+    /// `outer × inner × 8` single-qubit gates in two counted loops, no
+    /// feedback.
+    fn gate_loop(outer: i16, inner: i16) -> Program {
+        use quape_isa::{ClassicalOp, Cond, Gate1, ProgramBuilder, QuantumOp, Qubit, Reg};
+        let mut b = ProgramBuilder::new();
+        b.push(ClassicalOp::Ldi {
+            rd: Reg::new(2),
+            imm: outer,
+        });
+        b.label("outer");
+        b.push(ClassicalOp::Ldi {
+            rd: Reg::new(1),
+            imm: inner,
+        });
+        b.label("inner");
+        for q in 0..8 {
+            b.quantum(1, QuantumOp::Gate1(Gate1::X, Qubit::new(q % 4)));
+        }
+        for (reg, label) in [(1, "inner"), (2, "outer")] {
+            b.push(ClassicalOp::Addi {
+                rd: Reg::new(reg),
+                rs: Reg::new(reg),
+                imm: -1,
+            });
+            b.cmpi(reg, 0);
+            b.br_to(Cond::Ne, label);
+        }
+        b.push(ClassicalOp::Stop);
+        b.finish().expect("valid loop program")
+    }
+
+    #[test]
+    fn a_job_issuing_too_much_to_record_is_simulated_on_every_shot() {
+        let cfg = QuapeConfig::superscalar(4);
+        let run = |program: Program, shots: u64| {
+            let job = CompiledJob::compile(cfg.clone(), program).expect("compiles");
+            let mut runner = LoweredShotRunner::new(job.clone());
+            for shot in 0..shots {
+                let replayed = runner.run_shot(coin(&cfg, shot), shot, u64::MAX).cycles;
+                let fresh = job
+                    .shot(coin(&cfg, shot), shot)
+                    .report_mode(ReportMode::Lean)
+                    .run_with_mode(StepMode::Lowered, u64::MAX)
+                    .cycles;
+                assert_eq!(replayed, fresh, "shot {shot}");
+            }
+            (runner.trace.is_some(), runner.recordable)
+        };
+        assert_eq!(run(gate_loop(4, 8), 2), (true, true));
+        let (outer, inner) = (40, 1000);
+        assert!(outer as usize * inner as usize * 8 > MAX_RECORDED_ISSUES);
+        assert_eq!(run(gate_loop(outer, inner), 2), (false, false));
     }
 
     #[test]

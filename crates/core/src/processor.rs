@@ -77,24 +77,40 @@ impl Env<'_> {
     /// Measurement epilogue shared by both issue paths. Consumes one RNG
     /// draw when DAQ jitter is configured, so it must run in issue order.
     fn finish_measure(&mut self, t_ns: u64, q: Qubit, value: bool) {
-        let jitter = if self.cfg.daq_jitter_ns == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=self.cfg.daq_jitter_ns)
-        };
-        // The readout pulse ends at `ready_ns`; the result then runs
-        // through the demod pipeline of the qubit's readout channel
-        // (bounded concurrency — contention delays the delivery).
-        let ready_ns = t_ns + self.cfg.timings.readout_pulse_ns;
-        let demod_ns = self.cfg.daq_base_ns + jitter;
-        self.daq
-            .schedule_readout(self.chan.channels(q).readout, q, value, ready_ns, demod_ns);
+        route_readout(self.cfg, self.chan, self.rng, self.daq, t_ns, q, value);
         self.measurements.push(crate::machine::MeasurementRecord {
             time_ns: t_ns,
             qubit: q,
             value,
         });
     }
+}
+
+/// Sends the readout of a measurement issued at `t_ns` through the DAQ
+/// and returns its delivery time. Consumes one `rng` draw when DAQ jitter
+/// is configured, so calls must come in issue order. Shared by the issue
+/// paths and by shot replay, so there is one readout model.
+#[inline]
+pub(crate) fn route_readout(
+    cfg: &QuapeConfig,
+    chan: &ChannelMap,
+    rng: &mut SmallRng,
+    daq: &mut Daq,
+    t_ns: u64,
+    q: Qubit,
+    value: bool,
+) -> u64 {
+    let jitter = if cfg.daq_jitter_ns == 0 {
+        0
+    } else {
+        rng.gen_range(0..=cfg.daq_jitter_ns)
+    };
+    // The readout pulse ends at `ready_ns`; the result then runs through
+    // the demod pipeline of the qubit's readout channel (bounded
+    // concurrency — contention delays the delivery).
+    let ready_ns = t_ns + cfg.timings.readout_pulse_ns;
+    let demod_ns = cfg.daq_base_ns + jitter;
+    daq.schedule_readout(chan.channels(q).readout, q, value, ready_ns, demod_ns)
 }
 
 /// The per-processor surface the generic scheduler and shot core drive.

@@ -2,10 +2,14 @@
 //! [`WorkerScratch`], the lean lowered hot path reaches an allocation
 //! fixed point — steady-state shots do not grow the heap, and the
 //! per-shot allocation count is a small constant (backend construction
-//! plus the returned digest), independent of program size.
+//! plus the returned digest), independent of program size. That holds
+//! for simulated shots (a feedback chain) and for replayed ones (a
+//! feedback-free program, whose later shots replay the first one's issue
+//! stream).
 //!
-//! The whole file is one test binary on purpose: the counting allocator
-//! is global, and other tests' allocations would pollute the counts.
+//! The whole file is one test on purpose: the counting allocator is
+//! global, and concurrently running tests' allocations would pollute
+//! the counts.
 
 use quape_core::{CompiledJob, QuapeConfig, ShotEngine, StepMode, WorkerScratch};
 use quape_isa::{ClassicalOp, Cond, Gate1, Program, ProgramBuilder, QuantumOp, Qubit};
@@ -61,10 +65,28 @@ fn fmr_chain(rounds: usize) -> Program {
     b.finish().expect("valid fmr chain")
 }
 
+/// Measure-heavy program without feedback: every shot after a scratch
+/// runner's first replays the recorded issue stream.
+fn measure_train(rounds: usize) -> Program {
+    let mut b = ProgramBuilder::new();
+    for r in 0..rounds {
+        let q = Qubit::new((r % 3) as u16);
+        b.quantum(50, QuantumOp::Gate1(Gate1::H, q));
+        b.quantum(2, QuantumOp::Measure(q));
+    }
+    b.push(ClassicalOp::Stop);
+    b.finish().expect("valid measure train")
+}
+
 #[test]
 fn reused_scratch_reaches_an_allocation_fixed_point() {
+    assert_fixed_point("fmr chain", fmr_chain(64));
+    assert_fixed_point("replayed measure train", measure_train(64));
+}
+
+fn assert_fixed_point(label: &str, program: Program) {
     let cfg = QuapeConfig::uniprocessor().with_seed(7);
-    let job = CompiledJob::compile(cfg.clone(), fmr_chain(64)).expect("job compiles");
+    let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
     let factory =
         BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
     let engine = ShotEngine::new(job, factory)
@@ -96,7 +118,7 @@ fn reused_scratch_reaches_an_allocation_fixed_point() {
     // next batch as on the previous one — no per-shot heap growth.
     assert_eq!(
         first, second,
-        "warmed scratch must not keep allocating: first batch {first}, second {second}"
+        "{label}: warmed scratch must not keep allocating: first batch {first}, second {second}"
     );
 
     // And the constant is small *and independent of program size*: the
@@ -108,7 +130,7 @@ fn reused_scratch_reaches_an_allocation_fixed_point() {
     let per_shot = first / N;
     assert!(
         per_shot <= 8,
-        "lean lowered shots should stay allocation-light, got {per_shot} allocations/shot"
+        "{label}: lean lowered shots should stay allocation-light, got {per_shot} allocations/shot"
     );
 
     // The same batch without scratch reuse rebuilds machine state per
@@ -120,6 +142,6 @@ fn reused_scratch_reaches_an_allocation_fixed_point() {
     let fresh = allocs() - before;
     assert!(
         first * 4 <= fresh,
-        "scratch reuse should cut per-shot allocations by >= 4x: reused {first}, fresh {fresh}"
+        "{label}: scratch reuse should cut per-shot allocations by >= 4x: reused {first}, fresh {fresh}"
     );
 }

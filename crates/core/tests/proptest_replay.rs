@@ -1,0 +1,230 @@
+//! Property-based differential test for shot replay: a feedback-free
+//! job's arena records the issue stream of its first shot and replays
+//! every later shot into that shot's backend. On random feedback-free
+//! programs (gates, measurements, waits; several blocks; `STOP` or
+//! `HALT`) the engine's aggregate must equal, at one and two threads,
+//! both the fold of fresh per-shot `run_shot` summaries (every shot
+//! fully simulated) and the cycle-stepped oracle's aggregate — on
+//! scalar, superscalar, multiprocessor and demod-starved multiplexed
+//! machines, with and without DAQ jitter, under budgets that truncate
+//! shots as well as ones that do not.
+
+use proptest::prelude::*;
+use quape_core::{
+    BatchAggregate, CompiledJob, QpuFactory, QuapeConfig, ShotEngine, ShotSummary,
+    StateVectorQpuFactory, StepMode,
+};
+use quape_isa::{ClassicalOp, Cycles, Gate1, Gate2, Program, ProgramBuilder, QuantumOp, Qubit};
+use quape_qpu::{BehavioralQpuFactory, DepolarizingNoise, MeasurementModel, ReadoutError};
+use std::sync::Arc;
+
+const QUBITS: u16 = 4;
+const SHOTS: u64 = 10;
+
+#[derive(Debug, Clone)]
+enum ProgOp {
+    G1(u8, u16),
+    G2(u16, u16),
+    Meas(u16),
+    Wait(u8),
+}
+
+#[derive(Debug, Clone)]
+struct Block {
+    ops: Vec<ProgOp>,
+    /// Depends on the previous block (otherwise free to run in parallel).
+    chained: bool,
+}
+
+fn arb_block() -> impl Strategy<Value = Block> {
+    let op = prop_oneof![
+        4 => (0u8..14, 0..QUBITS).prop_map(|(g, q)| ProgOp::G1(g, q)),
+        2 => (0..QUBITS, 0..QUBITS).prop_map(|(a, b)| ProgOp::G2(a, b)),
+        3 => (0..QUBITS).prop_map(ProgOp::Meas),
+        1 => (1u8..30).prop_map(ProgOp::Wait),
+    ];
+    (proptest::collection::vec(op, 1..20), any::<bool>())
+        .prop_map(|(ops, chained)| Block { ops, chained })
+}
+
+/// Builds the blocks into one program; the last block ends in `HALT`
+/// when `halt` is set, every other block in `STOP`.
+fn build(blocks: &[Block], halt: bool) -> Program {
+    let mut b = ProgramBuilder::new();
+    for (i, block) in blocks.iter().enumerate() {
+        let name = format!("b{i}");
+        if i > 0 && block.chained {
+            let prev = format!("b{}", i - 1);
+            b.begin_block_named_deps(name, &[prev.as_str()]);
+        } else {
+            b.begin_block_named_deps(name, &[]);
+        }
+        for op in &block.ops {
+            match *op {
+                ProgOp::G1(g, q) => {
+                    let gate = Gate1::FIXED[g as usize % Gate1::FIXED.len()];
+                    b.quantum(2, QuantumOp::Gate1(gate, Qubit::new(q)));
+                }
+                ProgOp::G2(a, c) if a != c => {
+                    b.quantum(
+                        4,
+                        QuantumOp::Gate2(Gate2::Cnot, Qubit::new(a), Qubit::new(c)),
+                    );
+                }
+                ProgOp::G2(..) => {}
+                ProgOp::Meas(q) => {
+                    b.quantum(2, QuantumOp::Measure(Qubit::new(q)));
+                }
+                ProgOp::Wait(c) => {
+                    b.push(ClassicalOp::Qwait {
+                        cycles: Cycles::new(u32::from(c)),
+                    });
+                }
+            }
+        }
+        let last = i + 1 == blocks.len();
+        b.push(if halt && last {
+            ClassicalOp::Halt
+        } else {
+            ClassicalOp::Stop
+        });
+        b.end_block();
+    }
+    b.finish().expect("generated program is valid")
+}
+
+fn factory(state_vector: bool, cfg: &QuapeConfig) -> Arc<dyn QpuFactory> {
+    if state_vector {
+        Arc::new(StateVectorQpuFactory {
+            num_qubits: QUBITS as u8,
+            timings: cfg.timings,
+            noise: DepolarizingNoise {
+                pauli_error_prob: 0.02,
+            },
+            readout: ReadoutError::default(),
+        })
+    } else {
+        Arc::new(BehavioralQpuFactory::new(
+            cfg.timings,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+        ))
+    }
+}
+
+/// `None` never truncates; `Some(k)` puts the budget `k - 3` cycles from
+/// a fully simulated shot's stop.
+fn arb_edge() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![Just(None), (0u64..7).prop_map(Some)]
+}
+
+fn configs() -> Vec<(&'static str, QuapeConfig)> {
+    let mut out = Vec::new();
+    for (name, base) in [
+        ("scalar", QuapeConfig::scalar_baseline()),
+        ("ss8", QuapeConfig::superscalar(8)),
+        ("mp3", QuapeConfig::multiprocessor(3)),
+        (
+            "mux",
+            QuapeConfig::superscalar(8)
+                .with_readout_lines(2)
+                .with_demod_slots(1),
+        ),
+    ] {
+        for jitter in [0, 30] {
+            let mut cfg = base.clone().with_num_qubits(QUBITS);
+            cfg.daq_jitter_ns = jitter;
+            out.push((name, cfg));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Near the edge of the budget, jitter decides shot by shot whether
+    /// the stop cycle reaches it (replay must fall back there), and the
+    /// recording shot itself may be cut short.
+    #[test]
+    fn replayed_batches_match_full_simulation(
+        blocks in proptest::collection::vec(arb_block(), 1..4),
+        halt in any::<bool>(),
+        state_vector in any::<bool>(),
+        edge in arb_edge(),
+        seed in 0u64..64,
+    ) {
+        let program = build(&blocks, halt);
+        for (name, cfg) in configs() {
+            let job = CompiledJob::compile(cfg.clone(), program.clone()).expect("job compiles");
+            prop_assert!(!job.lowered().reads_measurements());
+            let engine = |budget: u64, threads: usize, mode: StepMode| {
+                ShotEngine::new(job.clone(), factory(state_vector, &cfg))
+                    .base_seed(seed)
+                    .cycle_limit(budget)
+                    .threads(threads)
+                    .step_mode(mode)
+            };
+            let budget = match edge {
+                None => 500_000,
+                Some(k) => (engine(500_000, 1, StepMode::Lowered).run_shot(0).cycles + k)
+                    .saturating_sub(3)
+                    .max(1),
+            };
+            let one = engine(budget, 1, StepMode::Lowered).run(SHOTS).aggregate;
+            let two = engine(budget, 2, StepMode::Lowered).run(SHOTS).aggregate;
+            let fresh_engine = engine(budget, 1, StepMode::Lowered);
+            let fresh: Vec<ShotSummary> = (0..SHOTS).map(|s| fresh_engine.run_shot(s)).collect();
+            let fresh = BatchAggregate::from_summaries(seed, &fresh);
+            let cycle = engine(budget, 1, StepMode::Cycle).run(SHOTS).aggregate;
+            let case = format!("{name} jitter {} budget {budget}", cfg.daq_jitter_ns);
+            prop_assert_eq!(&one, &fresh, "{}: one thread vs fresh shots", case);
+            prop_assert_eq!(&two, &fresh, "{}: two threads vs fresh shots", case);
+            prop_assert_eq!(&cycle, &fresh, "{}: cycle oracle vs fresh shots", case);
+        }
+    }
+}
+
+/// After one processor executes `HALT`, the others keep running, and the
+/// shot may stop in a gap between a block's `STOP` and the first dispatch
+/// of the block chained to it, if no readout is in flight then. Block b0
+/// ends with a readout that lands near its end; jitter decides shot by
+/// shot whether it lands before or after the gap. Replay must stop
+/// exactly where full simulation does.
+#[test]
+fn halt_with_a_chained_block_replays_exactly() {
+    for wait in 0..48u8 {
+        let blocks = [
+            Block {
+                ops: vec![
+                    ProgOp::G1(0, 0),
+                    ProgOp::Meas(0),
+                    ProgOp::Wait(wait),
+                    ProgOp::G1(1, 1),
+                ],
+                chained: false,
+            },
+            Block {
+                ops: vec![ProgOp::G1(2, 1), ProgOp::Meas(1)],
+                chained: true,
+            },
+            Block {
+                ops: vec![ProgOp::Meas(2)],
+                chained: false,
+            },
+        ];
+        let program = build(&blocks, true);
+        let mut cfg = QuapeConfig::multiprocessor(3).with_num_qubits(QUBITS);
+        cfg.daq_jitter_ns = 30;
+        let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
+        let engine = ShotEngine::new(job, factory(false, &cfg))
+            .base_seed(u64::from(wait))
+            .threads(1);
+        let replayed = engine.run(4 * SHOTS).aggregate;
+        let fresh: Vec<ShotSummary> = (0..4 * SHOTS).map(|s| engine.run_shot(s)).collect();
+        assert_eq!(
+            replayed,
+            BatchAggregate::from_summaries(u64::from(wait), &fresh),
+            "wait {wait}"
+        );
+    }
+}

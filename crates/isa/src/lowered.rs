@@ -330,18 +330,22 @@ pub struct LoweredBlock {
 pub struct LoweredProgram {
     ops: Vec<MicroOp>,
     blocks: Vec<LoweredBlock>,
+    reads_measurements: bool,
 }
 
 impl LoweredProgram {
     /// Lowers a validated program under `timings` (see the module docs
     /// for the invariants this establishes).
     pub fn lower(program: &Program, timings: &OpTimings) -> Self {
-        let ops = program
+        let ops: Vec<MicroOp> = program
             .instructions()
             .iter()
             .enumerate()
             .map(|(addr, instr)| lower_one(program, timings, addr, instr))
             .collect();
+        let reads_measurements = ops
+            .iter()
+            .any(|m| matches!(m.word, MicroWord::Fmr { .. } | MicroWord::Mrce { .. }));
         let blocks = program
             .blocks()
             .iter()
@@ -350,7 +354,11 @@ impl LoweredProgram {
                 end: info.range.end,
             })
             .collect();
-        LoweredProgram { ops, blocks }
+        LoweredProgram {
+            ops,
+            blocks,
+            reads_measurements,
+        }
     }
 
     /// The micro-op array (`ops()[i]` lowers instruction `i`).
@@ -367,6 +375,14 @@ impl LoweredProgram {
     /// True when the program is empty.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// True when some micro-op reads a measurement result (`FMR` or
+    /// `MRCE`). Those are the only instructions through which an outcome
+    /// can change what is issued, or when; a program without them issues
+    /// the same timed operation stream on every shot.
+    pub fn reads_measurements(&self) -> bool {
+        self.reads_measurements
     }
 
     /// Classification flags of the micro-op at `addr` — a single byte
@@ -633,6 +649,16 @@ mod tests {
         assert_ne!(a, LoweredProgram::lower(&p, &other_timings));
         let q = assemble("0 X q0\nSTOP\n").expect("valid");
         assert_ne!(a, LoweredProgram::lower(&q, &OpTimings::paper()));
+    }
+
+    #[test]
+    fn only_fmr_and_mrce_read_measurements() {
+        let lowered = |text: &str| {
+            LoweredProgram::lower(&assemble(text).expect("valid"), &OpTimings::paper())
+        };
+        assert!(!lowered("0 H q0\n2 MEAS q0\nQWAIT 3\nHALT\n").reads_measurements());
+        assert!(lowered("2 MEAS q0\nFMR r0, q0\nSTOP\n").reads_measurements());
+        assert!(lowered("2 MEAS q0\nMRCE q0, q1, X, NONE\nSTOP\n").reads_measurements());
     }
 
     #[test]

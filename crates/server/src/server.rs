@@ -1601,8 +1601,8 @@ impl JobServer {
     /// panicking range fails its member (cancelled, prefix-consistent
     /// partial) without touching the other members of the pack or
     /// hanging the drain. One [`WorkerScratch`] spans the whole claim,
-    /// so members compiled from the same program share a prepared
-    /// lowered runner.
+    /// so members running the same compiled job (one compile-cache
+    /// entry) share a prepared lowered runner and its replay trace.
     fn execute_claim(&self, worker: u32, claim: Claim) {
         let mut scratch = WorkerScratch::default();
         let mut batches = Vec::with_capacity(claim.units.len());

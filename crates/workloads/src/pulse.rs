@@ -8,7 +8,9 @@
 //! traffic. Used by the `awg_playback` engine benchmark and the device
 //! differential tests.
 
-use quape_isa::{ClassicalOp, Gate1, Program, ProgramBuilder, ProgramError, QuantumOp, Qubit};
+use quape_isa::{
+    ClassicalOp, CondOp, Gate1, Program, ProgramBuilder, ProgramError, QuantumOp, Qubit,
+};
 
 /// `rounds` layers of parallel single-qubit gates across `num_qubits`
 /// qubits (one waveform per qubit per layer, layers spaced one gate
@@ -21,6 +23,33 @@ use quape_isa::{ClassicalOp, Gate1, Program, ProgramBuilder, ProgramError, Quant
 ///
 /// Propagates program-assembly failures.
 pub fn pulse_train(num_qubits: u16, rounds: usize) -> Result<Program, ProgramError> {
+    let mut b = pulse_layers(num_qubits, rounds);
+    b.push(ClassicalOp::Stop);
+    b.finish()
+}
+
+/// [`pulse_train`] followed by one `MRCE` on qubit 0's readout (an `X`
+/// when it reads 1). Feedback keeps every shot of a batch fully simulated
+/// (a feedback-free train replays its first shot's issue stream), so this
+/// variant times the AWG/DAQ device models on a dense workload.
+///
+/// # Errors
+///
+/// Propagates program-assembly failures.
+pub fn pulse_train_with_feedback(num_qubits: u16, rounds: usize) -> Result<Program, ProgramError> {
+    let mut b = pulse_layers(num_qubits, rounds);
+    b.push(ClassicalOp::Mrce {
+        qubit: Qubit::new(0),
+        target: Qubit::new(0),
+        op_if_one: CondOp::X,
+        op_if_zero: CondOp::None,
+    });
+    b.push(ClassicalOp::Stop);
+    b.finish()
+}
+
+/// The gate layers and the final readout burst of [`pulse_train`].
+fn pulse_layers(num_qubits: u16, rounds: usize) -> ProgramBuilder {
     let mut b = ProgramBuilder::new();
     for round in 0..rounds {
         let gate = if round % 2 == 0 { Gate1::X } else { Gate1::Y };
@@ -35,8 +64,7 @@ pub fn pulse_train(num_qubits: u16, rounds: usize) -> Result<Program, ProgramErr
         let label = if q == 0 { 2 } else { 0 };
         b.quantum(label, QuantumOp::Measure(Qubit::new(q)));
     }
-    b.push(ClassicalOp::Stop);
-    b.finish()
+    b
 }
 
 #[cfg(test)]
