@@ -5,13 +5,81 @@
 //! its §7 QCP-only benchmarks) and a noisy state-vector backend used to
 //! replay the §8 RB/simRB validation through the full control stack.
 
-use quape_isa::{QuantumOp, Qubit};
+use crate::machine::MeasurementRecord;
+use quape_isa::{OpTimings, QuantumOp, Qubit};
 use quape_qpu::{
-    BehavioralQpu, DepolarizingNoise, IssuedOp, MeasurementModel, ReadoutError, StateVector,
-    TimingViolation,
+    BehavioralQpu, DepolarizingNoise, IssuedOp, MeasurementModel, Occupancy, ReadoutError,
+    StateVector, TimingViolation,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// A recorded issue stream, as shot replay hands it to a backend: every
+/// operation with its issue time, in order; its measurement subsequence;
+/// and the [`Occupancy`] a fresh, lean [`BehavioralQpu`] with the job's
+/// timings reaches after the whole stream (computed once, by applying the
+/// stream to such a QPU, so there is one occupancy rule).
+#[derive(Debug)]
+pub struct IssueStream {
+    ops: Vec<IssuedOp>,
+    measures: Vec<IssuedOp>,
+    occupancy: Occupancy,
+}
+
+impl IssueStream {
+    pub(crate) fn new(ops: Vec<IssuedOp>, timings: OpTimings) -> Self {
+        let measures = ops
+            .iter()
+            .filter(|i| matches!(i.op, QuantumOp::Measure(_)))
+            .copied()
+            .collect();
+        let mut qpu = BehavioralQpu::new(timings, MeasurementModel::AlwaysZero, 0);
+        qpu.set_record_log(false);
+        for issued in &ops {
+            qpu.apply(issued.time_ns, issued.op);
+        }
+        IssueStream {
+            ops,
+            measures,
+            occupancy: qpu.occupancy(),
+        }
+    }
+
+    /// Every operation, in issue order.
+    pub fn ops(&self) -> &[IssuedOp] {
+        &self.ops
+    }
+
+    /// The measurements among [`ops`](IssueStream::ops), in issue order.
+    pub fn measures(&self) -> &[IssuedOp] {
+        &self.measures
+    }
+
+    /// The occupancy state after the stream, under the job's timings.
+    pub fn occupancy(&self) -> &Occupancy {
+        &self.occupancy
+    }
+}
+
+/// The default [`QpuBackend::replay`]: every operation through
+/// [`QpuBackend::apply`], in order.
+fn apply_stream<B: QpuBackend + ?Sized>(
+    qpu: &mut B,
+    stream: &IssueStream,
+    measurements: &mut Vec<MeasurementRecord>,
+) {
+    for issued in stream.ops() {
+        if let (QuantumOp::Measure(qubit), Some(value)) =
+            (issued.op, qpu.apply(issued.time_ns, issued.op))
+        {
+            measurements.push(MeasurementRecord {
+                time_ns: issued.time_ns,
+                qubit,
+                value,
+            });
+        }
+    }
+}
 
 /// A quantum processing unit as seen by the control stack.
 pub trait QpuBackend {
@@ -42,6 +110,21 @@ pub trait QpuBackend {
     /// [`issued_count`](QpuBackend::issued_count)).
     fn set_lean(&mut self, lean: bool) {
         let _ = lean;
+    }
+
+    /// Receives a whole recorded stream, as shot replay does for every
+    /// shot of a feedback-free job after the first, pushing one
+    /// [`MeasurementRecord`] per measurement in stream order. Replay
+    /// calls it on a lean backend (see [`set_lean`](QpuBackend::set_lean)).
+    ///
+    /// The default applies every operation through
+    /// [`apply`](QpuBackend::apply). An override may take a shortcut only
+    /// if it leaves the outcomes and every counter exactly as that loop
+    /// would: the behavioural backend, when pristine and running with the
+    /// stream's timings, adopts the stream's [`Occupancy`] and draws just
+    /// the outcomes.
+    fn replay(&mut self, stream: &IssueStream, measurements: &mut Vec<MeasurementRecord>) {
+        apply_stream(self, stream, measurements);
     }
 
     /// Number of operations received so far. Must stay accurate even
@@ -80,6 +163,21 @@ impl QpuBackend for BehavioralQpu {
 
     fn set_lean(&mut self, lean: bool) {
         self.set_record_log(!lean);
+    }
+
+    fn replay(&mut self, stream: &IssueStream, measurements: &mut Vec<MeasurementRecord>) {
+        if !self.adopt(stream.occupancy()) {
+            return apply_stream(self, stream, measurements);
+        }
+        for issued in stream.measures() {
+            if let QuantumOp::Measure(qubit) = issued.op {
+                measurements.push(MeasurementRecord {
+                    time_ns: issued.time_ns,
+                    qubit,
+                    value: self.draw_outcome(qubit),
+                });
+            }
+        }
     }
 
     fn issued_count(&self) -> u64 {

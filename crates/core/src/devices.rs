@@ -9,8 +9,7 @@
 //! per-channel occupancy and a queue of in-flight playbacks so timing
 //! violations (a trigger arriving while the channel's previous waveform is
 //! still playing, or while the target qubit is still busy) are caught *at
-//! the device*, and exposes [`AwgBank::next_event_ns`] as an event horizon
-//! for the time-skip run loop. The DAQ runs a bounded number of demod
+//! the device*. The DAQ runs a bounded number of demod
 //! servers per readout channel, so acquisition contention on a multiplexed
 //! readout line delays delivery instead of being assumed away.
 
@@ -381,10 +380,11 @@ fn waveform_id(op: &QuantumOp) -> u16 {
 /// Each emitted codeword becomes a [`PlaybackEvent`] with the waveform's
 /// duration (from the [`OpTimings`] in force) resolved at emit time. The
 /// bank tracks per-channel and per-qubit occupancy so overlap/late-trigger
-/// conflicts are flagged **at the device** ([`AwgViolation`]), keeps the
-/// in-flight playbacks in an end-time-ordered queue, and exposes the
-/// earliest playback end as [`AwgBank::next_event_ns`] — the AWG's
-/// contribution to the lowered run loop's time-skip horizon.
+/// conflicts are flagged **at the device** ([`AwgViolation`]), and keeps
+/// the in-flight playbacks in an end-time-ordered queue for the
+/// concurrency peak. Only an emission reads that queue, so a run loop may
+/// retire playbacks lazily: [`AwgBank::tick`] retires everything that
+/// ended by its argument, however late it is called.
 #[derive(Debug, Clone)]
 pub struct AwgBank {
     timings: OpTimings,
@@ -421,8 +421,7 @@ impl AwgBank {
 
     /// Enables or disables materialising the playback timeline
     /// (lean/summary-only mode for batch paths). Occupancy tracking,
-    /// violation detection, the in-flight queue (and thus
-    /// [`next_event_ns`](AwgBank::next_event_ns)) and the
+    /// violation detection, the in-flight queue and the
     /// [`triggers`](AwgBank::triggers) counter are unaffected, so
     /// execution is bit-identical either way — only
     /// [`timeline`](AwgBank::timeline) stays empty.
@@ -587,12 +586,6 @@ impl AwgBank {
         }
         self.retired += n;
         n
-    }
-
-    /// End time of the earliest in-flight playback, if any — the AWG's
-    /// contribution to the lowered run loop's time-skip horizon.
-    pub fn next_event_ns(&self) -> Option<u64> {
-        self.active_ends.front().copied()
     }
 
     /// Number of waveforms currently playing.
@@ -821,7 +814,6 @@ mod tests {
         assert_eq!(e.end_ns, 400);
         assert_eq!(awg.channel_busy_until(map.channels(q(1)).readout), 400);
         assert_eq!(awg.qubit_busy_until(q(1)), 400);
-        assert_eq!(awg.next_event_ns(), Some(400));
     }
 
     #[test]
@@ -877,8 +869,8 @@ mod tests {
     fn awg_overlap_does_not_push_back_channel_occupancy() {
         // A conflicting trigger still plays on schedule, so the line is
         // busy until the latest recorded end (400 ns), not a pushed-back
-        // 600 ns: the violation list, the playback timeline, and
-        // `next_event_ns` must agree on when the line frees up.
+        // 600 ns: the violation list and the playback timeline must agree
+        // on when the line frees up.
         let map = ChannelMap::multiplexed(4, 1);
         let mut awg = AwgBank::new(timings());
         awg.emit(&map, 0, &QuantumOp::Measure(q(0)));
@@ -900,15 +892,26 @@ mod tests {
         awg.emit(&map, 0, &QuantumOp::Measure(q(1))); // ends 300
         assert_eq!(awg.playing(), 2);
         assert_eq!(awg.max_concurrent(), 2);
-        assert_eq!(awg.next_event_ns(), Some(20));
         assert_eq!(awg.tick(19), 0);
         assert_eq!(awg.tick(20), 1);
         assert_eq!(awg.playing(), 1);
-        assert_eq!(awg.next_event_ns(), Some(300));
+        assert_eq!(awg.tick(299), 0);
         assert_eq!(awg.tick(1000), 1);
         assert_eq!(awg.playing(), 0);
         assert_eq!(awg.retired(), 2);
-        assert_eq!(awg.next_event_ns(), None);
+    }
+
+    #[test]
+    fn a_late_awg_tick_retires_everything_due() {
+        let map = ChannelMap::linear(4);
+        let mut awg = AwgBank::new(timings());
+        for (t, qubit) in [(0, 0), (5, 1), (10, 2)] {
+            awg.emit(&map, t, &QuantumOp::Gate1(Gate1::X, q(qubit)));
+        }
+        assert_eq!(awg.tick(1000), 3);
+        awg.emit(&map, 1000, &QuantumOp::Gate1(Gate1::X, q(3)));
+        assert_eq!(awg.playing(), 1);
+        assert_eq!(awg.max_concurrent(), 3);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! the workspace was written against: `Machine::new(cfg, program, qpu)`
 //! compiles a job and builds its one shot.
 
-use crate::backend::QpuBackend;
+use crate::backend::{IssueStream, QpuBackend};
 use crate::config::QuapeConfig;
 use crate::devices::{AwgBank, ChannelMap, Daq, MeasurementFile};
 use crate::fast::{FastProcessor, StallInfo};
@@ -679,8 +679,12 @@ impl ShotCore<FastProcessor> {
         {
             return None;
         }
-        let mut trace = ReplayTrace {
-            issues: Vec::new(),
+        let mut daq = Daq::new(cfg.daq_demod_slots);
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let stream = IssueStream::new(issues.to_vec(), cfg.timings);
+        let latest = route_readouts(cfg, &self.job.chan, &mut rng, &mut daq, stream.measures());
+        let trace = ReplayTrace {
+            stream,
             settled_cycle,
             // Once every block is done, no processor can act again; after
             // a `HALT`, the others may still run past the recorded stop.
@@ -693,17 +697,10 @@ impl ShotCore<FastProcessor> {
             late_cycles: self.late_cycles,
             awg_violations: self.awg.violations().len() as u64,
         };
-        let mut daq = Daq::new(cfg.daq_demod_slots);
-        let mut rng = SmallRng::seed_from_u64(rng_seed);
-        let latest = route_readouts(cfg, &self.job.chan, &mut rng, &mut daq, issues);
         let reproduced = trace.stop_cycle(latest, cfg.clock_ns) == Some(self.cycle)
             && daq.contended_results() == self.daq.contended_results();
         debug_assert!(reproduced, "replay missed a recorded shot's stop");
-        if !reproduced {
-            return None;
-        }
-        trace.issues = issues.to_vec();
-        Some(trace)
+        reproduced.then_some(trace)
     }
 
     /// Replays `trace` as the shot that drives `qpu` with the machine
@@ -712,10 +709,12 @@ impl ShotCore<FastProcessor> {
     ///
     /// Readout timing depends on when and on which qubit each measurement
     /// was issued and on the jitter draws, never on outcomes. So the DAQ
-    /// pass runs first and fixes the stop cycle before the backend sees
-    /// an operation. A shot whose stop the trace cannot tell, or that
-    /// would reach `max_cycles`, hands `qpu` back untouched, to be
-    /// simulated in full.
+    /// pass, over the recorded measurements only, runs first and fixes
+    /// the stop cycle before the backend sees an operation. A shot whose
+    /// stop the trace cannot tell, or that would reach `max_cycles`,
+    /// hands `qpu` back untouched, to be simulated in full. Otherwise the
+    /// backend receives the whole stream through
+    /// [`QpuBackend::replay`].
     fn replay(
         &mut self,
         trace: &ReplayTrace,
@@ -731,7 +730,7 @@ impl ShotCore<FastProcessor> {
             &self.job.chan,
             &mut self.rng,
             &mut self.daq,
-            &trace.issues,
+            trace.stream.measures(),
         );
         let Some(stop_cycle) = trace
             .stop_cycle(latest, cfg.clock_ns)
@@ -741,16 +740,7 @@ impl ShotCore<FastProcessor> {
         };
         qpu.set_lean(true);
         self.measurements.clear();
-        for issued in &trace.issues {
-            let outcome = qpu.apply(issued.time_ns, issued.op);
-            if let (QuantumOp::Measure(qubit), Some(value)) = (issued.op, outcome) {
-                self.measurements.push(MeasurementRecord {
-                    time_ns: issued.time_ns,
-                    qubit,
-                    value,
-                });
-            }
-        }
+        qpu.replay(&trace.stream, &mut self.measurements);
         self.qpu = qpu;
         self.cycle = stop_cycle;
         self.late_issues = trace.late_issues;
@@ -777,8 +767,15 @@ impl ShotCore<FastProcessor> {
     /// *cycle-independent* activity inactive — dispatch, fetch, context
     /// resolution, and (when the scheduler ran free) the action picker —
     /// so the skip only re-examines the *clocked* events: timing-queue
-    /// heads, switch deadlines, the DAQ, the AWG, and scheduler busy
-    /// spans. The from-first-principles verifiers
+    /// heads, switch deadlines, the DAQ, and scheduler busy spans.
+    ///
+    /// AWG retirement is not among them. A waveform ending inside the
+    /// span changes only the bank's in-flight queue, which nothing reads
+    /// but an emission (for its overlap checks and the concurrency peak),
+    /// and no stop condition reads at all. The first stepped cycle after
+    /// the span retires every waveform that ended by then, before any
+    /// processor can emit, so each emission sees the queue the
+    /// cycle-stepped run would have left. The from-first-principles verifiers
     /// ([`FastProcessor::stall_info`], [`Scheduler::would_act`])
     /// cross-check every trusted verdict under `debug_assertions`.
     ///
@@ -793,6 +790,12 @@ impl ShotCore<FastProcessor> {
     ///   finished-block notification pending ([`Scheduler::is_settled`]),
     ///   cross-checked against [`Scheduler::would_act`] under
     ///   `debug_assertions`.
+    /// - A real scheduler tick costs per event, not per block: the
+    ///   dependency state is kept in bit-vectors and counts updated as
+    ///   blocks start and finish, and the priority counter moves only
+    ///   when a block completes (see the scheduler module).
+    /// - The AWG's playback queue is not an event horizon (see the
+    ///   soundness argument above), so waveform ends never cut a skip.
     ///
     /// The differential suites (`step_mode_equivalence`,
     /// `proptest_executors`) hold this loop bit-identical to the
@@ -842,28 +845,20 @@ impl ShotCore<FastProcessor> {
             // conditions cannot have changed (their inputs are all
             // observable state) and a time skip is worth attempting.
             let mut maybe_stalled = false;
-            // Block statuses only move inside `Scheduler::tick` (or the
-            // pre-loop initial load), so the all-done verdict is cached
-            // and refreshed after each non-elided scheduler tick instead
-            // of re-scanning the status table on every progress cycle.
-            let mut all_done = scheduler.all_done();
-            // Cached device event horizons (`u64::MAX` = none pending).
-            // The DAQ queue only changes by delivering (guarded below) or
-            // by an issue inside a processor tick (which reports
-            // progress); the AWG timeline only changes by retiring
-            // (guarded below) or by an emission inside an issue. Both
-            // caches are refreshed at exactly those points, so the
+            // Cached DAQ event horizon (`u64::MAX` = none pending). The
+            // queue only changes by delivering (guarded below) or by an
+            // issue inside a processor tick (which reports progress); the
+            // cache is refreshed at exactly those points, so the
             // steady-state stall cycles and the skip checks read a local
-            // instead of probing the device queues.
+            // instead of probing the queue.
             let mut daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
-            let mut awg_next = env.awg.next_event_ns().unwrap_or(u64::MAX);
             let watch_settle = *settle != Settle::Off;
             loop {
                 if !maybe_stalled {
                     if *env.error {
                         break StopReason::Error;
                     }
-                    let stop = processor_stop(processors, all_done, *env.halt);
+                    let stop = processor_stop(processors, scheduler.all_done(), *env.halt);
                     if watch_settle {
                         settle.observe(*cycle, stop);
                     }
@@ -888,27 +883,16 @@ impl ShotCore<FastProcessor> {
                             }
                             merge(&mut horizon, daq_next.div_ceil(clock_ns));
                         }
-                        if awg_next != u64::MAX {
-                            if awg_next <= now_ns {
-                                break 'skip false;
-                            }
-                            merge(&mut horizon, awg_next.div_ceil(clock_ns));
-                        }
                         debug_assert_eq!(
                             daq_next,
                             env.daq.next_delivery_ns().unwrap_or(u64::MAX),
                             "stale DAQ horizon cache"
                         );
-                        debug_assert_eq!(
-                            awg_next,
-                            env.awg.next_event_ns().unwrap_or(u64::MAX),
-                            "stale AWG horizon cache"
-                        );
-                        // A processor finishing a block or the priority
-                        // counter moving would have registered as progress
-                        // last tick, so neither needs re-checking here.
+                        // A processor finishing a block would have
+                        // registered as progress last tick (and only that
+                        // moves the priority counter), so it needs no
+                        // re-check here.
                         debug_assert!(!processors.iter().any(|p| p.finished_pending()));
-                        debug_assert!(!scheduler.counter_would_advance(program));
                         let cross_check =
                             |p: &FastProcessor,
                              verdict: &Option<StallInfo>,
@@ -1037,15 +1021,14 @@ impl ShotCore<FastProcessor> {
                     progress = env.daq.tick(now_ns, env.mrr) != 0;
                     daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
                 }
-                if awg_next <= now_ns {
-                    env.awg.tick(now_ns);
-                    awg_next = env.awg.next_event_ns().unwrap_or(u64::MAX);
-                }
+                // Retire every waveform that ended by now, including those
+                // that ended inside a skipped span: the playback queue is
+                // read only by an emission, which comes after this.
+                env.awg.tick(now_ns);
                 if !scheduler.is_settled() || processors.iter().any(|p| p.finished_pending()) {
                     let events = scheduler.events.len();
                     scheduler.tick(now, processors, program, code, cfg, stats);
                     progress |= events != scheduler.events.len();
-                    all_done = scheduler.all_done();
                 } else {
                     // A settled scheduler with no pending done-notification
                     // cannot act: nothing that feeds its picker (block
@@ -1061,11 +1044,10 @@ impl ShotCore<FastProcessor> {
                     progress |= p.tick(now, &mut env);
                 }
                 if progress {
-                    // A processor tick can only touch the device queues
+                    // A processor tick can only touch the DAQ queue
                     // through an issue (which reports progress), so the
-                    // horizon caches need refreshing exactly here.
+                    // horizon cache needs refreshing exactly here.
                     daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
-                    awg_next = env.awg.next_event_ns().unwrap_or(u64::MAX);
                 }
                 *cycle = now + 1;
                 maybe_stalled = !progress;
@@ -1169,18 +1151,18 @@ impl ShotOutcome<'_> {
 /// stream outgrows this is simulated on every shot instead.
 const MAX_RECORDED_ISSUES: usize = 1 << 18;
 
-/// Sends every measurement of `issues` through `daq` in issue order,
-/// drawing jitter from `rng` as the issue path does; returns the latest
-/// delivery time. The outcomes are placeholders: replay never delivers.
+/// Sends the recorded `measures` through `daq` in issue order, drawing
+/// jitter from `rng` as the issue path does; returns the latest delivery
+/// time. The outcomes are placeholders: replay never delivers.
 fn route_readouts(
     cfg: &QuapeConfig,
     chan: &ChannelMap,
     rng: &mut SmallRng,
     daq: &mut Daq,
-    issues: &[IssuedOp],
+    measures: &[IssuedOp],
 ) -> Option<u64> {
     let mut latest = None;
-    for issued in issues {
+    for issued in measures {
         if let QuantumOp::Measure(q) = issued.op {
             let at = route_readout(cfg, chan, rng, daq, issued.time_ns, q, false);
             latest = latest.max(Some(at));
@@ -1205,9 +1187,15 @@ fn route_readouts(
 /// and that every operation was issued before `settled_cycle`. So up to
 /// `held_until`, a shot stops at the first loop top from `settled_cycle`
 /// on at which no result is in flight ([`stop_cycle`](Self::stop_cycle)).
+///
+/// The stream keeps its measurement subsequence, which is all the DAQ
+/// pass of a replayed shot walks, and the occupancy snapshot the
+/// behavioural backend adopts (see [`IssueStream`]); both are computed
+/// once, when the trace is taken.
 struct ReplayTrace {
-    /// Every operation sent to the QPU, with its issue time, in order.
-    issues: Vec<IssuedOp>,
+    /// Every operation sent to the QPU, with its issue time, in order;
+    /// the measurements among them; and the occupancy they leave.
+    stream: IssueStream,
     /// First loop top at which the processor side of the stop condition
     /// held.
     settled_cycle: u64,
@@ -1267,8 +1255,15 @@ impl ReplayTrace {
 ///    the same check the run loop breaks on) or the loop top after the
 ///    cycle that delivers the last result (`⌈last delivery / clock⌉ +
 ///    1`), whichever is later;
-/// 3. the recorded stream is applied to this shot's backend, which
-///    yields the outcomes, violations, issued count and makespan.
+/// 3. the recorded stream goes to this shot's backend through
+///    [`QpuBackend::replay`], which yields the outcomes, violations,
+///    issued count and makespan. By default that applies every operation;
+///    a pristine behavioural backend with the job's timings instead adopts
+///    the stream's occupancy snapshot and draws only the outcomes, one per
+///    recorded measurement in stream order, the same draws `apply` makes.
+///
+/// So a replayed shot costs the DAQ pass over its measurements and one
+/// outcome draw each, not one backend call per operation.
 ///
 /// Late issues, AWG violations and the stop reason are the recorded
 /// ones. The rule in step 2 is exact only if the processor side kept

@@ -8,6 +8,19 @@
 //! fine-grained blocks overwhelm the scheduler. Prefetching into the free
 //! cache bank of a processor hides most of the allocation latency.
 //!
+//! Like the hardware's status registers, the scheduler keeps its view of
+//! the table as bit-vectors over block indices, updated per event rather
+//! than re-derived by scanning the table: which blocks wait, which are
+//! prefetched, and which have their dependencies met (or nearly met, for
+//! prefetch). A block's direct dependencies are counted down as they
+//! finish and start; the priority counter moves only in a tick that
+//! consumed a done-notification, and the done count answers "all done".
+//! Ready and prefetch candidates are the lowest set bits of the combined
+//! words, so the choice is in block-index order, as the scan it replaces
+//! made it. That scan survives only as a `debug_assertions` verifier of
+//! every pick: both executors share this scheduler, so the cycle-stepped
+//! oracle cannot catch a scheduler bug.
+//!
 //! The decision logic is split from its application: [`Scheduler::tick`]
 //! applies whatever [`Scheduler::pick_action`] selects, and the
 //! lowered run loop reuses the same picker read-only (via
@@ -45,6 +58,15 @@ enum RtStatus {
 }
 
 impl RtStatus {
+    /// In execution, being allocated, or done: the status never returns
+    /// to waiting once here.
+    fn started(self) -> bool {
+        matches!(
+            self,
+            RtStatus::InExecution | RtStatus::Allocating { .. } | RtStatus::Done
+        )
+    }
+
     fn public(self) -> BlockStatus {
         match self {
             RtStatus::Wait => BlockStatus::Wait,
@@ -80,7 +102,7 @@ impl Job {
 
 /// A scheduling decision, separated from its application so the
 /// lowered run loop can ask "would you act?" without side effects.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SchedAction {
     /// Switch an idle processor onto the bank already holding `block`.
     StartPrefetched { block: BlockId, proc: usize },
@@ -93,6 +115,131 @@ enum SchedAction {
     },
     /// Fill `block` into a free bank of `proc` ahead of time.
     Prefetch { block: BlockId, proc: usize },
+}
+
+/// Sentinel for "no priority level" in [`DepTables::level_of`].
+const NO_LEVEL: u32 = u32::MAX;
+
+/// The block table's dependency structure, derived once from the
+/// program: the direct-dependency graph as a dependents list, and the
+/// priority levels with their members. Shot resets keep it.
+#[derive(Debug)]
+struct DepTables {
+    /// Number of direct dependencies of each block (0 for priority
+    /// blocks).
+    dep_count: Vec<u32>,
+    /// `dependents[dependents_at[b]..dependents_at[b + 1]]`: the blocks
+    /// that list `b` as a direct dependency (once per listing).
+    dependents_at: Vec<u32>,
+    dependents: Vec<u16>,
+    /// The distinct priorities in ascending order, each with its blocks
+    /// (`level_blocks[level_at[i]..level_at[i + 1]]`).
+    levels: Vec<u16>,
+    level_at: Vec<u32>,
+    level_blocks: Vec<u16>,
+    /// Index into `levels` of each priority block, [`NO_LEVEL`] for a
+    /// direct one.
+    level_of: Vec<u32>,
+}
+
+impl DepTables {
+    fn new(program: &Program) -> Self {
+        let blocks = program.blocks();
+        let mut levels: Vec<u16> = blocks
+            .iter()
+            .filter_map(|(_, info)| match info.dependency {
+                Dependency::Priority(p) => Some(p),
+                Dependency::Direct(_) => None,
+            })
+            .collect();
+        levels.sort_unstable();
+        levels.dedup();
+        let mut dep_count = vec![0u32; blocks.len()];
+        let mut level_of = vec![NO_LEVEL; blocks.len()];
+        let mut edges = Vec::new();
+        let mut members = Vec::new();
+        for (id, info) in blocks.iter() {
+            match &info.dependency {
+                Dependency::Direct(deps) => {
+                    dep_count[id.index()] = deps.len() as u32;
+                    edges.extend(deps.iter().map(|d| (d.index(), id.0)));
+                }
+                Dependency::Priority(p) => {
+                    let level = levels.binary_search(p).expect("level listed");
+                    level_of[id.index()] = level as u32;
+                    members.push((level, id.0));
+                }
+            }
+        }
+        let (dependents_at, dependents) = group(blocks.len(), &edges);
+        let (level_at, level_blocks) = group(levels.len(), &members);
+        DepTables {
+            dep_count,
+            dependents_at,
+            dependents,
+            levels,
+            level_at,
+            level_blocks,
+            level_of,
+        }
+    }
+
+    fn dependents(&self, block: usize) -> &[u16] {
+        &self.dependents[self.dependents_at[block] as usize..self.dependents_at[block + 1] as usize]
+    }
+
+    /// The blocks at priority `value` (none if no block has it).
+    fn at_priority(&self, value: Option<u16>) -> &[u16] {
+        match value.and_then(|v| self.levels.binary_search(&v).ok()) {
+            Some(i) => &self.level_blocks[self.level_at[i] as usize..self.level_at[i + 1] as usize],
+            None => &[],
+        }
+    }
+
+    fn level_size(&self, level: usize) -> u32 {
+        self.level_at[level + 1] - self.level_at[level]
+    }
+}
+
+/// Groups `(key, item)` pairs, keys below `keys`, into one array: the
+/// items of key `k` are `items[at[k]..at[k + 1]]`, in pair order.
+fn group(keys: usize, pairs: &[(usize, u16)]) -> (Vec<u32>, Vec<u16>) {
+    let mut at = vec![0u32; keys + 1];
+    for &(k, _) in pairs {
+        at[k + 1] += 1;
+    }
+    for k in 0..keys {
+        at[k + 1] += at[k];
+    }
+    let mut fill = at.clone();
+    let mut items = vec![0u16; pairs.len()];
+    for &(k, item) in pairs {
+        items[fill[k] as usize] = item;
+        fill[k] += 1;
+    }
+    (at, items)
+}
+
+fn put_bit(bits: &mut [u64], i: usize, on: bool) {
+    if on {
+        bits[i / 64] |= 1 << (i % 64);
+    } else {
+        bits[i / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// The indices set in the words `word(0..words)`, ascending.
+fn set_bits(words: usize, word: impl Fn(usize) -> u64) -> impl Iterator<Item = usize> {
+    (0..words).flat_map(move |w| {
+        let mut bits = word(w);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// The dynamic block scheduler.
@@ -109,6 +256,23 @@ pub(crate) struct Scheduler {
     /// changes, without re-running the picker.
     settled: bool,
     pub(crate) events: Vec<BlockEvent>,
+    tables: DepTables,
+    /// Status bit-vectors: blocks in `Wait`, and in `Prefetched`.
+    waiting: Vec<u64>,
+    prefetched: Vec<u64>,
+    /// Blocks whose dependency is met (every direct dependency done, or
+    /// the priority equal to the counter), and blocks that are prefetch
+    /// candidates (every direct dependency started, or the priority at
+    /// the counter or one above).
+    met: Vec<u64>,
+    near: Vec<u64>,
+    /// Per block, its direct dependencies not yet done and not yet
+    /// started.
+    undone_deps: Vec<u32>,
+    unstarted_deps: Vec<u32>,
+    /// Per priority level, its blocks not yet done.
+    level_open: Vec<u32>,
+    done: usize,
 }
 
 impl Scheduler {
@@ -119,7 +283,9 @@ impl Scheduler {
     /// [`QuapeConfig::dependency_mode`]: crate::QuapeConfig::dependency_mode
     pub fn new(program: &Program, override_mode: Option<DependencyMode>) -> Self {
         let n = program.blocks().len();
-        Scheduler {
+        let words = n.div_ceil(64);
+        let tables = DepTables::new(program);
+        let mut scheduler = Scheduler {
             status: vec![RtStatus::Wait; n],
             mode: override_mode.or(program.blocks().mode()),
             priority_counter: 0,
@@ -127,7 +293,18 @@ impl Scheduler {
             job: None,
             settled: false,
             events: Vec::new(),
-        }
+            waiting: vec![0; words],
+            prefetched: vec![0; words],
+            met: vec![0; words],
+            near: vec![0; words],
+            undone_deps: tables.dep_count.clone(),
+            unstarted_deps: tables.dep_count.clone(),
+            level_open: vec![0; tables.levels.len()],
+            done: 0,
+            tables,
+        };
+        scheduler.reset();
+        scheduler
     }
 
     /// Returns the scheduler to its just-constructed state for the same
@@ -135,12 +312,34 @@ impl Scheduler {
     /// arena-reuse twin of [`Scheduler::new`]; the resolved dependency
     /// mode survives).
     pub fn reset(&mut self) {
+        let n = self.status.len();
         self.status.fill(RtStatus::Wait);
         self.priority_counter = 0;
         self.busy_until = 0;
         self.job = None;
         self.settled = false;
         self.events.clear();
+        self.waiting.fill(!0);
+        if n % 64 != 0 {
+            *self.waiting.last_mut().expect("n > 0") = (1 << (n % 64)) - 1;
+        }
+        self.prefetched.fill(0);
+        self.met.fill(0);
+        self.near.fill(0);
+        let tables = &self.tables;
+        self.undone_deps.copy_from_slice(&tables.dep_count);
+        self.unstarted_deps.copy_from_slice(&tables.dep_count);
+        for b in 0..n {
+            if tables.level_of[b] == NO_LEVEL && tables.dep_count[b] == 0 {
+                put_bit(&mut self.met, b, true);
+                put_bit(&mut self.near, b, true);
+            }
+        }
+        for (level, open) in self.level_open.iter_mut().enumerate() {
+            *open = tables.level_size(level);
+        }
+        self.done = 0;
+        self.mark_priority(true);
     }
 
     /// Pre-task initial load: the first `count` blocks of the table are
@@ -159,6 +358,7 @@ impl Scheduler {
             proc.install_initial(id, code);
             self.set_status(0, id, RtStatus::Prefetched { proc: i });
         }
+        self.advance_priority_counter();
     }
 
     fn set_status(&mut self, cycle: u64, block: BlockId, status: RtStatus) {
@@ -168,7 +368,36 @@ impl Scheduler {
             | RtStatus::Allocating { proc } => Some(proc),
             _ => None,
         };
-        self.status[block.index()] = status;
+        let b = block.index();
+        let old = std::mem::replace(&mut self.status[b], status);
+        put_bit(&mut self.waiting, b, status == RtStatus::Wait);
+        put_bit(
+            &mut self.prefetched,
+            b,
+            matches!(status, RtStatus::Prefetched { .. }),
+        );
+        if !old.started() && status.started() {
+            for &d in self.tables.dependents(b) {
+                let d = usize::from(d);
+                self.unstarted_deps[d] -= 1;
+                if self.unstarted_deps[d] == 0 {
+                    put_bit(&mut self.near, d, true);
+                }
+            }
+        }
+        if old != RtStatus::Done && status == RtStatus::Done {
+            self.done += 1;
+            if let Some(open) = self.level_open.get_mut(self.tables.level_of[b] as usize) {
+                *open -= 1;
+            }
+            for &d in self.tables.dependents(b) {
+                let d = usize::from(d);
+                self.undone_deps[d] -= 1;
+                if self.undone_deps[d] == 0 {
+                    put_bit(&mut self.met, d, true);
+                }
+            }
+        }
         self.events.push(BlockEvent {
             cycle,
             block,
@@ -179,7 +408,13 @@ impl Scheduler {
 
     /// True once every block has completed.
     pub fn all_done(&self) -> bool {
-        self.status.iter().all(|s| matches!(s, RtStatus::Done))
+        let done = self.done == self.status.len();
+        debug_assert_eq!(
+            done,
+            self.status.iter().all(|s| matches!(s, RtStatus::Done)),
+            "done count diverged from the status table"
+        );
+        done
     }
 
     /// True when a scheduling job is in flight.
@@ -203,7 +438,44 @@ impl Scheduler {
         self.settled
     }
 
-    fn dependency_met(&self, dep: &Dependency) -> bool {
+    /// Sets (`on`) or clears the `met` bits of the blocks at the counter's
+    /// priority and the `near` bits of those at it and one above.
+    fn mark_priority(&mut self, on: bool) {
+        let counter = self.priority_counter;
+        let tables = &self.tables;
+        let mark = |bits: &mut [u64], blocks: &[u16]| {
+            for &b in blocks {
+                put_bit(bits, usize::from(b), on);
+            }
+        };
+        mark(&mut self.met, tables.at_priority(Some(counter)));
+        mark(&mut self.near, tables.at_priority(Some(counter)));
+        mark(&mut self.near, tables.at_priority(counter.checked_add(1)));
+    }
+
+    /// Moves the priority counter to the lowest level, at or above it,
+    /// that still has a block not done (it stays put when none has).
+    fn advance_priority_counter(&mut self) {
+        if self.mode != Some(DependencyMode::Priority) {
+            return;
+        }
+        let from = self
+            .tables
+            .levels
+            .partition_point(|&p| p < self.priority_counter);
+        let Some(level) = (from..self.level_open.len()).find(|&i| self.level_open[i] > 0) else {
+            return;
+        };
+        let target = self.tables.levels[level];
+        if target != self.priority_counter {
+            self.mark_priority(false);
+            self.priority_counter = target;
+            self.mark_priority(true);
+        }
+    }
+
+    /// Scan verifier of the `met` bits: a block's dependency holds.
+    fn dependency_met_scan(&self, dep: &Dependency) -> bool {
         match dep {
             Dependency::Direct(deps) => deps
                 .iter()
@@ -212,24 +484,21 @@ impl Scheduler {
         }
     }
 
-    /// A block is a prefetch candidate when all of its dependencies are at
-    /// least in execution (so it is plausibly next).
-    fn prefetch_candidate(&self, dep: &Dependency) -> bool {
+    /// Scan verifier of the `near` bits: a block is a prefetch candidate
+    /// when all of its dependencies are at least in execution (so it is
+    /// plausibly next).
+    fn prefetch_candidate_scan(&self, dep: &Dependency) -> bool {
         match dep {
-            Dependency::Direct(deps) => deps.iter().all(|d| {
-                matches!(
-                    self.status[d.index()],
-                    RtStatus::InExecution | RtStatus::Allocating { .. } | RtStatus::Done
-                )
-            }),
+            Dependency::Direct(deps) => deps.iter().all(|d| self.status[d.index()].started()),
             Dependency::Priority(p) => {
-                *p == self.priority_counter || *p == self.priority_counter + 1
+                *p == self.priority_counter || Some(*p) == self.priority_counter.checked_add(1)
             }
         }
     }
 
-    /// Where the priority counter should sit given the current statuses.
-    fn priority_counter_target(&self, program: &Program) -> u16 {
+    /// Scan verifier of the counter: where it should sit given the
+    /// current statuses.
+    fn priority_counter_scan(&self, program: &Program) -> u16 {
         if self.mode != Some(DependencyMode::Priority) {
             return self.priority_counter;
         }
@@ -258,14 +527,13 @@ impl Scheduler {
         }
     }
 
-    /// True when the next tick would move the priority counter (a level
-    /// just completed) — observable progress for the lowered loop's time skip.
-    pub fn counter_would_advance(&self, program: &Program) -> bool {
-        self.priority_counter_target(program) != self.priority_counter
-    }
-
-    fn advance_priority_counter(&mut self, program: &Program) {
-        self.priority_counter = self.priority_counter_target(program);
+    /// Blocks in `Wait` or `Prefetched` whose dependency is met, in
+    /// block-index order.
+    fn ready(&self) -> impl Iterator<Item = BlockId> + '_ {
+        set_bits(self.met.len(), |w| {
+            (self.waiting[w] | self.prefetched[w]) & self.met[w]
+        })
+        .map(|b| BlockId(b as u16))
     }
 
     fn fill_cycles(&self, len: usize, cfg: &QuapeConfig) -> u64 {
@@ -281,27 +549,107 @@ impl Scheduler {
         program: &Program,
         cfg: &QuapeConfig,
     ) -> Option<SchedAction> {
-        // Allocation-free: this runs inside the lowered loop's skip check
-        // on every potential jump, so the ready set is scanned in place.
-        let ready = || {
-            program.blocks().iter().filter(|(id, info)| {
-                matches!(
-                    self.status[id.index()],
-                    RtStatus::Wait | RtStatus::Prefetched { .. }
-                ) && self.dependency_met(&info.dependency)
-            })
-        };
+        let action = self.pick_from_bits(processors, program, cfg);
+        debug_assert_eq!(
+            action,
+            self.pick_action_scan(processors, program, cfg),
+            "status bit-vectors diverged from the table scan"
+        );
+        action
+    }
 
-        for (block, _) in ready() {
-            if let RtStatus::Prefetched { proc } = self.status[block.index()] {
+    /// [`pick_action`](Self::pick_action) on the status bit-vectors.
+    /// Allocation-free: this runs inside the lowered loop's skip check.
+    fn pick_from_bits<P: ProcessorCore>(
+        &self,
+        processors: &[P],
+        program: &Program,
+        cfg: &QuapeConfig,
+    ) -> Option<SchedAction> {
+        let prefetched_ready = set_bits(self.met.len(), |w| self.prefetched[w] & self.met[w]);
+        for b in prefetched_ready {
+            if let RtStatus::Prefetched { proc } = self.status[b] {
                 if processors[proc].is_idle() {
+                    let block = BlockId(b as u16);
                     return Some(SchedAction::StartPrefetched { block, proc });
                 }
             }
         }
         // No prefetched block could start; allocate the first waiting
         // ready block (or a stranded prefetch) to an idle processor.
-        for (block, _) in ready() {
+        if let Some(proc) = processors.iter().position(P::is_idle) {
+            for block in self.ready() {
+                let abandon = match self.status[block.index()] {
+                    RtStatus::Wait => None,
+                    RtStatus::Prefetched { proc } if !processors[proc].is_idle() => Some(proc),
+                    _ => continue,
+                };
+                return Some(SchedAction::Allocate {
+                    block,
+                    proc,
+                    abandon,
+                });
+            }
+        }
+        if !cfg.prefetch {
+            return None;
+        }
+        let b = set_bits(self.near.len(), |w| self.waiting[w] & self.near[w]).next()?;
+        self.prefetch_into(BlockId(b as u16), processors, program)
+    }
+
+    /// Where a prefetch of `block` goes: a processor executing one of
+    /// its direct dependencies, else any processor with a free bank.
+    fn prefetch_into<P: ProcessorCore>(
+        &self,
+        block: BlockId,
+        processors: &[P],
+        program: &Program,
+    ) -> Option<SchedAction> {
+        let info = program.blocks().get(block).expect("block in table");
+        let dep_proc = match &info.dependency {
+            Dependency::Direct(deps) => processors.iter().position(|p| {
+                p.current_block().is_some_and(|b| deps.contains(&b)) && p.has_free_bank()
+            }),
+            Dependency::Priority(_) => None,
+        };
+        let target = dep_proc.or_else(|| processors.iter().position(P::has_free_bank))?;
+        Some(SchedAction::Prefetch {
+            block,
+            proc: target,
+        })
+    }
+
+    /// Scan verifier of [`ready`](Self::ready).
+    fn ready_scan<'a>(&'a self, program: &'a Program) -> impl Iterator<Item = BlockId> + 'a {
+        program
+            .blocks()
+            .iter()
+            .filter(|(id, info)| {
+                matches!(
+                    self.status[id.index()],
+                    RtStatus::Wait | RtStatus::Prefetched { .. }
+                ) && self.dependency_met_scan(&info.dependency)
+            })
+            .map(|(id, _)| id)
+    }
+
+    /// Scan verifier of [`pick_from_bits`](Self::pick_from_bits): the
+    /// same choice, made by walking the whole table.
+    fn pick_action_scan<P: ProcessorCore>(
+        &self,
+        processors: &[P],
+        program: &Program,
+        cfg: &QuapeConfig,
+    ) -> Option<SchedAction> {
+        for block in self.ready_scan(program) {
+            if let RtStatus::Prefetched { proc } = self.status[block.index()] {
+                if processors[proc].is_idle() {
+                    return Some(SchedAction::StartPrefetched { block, proc });
+                }
+            }
+        }
+        for block in self.ready_scan(program) {
             let abandon = match self.status[block.index()] {
                 RtStatus::Wait => None,
                 RtStatus::Prefetched { proc } if !processors[proc].is_idle() => Some(proc),
@@ -315,29 +663,14 @@ impl Scheduler {
                 });
             }
         }
-
-        // Otherwise prefetch an upcoming block into a free bank.
         if !cfg.prefetch {
             return None;
         }
-        let candidate = program.blocks().iter().find(|(id, info)| {
+        let (block, _) = program.blocks().iter().find(|(id, info)| {
             matches!(self.status[id.index()], RtStatus::Wait)
-                && self.prefetch_candidate(&info.dependency)
+                && self.prefetch_candidate_scan(&info.dependency)
         })?;
-        let (block, info) = candidate;
-        // Prefer a processor executing one of the block's direct
-        // dependencies; otherwise any processor with a free bank.
-        let dep_proc = match &info.dependency {
-            Dependency::Direct(deps) => processors.iter().position(|p| {
-                p.current_block().is_some_and(|b| deps.contains(&b)) && p.has_free_bank()
-            }),
-            Dependency::Priority(_) => None,
-        };
-        let target = dep_proc.or_else(|| processors.iter().position(P::has_free_bank))?;
-        Some(SchedAction::Prefetch {
-            block,
-            proc: target,
-        })
+        self.prefetch_into(block, processors, program)
     }
 
     /// Read-only twin of [`Scheduler::tick`] for the lowered loop:
@@ -379,13 +712,23 @@ impl Scheduler {
         // leaves the trusted-skip path re-verifying for itself).
         self.settled = false;
 
-        // 1. Consume done notifications.
+        // 1. Consume done notifications; only a completion moves the
+        // priority counter.
+        let mut finished = false;
         for p in processors.iter_mut() {
             if let Some(block) = p.take_finished() {
                 self.set_status(cycle, block, RtStatus::Done);
+                finished = true;
             }
         }
-        self.advance_priority_counter(program);
+        if finished {
+            self.advance_priority_counter();
+        }
+        debug_assert_eq!(
+            self.priority_counter,
+            self.priority_counter_scan(program),
+            "priority counter diverged from the table scan"
+        );
 
         if cfg.ideal_scheduler {
             self.tick_ideal(cycle, processors, program, code);
@@ -431,9 +774,15 @@ impl Scheduler {
         // 3./4. Start one scheduling action.
         match self.pick_action(processors, program, cfg) {
             Some(SchedAction::StartPrefetched { block, proc }) => {
-                processors[proc].start_prefetched(block, cfg.switch_cycles, cycle);
-                self.set_status(cycle, block, RtStatus::InExecution);
-                stats.prefetch_hits += 1;
+                if processors[proc].start_prefetched(block, cfg.switch_cycles, cycle) {
+                    self.set_status(cycle, block, RtStatus::InExecution);
+                    stats.prefetch_hits += 1;
+                } else {
+                    // An allocation to this processor replaced the bank
+                    // holding the block (a pre-task load that was not
+                    // ready yet): back to wait, to be allocated afresh.
+                    self.set_status(cycle, block, RtStatus::Wait);
+                }
                 self.busy_until = cycle + 1;
             }
             Some(SchedAction::Allocate {
@@ -476,14 +825,14 @@ impl Scheduler {
         processors: &[P],
         program: &Program,
     ) -> Option<(BlockId, usize)> {
-        let (block, _) = program.blocks().iter().find(|(id, info)| {
-            matches!(
-                self.status[id.index()],
-                RtStatus::Wait | RtStatus::Prefetched { .. }
-            ) && self.dependency_met(&info.dependency)
-        })?;
+        let block = self.ready().next();
+        debug_assert_eq!(
+            block,
+            self.ready_scan(program).next(),
+            "status bit-vectors diverged from the table scan"
+        );
         let proc = processors.iter().position(P::is_idle)?;
-        Some((block, proc))
+        Some((block?, proc))
     }
 
     /// Zero-cost scheduling for the ideal-speedup series of Fig. 11b.

@@ -8,14 +8,26 @@
 //! scalar, superscalar, multiprocessor and demod-starved multiplexed
 //! machines, with and without DAQ jitter, under budgets that truncate
 //! shots as well as ones that do not.
+//!
+//! A replayed shot reaches its backend through one of two lanes: the
+//! behavioural QPU's own `replay`, which adopts the stream's occupancy
+//! snapshot and draws only the outcomes, or the trait's default, which
+//! applies every operation. A wrapper backend that keeps the default
+//! holds the two lanes to each other, outcome by outcome.
 
 use proptest::prelude::*;
 use quape_core::{
-    BatchAggregate, CompiledJob, QpuFactory, QuapeConfig, ShotEngine, ShotSummary,
-    StateVectorQpuFactory, StepMode,
+    BatchAggregate, CompiledJob, LoweredShotRunner, MeasurementRecord, QpuBackend, QpuFactory,
+    QuapeConfig, ReportMode, ShotEngine, ShotOutcome, ShotSummary, StateVectorQpuFactory, StepMode,
+    StopReason,
 };
-use quape_isa::{ClassicalOp, Cycles, Gate1, Gate2, Program, ProgramBuilder, QuantumOp, Qubit};
-use quape_qpu::{BehavioralQpuFactory, DepolarizingNoise, MeasurementModel, ReadoutError};
+use quape_isa::{
+    ClassicalOp, Cycles, Gate1, Gate2, OpTimings, Program, ProgramBuilder, QuantumOp, Qubit,
+};
+use quape_qpu::{
+    BehavioralQpu, BehavioralQpuFactory, DepolarizingNoise, IssuedOp, MeasurementModel,
+    ReadoutError, TimingViolation,
+};
 use std::sync::Arc;
 
 const QUBITS: u16 = 4;
@@ -225,6 +237,231 @@ fn halt_with_a_chained_block_replays_exactly() {
             replayed,
             BatchAggregate::from_summaries(u64::from(wait), &fresh),
             "wait {wait}"
+        );
+    }
+}
+
+/// A behavioural QPU behind a wrapper that keeps the trait's default
+/// `replay`, so a replayed shot applies its stream operation by operation.
+struct PerOp(BehavioralQpu);
+
+impl QpuBackend for PerOp {
+    fn apply(&mut self, time_ns: u64, op: QuantumOp) -> Option<bool> {
+        self.0.apply(time_ns, op)
+    }
+
+    fn log(&self) -> &[IssuedOp] {
+        self.0.log()
+    }
+
+    fn violations(&self) -> &[TimingViolation] {
+        self.0.violations()
+    }
+
+    fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>) {
+        self.0.take_results()
+    }
+
+    fn set_lean(&mut self, lean: bool) {
+        self.0.set_record_log(!lean);
+    }
+
+    fn issued_count(&self) -> u64 {
+        self.0.issued_count()
+    }
+
+    fn busy_until(&self, qubit: Qubit) -> u64 {
+        self.0.busy_until(qubit)
+    }
+
+    fn makespan_ns(&self) -> u64 {
+        self.0.makespan_ns()
+    }
+}
+
+/// Every counter of one shot, and its outcomes.
+type Key = (
+    u64,
+    StopReason,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    Vec<MeasurementRecord>,
+);
+
+fn key(o: &ShotOutcome<'_>) -> Key {
+    (
+        o.cycles,
+        o.stop,
+        o.issued_ops,
+        o.late_issues,
+        o.late_cycles,
+        o.violations,
+        o.awg_violations,
+        o.daq_contended,
+        o.qpu_makespan_ns,
+        o.measurements.to_vec(),
+    )
+}
+
+/// A backend for one shot: the behavioural QPU as is (the snapshot lane)
+/// or wrapped (the per-operation lane), with `warm_up` operations applied
+/// before the shot when the backend should not be pristine.
+fn backend(
+    per_op: bool,
+    timings: OpTimings,
+    model: &MeasurementModel,
+    seed: u64,
+    warm_up: &[(u64, QuantumOp)],
+) -> Box<dyn QpuBackend> {
+    let mut qpu = BehavioralQpu::new(timings, model.clone(), seed);
+    for &(t, op) in warm_up {
+        qpu.apply(t, op);
+    }
+    if per_op {
+        Box::new(PerOp(qpu))
+    } else {
+        Box::new(qpu)
+    }
+}
+
+/// Runs `SHOTS` shots through one arena (the first records, the rest
+/// replay) and, for comparison, as fresh lean simulations.
+fn both_lanes(
+    job: &CompiledJob,
+    timings: OpTimings,
+    model: &MeasurementModel,
+    warm_up: &[(u64, QuantumOp)],
+) -> [Vec<Key>; 3] {
+    let budget = 500_000;
+    let lane = |per_op: bool| {
+        let mut runner = LoweredShotRunner::new(job.clone());
+        (0..SHOTS)
+            .map(|s| key(&runner.run_shot(backend(per_op, timings, model, s, warm_up), s, budget)))
+            .collect::<Vec<_>>()
+    };
+    let fresh = (0..SHOTS)
+        .map(|s| {
+            let r = job
+                .shot(backend(false, timings, model, s, warm_up), s)
+                .report_mode(ReportMode::Lean)
+                .run_with_mode(StepMode::Lowered, budget);
+            (
+                r.cycles,
+                r.stop,
+                r.issued_ops,
+                r.stats.late_issues,
+                r.stats.late_cycles,
+                r.violations.len() as u64,
+                r.awg_violations.len() as u64,
+                r.stats.daq_contended_results,
+                r.qpu_makespan_ns,
+                r.measurements,
+            )
+        })
+        .collect();
+    [lane(false), lane(true), fresh]
+}
+
+fn per_qubit_model() -> MeasurementModel {
+    MeasurementModel::PerQubit {
+        probabilities: vec![(0, 0.9), (2, 0.1)],
+        default_p_one: 0.5,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The snapshot lane and the per-operation lane give every shot the
+    /// same counters and outcomes as full simulation: under a Bernoulli
+    /// and a per-qubit model, with the job's timings and with a factory
+    /// whose timings differ (the snapshot lane must then decline), and
+    /// with backends that were not pristine when the shot began.
+    #[test]
+    fn both_replay_lanes_match_full_simulation(
+        blocks in proptest::collection::vec(arb_block(), 1..4),
+        halt in any::<bool>(),
+        per_qubit in any::<bool>(),
+        other_timings in any::<bool>(),
+        warm in any::<bool>(),
+    ) {
+        let program = build(&blocks, halt);
+        for cfg in [
+            QuapeConfig::superscalar(8).with_num_qubits(QUBITS),
+            QuapeConfig::multiprocessor(3).with_num_qubits(QUBITS),
+        ] {
+            let job = CompiledJob::compile(cfg.clone(), program.clone()).expect("job compiles");
+            let model = if per_qubit {
+                per_qubit_model()
+            } else {
+                MeasurementModel::Bernoulli { p_one: 0.5 }
+            };
+            let timings = if other_timings {
+                OpTimings { single_qubit_ns: 30, ..cfg.timings }
+            } else {
+                cfg.timings
+            };
+            let warm_up: &[(u64, QuantumOp)] = if warm {
+                &[(0, QuantumOp::Measure(Qubit::new(1))), (0, QuantumOp::Gate1(Gate1::X, Qubit::new(1)))]
+            } else {
+                &[]
+            };
+            let [snapshot, per_op, fresh] = both_lanes(&job, timings, &model, warm_up);
+            prop_assert_eq!(&snapshot, &fresh, "snapshot lane vs full simulation");
+            prop_assert_eq!(&per_op, &fresh, "per-operation lane vs full simulation");
+        }
+    }
+}
+
+/// A fixed stream with timing violations, under each of the four cases.
+#[test]
+fn replay_lanes_agree_on_a_violating_stream() {
+    let program = quape_isa::assemble(
+        "0 X q0\n0 MEAS q0\n1 X q0\n0 H q1\n0 CNOT q1, q2\n0 MEAS q2\n0 MEAS q3\nSTOP\n",
+    )
+    .expect("valid program");
+    let cfg = QuapeConfig::superscalar(8).with_num_qubits(QUBITS);
+    let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
+    let slower = OpTimings {
+        readout_pulse_ns: 900,
+        ..cfg.timings
+    };
+    let warm_up = [(0, QuantumOp::Measure(Qubit::new(3)))];
+    for (case, timings, model, warm_up) in [
+        (
+            "violations",
+            cfg.timings,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+            &[][..],
+        ),
+        ("per-qubit model", cfg.timings, per_qubit_model(), &[][..]),
+        (
+            "other timings",
+            slower,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+            &[][..],
+        ),
+        (
+            "non-pristine",
+            cfg.timings,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+            &warm_up[..],
+        ),
+    ] {
+        let [snapshot, per_op, fresh] = both_lanes(&job, timings, &model, warm_up);
+        assert!(
+            snapshot.iter().all(|k| k.5 > 0),
+            "{case}: the stream violates timing"
+        );
+        assert_eq!(snapshot, fresh, "{case}: snapshot lane vs full simulation");
+        assert_eq!(
+            per_op, fresh,
+            "{case}: per-operation lane vs full simulation"
         );
     }
 }

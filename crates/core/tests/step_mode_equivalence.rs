@@ -234,3 +234,50 @@ fn compiled_jobs_share_a_stable_lowering() {
     let c = a.clone();
     assert!(std::ptr::eq(a.lowered(), c.lowered()));
 }
+
+/// Bursts of waveforms separated by waits: every short waveform of a
+/// burst ends inside the wait, which the lowered loop skips in one jump,
+/// while the readout tone plays on into the next burst (whose gate on the
+/// measured qubit overlaps it). The lowered loop retires the finished
+/// waveforms on the first stepped cycle after the jump, so each emission
+/// must see the same in-flight set as on the cycle-stepped oracle.
+#[test]
+fn waveforms_ending_inside_a_skip_retire_before_the_next_emission() {
+    let mut b = ProgramBuilder::new();
+    for _ in 0..4 {
+        b.quantum(0, QuantumOp::Gate1(Gate1::X, Qubit::new(0)));
+        b.quantum(0, QuantumOp::Gate1(Gate1::X, Qubit::new(1)));
+        b.quantum(
+            0,
+            QuantumOp::Gate2(quape_isa::Gate2::Cnot, Qubit::new(2), Qubit::new(3)),
+        );
+        b.quantum(0, QuantumOp::Measure(Qubit::new(4)));
+        b.push(ClassicalOp::Qwait {
+            cycles: quape_isa::Cycles::new(10),
+        });
+        b.quantum(0, QuantumOp::Gate1(Gate1::Y, Qubit::new(0)));
+        b.quantum(0, QuantumOp::Gate1(Gate1::Y, Qubit::new(1)));
+        b.quantum(0, QuantumOp::Gate1(Gate1::X, Qubit::new(4)));
+        b.push(ClassicalOp::Qwait {
+            cycles: quape_isa::Cycles::new(200),
+        });
+    }
+    b.push(ClassicalOp::Stop);
+    let program = b.finish().expect("valid burst program");
+    for cfg in [QuapeConfig::uniprocessor(), QuapeConfig::superscalar(8)] {
+        let job = CompiledJob::compile(cfg, program.clone()).expect("job compiles");
+        let cycle = run(&job, StepMode::Cycle, 5);
+        let lowered = run(&job, StepMode::Lowered, 5);
+        assert_eq!(lowered.playback, cycle.playback);
+        assert_eq!(lowered.awg_violations, cycle.awg_violations);
+        assert_eq!(
+            lowered.stats.awg_max_concurrent,
+            cycle.stats.awg_max_concurrent
+        );
+        assert_eq!(lowered, cycle);
+        // The first burst plays five waveforms at once (the CNOT takes
+        // two flux lines); the second meets only the readout tone.
+        assert_eq!(lowered.stats.awg_max_concurrent, 5);
+        assert_eq!(lowered.awg_violations.len(), 4, "one overlap per round");
+    }
+}

@@ -96,6 +96,14 @@ impl<'a> Reader<'a> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
+
+    /// A capacity for `count` upcoming 4-byte words that the bytes left
+    /// can hold at most: a header's count is untrusted, and a claim the
+    /// file cannot back fails as [`ObjectError::Truncated`] when read,
+    /// not as an allocation of the claimed size.
+    fn word_capacity(&self, count: usize) -> usize {
+        count.min((self.bytes.len() - self.pos) / 4)
+    }
 }
 
 /// Serializes a program into the `.qobj` container.
@@ -160,7 +168,7 @@ pub fn read_object(bytes: &[u8]) -> Result<Program, ObjectError> {
     let n_blocks = r.u32()? as usize;
     let has_steps = r.u8()? != 0;
 
-    let mut instructions = Vec::with_capacity(n_instr);
+    let mut instructions = Vec::with_capacity(r.word_capacity(n_instr));
     for index in 0..n_instr {
         let word = r.u32()?;
         instructions.push(decode(word).map_err(|_| ObjectError::BadInstruction { index })?);
@@ -190,7 +198,7 @@ pub fn read_object(bytes: &[u8]) -> Result<Program, ObjectError> {
     }
 
     let step_map = if has_steps {
-        let mut map = Vec::with_capacity(n_instr);
+        let mut map = Vec::with_capacity(r.word_capacity(n_instr));
         for _ in 0..n_instr {
             let tag = r.u32()?;
             map.push(if tag == NO_STEP {
@@ -299,6 +307,19 @@ STOP
             read_object(&bytes),
             Err(ObjectError::BadInstruction { index: 0 })
         );
+    }
+
+    #[test]
+    fn an_instruction_count_the_file_cannot_hold_is_truncation() {
+        // A bare 17-byte header claiming four billion instructions must
+        // fail as truncated, not try to reserve room for all of them.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&4_000_000_000u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.push(1);
+        assert_eq!(bytes.len(), 17);
+        assert_eq!(read_object(&bytes), Err(ObjectError::Truncated));
     }
 
     #[test]

@@ -90,6 +90,20 @@ impl MeasurementModel {
     }
 }
 
+/// The occupancy state a [`BehavioralQpu`] reached: when each qubit
+/// frees up, the violations seen and the operations counted. A stream
+/// that does not depend on outcomes drives every fresh QPU with the same
+/// timings to the same state, so a caller can compute it once
+/// ([`BehavioralQpu::occupancy`]) and hand it to each later QPU
+/// ([`BehavioralQpu::adopt`]) instead of re-applying the stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Occupancy {
+    timings: OpTimings,
+    busy_until: Vec<u64>,
+    violations: Vec<TimingViolation>,
+    issued_ops: u64,
+}
+
 /// The behavioural QPU: occupancy tracking + PRNG measurement outcomes.
 ///
 /// ```
@@ -173,12 +187,44 @@ impl BehavioralQpu {
             self.log.push(issued);
         }
         match op {
-            QuantumOp::Measure(q) => {
-                let p = self.model.p_one(q).clamp(0.0, 1.0);
-                Some(self.rng.gen_bool(p))
-            }
+            QuantumOp::Measure(q) => Some(self.draw_outcome(q)),
             _ => None,
         }
+    }
+
+    /// Draws the outcome of measuring `qubit` from the model and the
+    /// PRNG, exactly the draw [`apply`](BehavioralQpu::apply) makes for a
+    /// measurement, without touching the occupancy state.
+    pub fn draw_outcome(&mut self, qubit: Qubit) -> bool {
+        let p = self.model.p_one(qubit).clamp(0.0, 1.0);
+        self.rng.gen_bool(p)
+    }
+
+    /// The occupancy state reached so far.
+    pub fn occupancy(&self) -> Occupancy {
+        Occupancy {
+            timings: self.timings,
+            busy_until: self.busy_until.clone(),
+            violations: self.violations.clone(),
+            issued_ops: self.issued_ops,
+        }
+    }
+
+    /// Takes on `snapshot` as if the stream that produced it had been
+    /// applied here, and returns true. Only a pristine QPU (nothing
+    /// applied yet) that is not recording its log and runs with the
+    /// snapshot's timings can; any other is left as it was, and the call
+    /// returns false. The PRNG is not touched: the stream's outcomes are
+    /// then drawn with [`draw_outcome`](BehavioralQpu::draw_outcome), in
+    /// stream order.
+    pub fn adopt(&mut self, snapshot: &Occupancy) -> bool {
+        if self.issued_ops != 0 || self.record_log || self.timings != snapshot.timings {
+            return false;
+        }
+        self.busy_until.clone_from(&snapshot.busy_until);
+        self.violations.clone_from(&snapshot.violations);
+        self.issued_ops = snapshot.issued_ops;
+        true
     }
 
     /// Every operation received, in arrival order.
