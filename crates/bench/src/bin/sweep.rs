@@ -11,8 +11,8 @@
 //! is swept in file-stem order. Every machine × workload cell executes
 //! `--repeats` times (min 2) and the run exits nonzero if any repeat's
 //! aggregate diverges — the sweep is also the determinism gate for the
-//! whole declarative config surface. The repeats fold fresh per-shot
-//! summaries, so they also prove shot replay equal to full simulation. `--check-roundtrip` additionally
+//! whole declarative config surface. The repeats merge fresh per-shot
+//! accumulators, so they also prove shot replay equal to full simulation. `--check-roundtrip` additionally
 //! verifies each committed description file re-serializes
 //! byte-identically. `--dry-run` stops after those static checks
 //! (loading, validation, round-trip) without executing the sweep —

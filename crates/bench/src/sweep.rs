@@ -8,14 +8,14 @@
 //! mixed-traffic request stream) and reports per-cell aggregates. Every cell is executed `repeats ≥ 2`
 //! times and the run **fails** if any repeat's [`BatchAggregate`]
 //! diverges. The first run is a batch, where feedback-free shots replay
-//! their worker's recorded issue stream; every repeat folds fresh
-//! per-shot [`ShotEngine::run_shot`] summaries, which simulate every
+//! their worker's recorded issue stream; every repeat merges fresh
+//! per-shot [`ShotEngine::run_shot`] accumulators, which simulate every
 //! shot. So the sweep doubles as a determinism check across the whole
 //! declarative config surface and proves replay equal to full
 //! simulation on every machine.
 
 use quape_core::{
-    BatchAggregate, CompiledJob, MachineDescription, QuapeConfig, ShotEngine, ShotSummary,
+    BatchAggregate, CompiledJob, MachineDescription, QuapeConfig, ShotAccumulator, ShotEngine,
 };
 use quape_isa::content_hash_128;
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
@@ -206,7 +206,7 @@ fn workload_grid(seed: u64) -> Vec<Workload> {
 }
 
 /// Runs one grid cell: as batches, or (`fresh`) as folds of fresh
-/// per-shot summaries, each shot simulated in full.
+/// per-shot accumulators, each shot simulated in full.
 fn run_cell(
     cfg: &QuapeConfig,
     workload: &Workload,
@@ -225,8 +225,11 @@ fn run_cell(
             let seed = base_seed + i as u64;
             let engine = ShotEngine::new(job, factory).base_seed(seed).threads(1);
             Ok(if fresh {
-                let summaries: Vec<ShotSummary> = (0..*shots).map(|s| engine.run_shot(s)).collect();
-                BatchAggregate::from_summaries(seed, &summaries)
+                let mut acc = ShotAccumulator::default();
+                for shot in 0..*shots {
+                    acc.merge(&engine.run_shot(shot));
+                }
+                acc.finish(seed)
             } else {
                 engine.run(*shots).aggregate
             })
@@ -255,8 +258,8 @@ fn summarize(machine: &str, workload: &str, aggs: &[BatchAggregate]) -> SweepRow
 /// `repeats` times (min 2) and must produce bit-identical aggregates
 /// each time — the sweep asserts the declarative surface changes *what*
 /// runs, never *whether* a run is reproducible. The first run is a
-/// batch; the repeats fold fresh per-shot summaries, so they also hold
-/// shot replay to full simulation.
+/// batch; the repeats merge fresh per-shot accumulators, so they also
+/// hold shot replay to full simulation.
 ///
 /// # Errors
 ///

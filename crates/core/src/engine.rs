@@ -11,9 +11,10 @@
 //!   deterministic RNG stream (SplitMix64 of `base_seed ^ shot_index`), so
 //!   the batch is **schedule-independent** — the same `base_seed` yields a
 //!   bit-identical [`BatchAggregate`] whether it ran on 1 thread or 16;
-//! * per-shot results are reduced to compact [`ShotSummary`] digests and
-//!   folded **in shot order**, keeping memory O(shots) in digest size
-//!   rather than O(shots × full report);
+//! * each worker pushes its shots straight into its own
+//!   [`ShotAccumulator`] (totals, per-qubit histograms and per-value
+//!   counts), and the accumulators merge at the join; no per-shot record
+//!   is kept, so memory is O(qubits + distinct values), not O(shots);
 //! * the [`BatchReport`] carries per-qubit outcome histograms and survival
 //!   estimates, cycle/lateness distributions (p50/p95/max), stop-reason
 //!   counts, and the measured wall time / shots-per-second;
@@ -22,13 +23,14 @@
 //!   control stack once, then replays the recorded issue stream into each
 //!   later shot's backend and DAQ; a shot whose stop would reach the
 //!   cycle budget is simulated in full (see [`LoweredShotRunner`]).
-//!   Summaries are bit-identical to simulating every shot.
+//!   Aggregates are bit-identical to simulating every shot.
 
 use crate::backend::{QpuBackend, StateVectorQpu};
-use crate::machine::{CompiledJob, LoweredShotRunner, MeasurementRecord, ReportMode, StepMode};
+use crate::machine::{CompiledJob, LoweredShotRunner, ReportMode, Shot, ShotOutcome, StepMode};
 use crate::report::StopReason;
 use quape_isa::OpTimings;
 use quape_qpu::{BehavioralQpuFactory, DepolarizingNoise, ReadoutError};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -106,64 +108,6 @@ impl QpuFactory for StateVectorQpuFactory {
     }
 }
 
-/// Per-qubit outcome digest of one shot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-struct QubitShotDigest {
-    zeros: u64,
-    ones: u64,
-    first: Option<bool>,
-}
-
-/// Compact digest of one shot (everything the batch aggregation needs).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct ShotSummary {
-    /// Shot index within the batch.
-    pub shot: u64,
-    /// The shot's derived seed (see [`shot_seed`]).
-    pub seed: u64,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// End-to-end execution time (program time or QPU drain).
-    pub execution_time_ns: u64,
-    /// Why the shot stopped.
-    pub stop: StopReason,
-    /// Quantum operations issued to the QPU.
-    pub issued: u64,
-    /// Late issues (operations that missed their deadline).
-    pub late_issues: u64,
-    /// Total lateness in cycles.
-    pub late_cycles: u64,
-    /// Timing violations flagged by the QPU occupancy model.
-    pub violations: u64,
-    /// Occupancy conflicts detected at the AWG bank.
-    pub awg_violations: u64,
-    /// Results delayed by DAQ demod contention.
-    pub daq_contended: u64,
-    /// Per-qubit outcome digest, indexed by qubit.
-    per_qubit: Vec<QubitShotDigest>,
-}
-
-fn digest_measurements(
-    num_qubits: u16,
-    measurements: &[MeasurementRecord],
-) -> Vec<QubitShotDigest> {
-    let mut per_qubit = vec![QubitShotDigest::default(); num_qubits as usize];
-    for m in measurements {
-        let Some(d) = per_qubit.get_mut(m.qubit.index() as usize) else {
-            continue;
-        };
-        if m.value {
-            d.ones += 1;
-        } else {
-            d.zeros += 1;
-        }
-        if d.first.is_none() {
-            d.first = Some(m.value);
-        }
-    }
-    per_qubit
-}
-
 /// Aggregated outcome counts for one qubit across a batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct QubitHistogram {
@@ -215,25 +159,6 @@ pub struct DistributionSummary {
     pub mean: f64,
 }
 
-impl DistributionSummary {
-    fn from_values(mut values: Vec<u64>) -> Self {
-        if values.is_empty() {
-            return Self::default();
-        }
-        values.sort_unstable();
-        let n = values.len();
-        let rank = |p: usize| values[(n - 1) * p / 100];
-        let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
-        DistributionSummary {
-            min: values[0],
-            p50: rank(50),
-            p95: rank(95),
-            max: values[n - 1],
-            mean: sum as f64 / n as f64,
-        }
-    }
-}
-
 /// Shots by stop reason.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct StopCounts {
@@ -249,7 +174,7 @@ pub struct StopCounts {
 
 /// The deterministic part of a batch result: identical for the same
 /// `(job, factory, base_seed, shots)` regardless of thread count.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
 pub struct BatchAggregate {
     /// Shots executed.
     pub shots: u64,
@@ -280,73 +205,6 @@ pub struct BatchAggregate {
 }
 
 impl BatchAggregate {
-    /// Folds per-shot digests into the batch aggregate.
-    ///
-    /// `summaries` must be sorted by shot index — the fold is exactly the
-    /// one [`ShotEngine::run`] performs, so any scheduler that executes
-    /// the same shot set (e.g. the job service interleaving shot quanta
-    /// from many jobs) reproduces a solo run's aggregate bit-identically
-    /// by sorting its summaries and calling this.
-    pub fn from_summaries(base_seed: u64, summaries: &[ShotSummary]) -> Self {
-        let num_qubits = summaries
-            .iter()
-            .map(|s| s.per_qubit.len())
-            .max()
-            .unwrap_or(0);
-        let mut qubits = vec![QubitHistogram::default(); num_qubits];
-        let mut stops = StopCounts::default();
-        let mut issued_total = 0u64;
-        let mut late_issues_total = 0u64;
-        let mut violations_total = 0u64;
-        let mut awg_violations_total = 0u64;
-        let mut daq_contended_total = 0u64;
-        let mut simulated_ns_total = 0u64;
-        for s in summaries {
-            for (q, d) in s.per_qubit.iter().enumerate() {
-                let h = &mut qubits[q];
-                h.zeros += d.zeros;
-                h.ones += d.ones;
-                if d.zeros + d.ones > 0 {
-                    h.shots_measured += 1;
-                }
-                if d.first == Some(false) {
-                    h.first_zero_shots += 1;
-                }
-            }
-            match s.stop {
-                StopReason::Completed => stops.completed += 1,
-                StopReason::Halted => stops.halted += 1,
-                StopReason::CycleLimit => stops.cycle_limit += 1,
-                StopReason::Error => stops.errors += 1,
-            }
-            issued_total += s.issued;
-            late_issues_total += s.late_issues;
-            violations_total += s.violations;
-            awg_violations_total += s.awg_violations;
-            daq_contended_total += s.daq_contended;
-            simulated_ns_total += s.execution_time_ns;
-        }
-        BatchAggregate {
-            shots: summaries.len() as u64,
-            base_seed,
-            qubits,
-            stops,
-            cycles: DistributionSummary::from_values(summaries.iter().map(|s| s.cycles).collect()),
-            lateness: DistributionSummary::from_values(
-                summaries.iter().map(|s| s.late_cycles).collect(),
-            ),
-            execution_time_ns: DistributionSummary::from_values(
-                summaries.iter().map(|s| s.execution_time_ns).collect(),
-            ),
-            issued_total,
-            late_issues_total,
-            violations_total,
-            awg_violations_total,
-            daq_contended_total,
-            simulated_ns_total,
-        }
-    }
-
     /// Survival estimate for `qubit` (see [`QubitHistogram::survival`]).
     pub fn survival(&self, qubit: u16) -> Option<f64> {
         self.qubits
@@ -357,6 +215,173 @@ impl BatchAggregate {
     /// True when no shot issued late and no QPU violation occurred.
     pub fn timing_clean(&self) -> bool {
         self.late_issues_total == 0 && self.violations_total == 0
+    }
+}
+
+/// How often each value occurred among the shots folded so far, with
+/// the values' exact sum: enough for nearest-rank order statistics and
+/// the mean, and independent of the order the shots arrived in.
+#[derive(Debug, Clone, Default)]
+struct ValueCounts {
+    counts: BTreeMap<u64, u64>,
+    sum: u128,
+}
+
+impl ValueCounts {
+    fn push(&mut self, value: u64) {
+        *self.counts.entry(value).or_insert(0) += 1;
+        self.sum += u128::from(value);
+    }
+
+    fn merge(&mut self, other: &ValueCounts) {
+        for (&value, &count) in &other.counts {
+            *self.counts.entry(value).or_insert(0) += count;
+        }
+        self.sum += other.sum;
+    }
+
+    /// The order statistics of the `n` values counted.
+    fn summary(&self, n: u64) -> DistributionSummary {
+        let (Some((&min, _)), Some((&max, _))) =
+            (self.counts.first_key_value(), self.counts.last_key_value())
+        else {
+            return DistributionSummary::default();
+        };
+        // Nearest rank: the value at 0-based position (n-1)·p/100 of the
+        // sorted values.
+        let rank = |p: u64| {
+            let position = (n - 1) * p / 100;
+            let mut seen = 0;
+            self.counts
+                .iter()
+                .find(|(_, &count)| {
+                    seen += count;
+                    seen > position
+                })
+                .map_or(max, |(&value, _)| value)
+        };
+        DistributionSummary {
+            min,
+            p50: rank(50),
+            p95: rank(95),
+            max,
+            mean: self.sum as f64 / n as f64,
+        }
+    }
+}
+
+/// The batch fold: shots pushed one at a time, kept only as totals,
+/// per-qubit histograms and value counts, never as per-shot records.
+///
+/// Every field of [`BatchAggregate`] is independent of shot order, so
+/// accumulators over any split of a batch's shots [`merge`] in any
+/// order into the accumulator of the whole batch, and [`finish`] yields
+/// the same aggregate bit for bit. Engine workers each fold their own
+/// shots and merge at the join; the job service merges quanta into a
+/// job's completed prefix. The state is O(qubits + distinct per-shot
+/// values), whatever the number of shots.
+///
+/// [`merge`]: ShotAccumulator::merge
+/// [`finish`]: ShotAccumulator::finish
+#[derive(Debug, Clone, Default)]
+pub struct ShotAccumulator {
+    /// Every count and total in its final form; `finish` fills in the
+    /// base seed and the distributions.
+    totals: BatchAggregate,
+    cycles: ValueCounts,
+    lateness: ValueCounts,
+    execution_time_ns: ValueCounts,
+    /// Per-qubit "measured yet" flags of the shot being pushed, reused
+    /// across pushes.
+    measured: Vec<bool>,
+}
+
+impl ShotAccumulator {
+    /// Folds in one shot of a job with `width` qubits. A measurement of
+    /// a qubit at or past `width` is ignored; the aggregate's histograms
+    /// are as wide as the widest shot pushed.
+    pub fn push(&mut self, width: u16, shot: &ShotOutcome<'_>) {
+        let t = &mut self.totals;
+        let width = usize::from(width);
+        if t.qubits.len() < width {
+            t.qubits.resize(width, QubitHistogram::default());
+        }
+        self.measured.clear();
+        self.measured.resize(width, false);
+        for m in shot.measurements {
+            let q = usize::from(m.qubit.index());
+            let Some(measured) = self.measured.get_mut(q) else {
+                continue;
+            };
+            let h = &mut t.qubits[q];
+            if m.value {
+                h.ones += 1;
+            } else {
+                h.zeros += 1;
+            }
+            if !*measured {
+                *measured = true;
+                h.shots_measured += 1;
+                h.first_zero_shots += u64::from(!m.value);
+            }
+        }
+        match shot.stop {
+            StopReason::Completed => t.stops.completed += 1,
+            StopReason::Halted => t.stops.halted += 1,
+            StopReason::CycleLimit => t.stops.cycle_limit += 1,
+            StopReason::Error => t.stops.errors += 1,
+        }
+        t.shots += 1;
+        t.issued_total += shot.issued_ops;
+        t.late_issues_total += shot.late_issues;
+        t.violations_total += shot.violations;
+        t.awg_violations_total += shot.awg_violations;
+        t.daq_contended_total += shot.daq_contended;
+        t.simulated_ns_total += shot.execution_time_ns();
+        self.cycles.push(shot.cycles);
+        self.lateness.push(shot.late_cycles);
+        self.execution_time_ns.push(shot.execution_time_ns());
+    }
+
+    /// Adds `other`'s shots to this accumulator.
+    pub fn merge(&mut self, other: &ShotAccumulator) {
+        let (t, o) = (&mut self.totals, &other.totals);
+        if t.qubits.len() < o.qubits.len() {
+            t.qubits.resize(o.qubits.len(), QubitHistogram::default());
+        }
+        for (h, o) in t.qubits.iter_mut().zip(&o.qubits) {
+            h.zeros += o.zeros;
+            h.ones += o.ones;
+            h.shots_measured += o.shots_measured;
+            h.first_zero_shots += o.first_zero_shots;
+        }
+        t.stops.completed += o.stops.completed;
+        t.stops.halted += o.stops.halted;
+        t.stops.cycle_limit += o.stops.cycle_limit;
+        t.stops.errors += o.stops.errors;
+        t.shots += o.shots;
+        t.issued_total += o.issued_total;
+        t.late_issues_total += o.late_issues_total;
+        t.violations_total += o.violations_total;
+        t.awg_violations_total += o.awg_violations_total;
+        t.daq_contended_total += o.daq_contended_total;
+        t.simulated_ns_total += o.simulated_ns_total;
+        self.cycles.merge(&other.cycles);
+        self.lateness.merge(&other.lateness);
+        self.execution_time_ns.merge(&other.execution_time_ns);
+    }
+
+    /// The aggregate of every shot pushed or merged in, for a batch
+    /// whose per-shot streams derive from `base_seed`.
+    pub fn finish(&self, base_seed: u64) -> BatchAggregate {
+        let n = self.totals.shots;
+        BatchAggregate {
+            base_seed,
+            cycles: self.cycles.summary(n),
+            lateness: self.lateness.summary(n),
+            execution_time_ns: self.execution_time_ns.summary(n),
+            ..self.totals.clone()
+        }
     }
 }
 
@@ -412,11 +437,6 @@ impl EngineObs {
         EngineObs {
             shot_cycles: scope.histogram("engine.shot_cycles"),
         }
-    }
-
-    #[inline]
-    fn record(&self, summary: &ShotSummary) {
-        self.shot_cycles.record(summary.cycles);
     }
 }
 
@@ -481,7 +501,6 @@ pub struct ShotEngine {
     base_seed: u64,
     cycle_limit: u64,
     step_mode: StepMode,
-    report_mode: ReportMode,
     obs: EngineObs,
 }
 
@@ -500,7 +519,6 @@ impl ShotEngine {
             base_seed,
             cycle_limit: 10_000_000,
             step_mode: StepMode::default(),
-            report_mode: ReportMode::Lean,
             obs: EngineObs::off(),
         }
     }
@@ -532,21 +550,9 @@ impl ShotEngine {
         self
     }
 
-    /// Sets how much of each shot's report is materialised. The engine
-    /// defaults to [`ReportMode::Lean`]: every shot is reduced to a
-    /// [`ShotSummary`] of counters anyway, so the per-shot
-    /// `wait_cycles`/`issued`/`playback` vectors would be allocated only
-    /// to be dropped. Aggregates are bit-identical in both modes
-    /// (differential-tested); [`ReportMode::Full`] exists for
-    /// apples-to-apples comparisons against figure-level runs.
-    pub fn report_mode(mut self, report_mode: ReportMode) -> Self {
-        self.report_mode = report_mode;
-        self
-    }
-
     /// Attaches telemetry handles. Recording is observation-only: it
-    /// never changes seeds, scheduling, or summaries, so aggregates
-    /// stay bit-identical to an uninstrumented run.
+    /// never changes seeds or scheduling, so aggregates stay
+    /// bit-identical to an uninstrumented run.
     pub fn obs(mut self, obs: EngineObs) -> Self {
         self.obs = obs;
         self
@@ -567,128 +573,111 @@ impl ShotEngine {
         t.clamp(1, shots.max(1) as usize)
     }
 
-    /// Runs exactly one shot of the batch and returns its digest — the
-    /// *shot quantum* primitive of the engine.
+    /// Shot `shot`'s backend and machine-PRNG seed. Both derive from
+    /// [`shot_seed`], through distinct streams so that the backend and
+    /// the machine's DAQ jitter never correlate.
+    fn shot_inputs(&self, shot: u64) -> (Box<dyn QpuBackend>, u64) {
+        let seed = shot_seed(self.base_seed, shot);
+        (self.factory.create(seed), splitmix64(seed ^ 0x51AE_17E5))
+    }
+
+    /// Shot `shot` of the batch as a fresh [`Shot`], ready to step or
+    /// run with any [`ReportMode`]: it executes exactly what the batch
+    /// folds for that index, so a full report can be taken of any one
+    /// shot of a batch.
+    pub fn shot(&self, shot: u64) -> Shot {
+        let (qpu, machine_seed) = self.shot_inputs(shot);
+        self.job.shot(qpu, machine_seed)
+    }
+
+    /// Runs exactly one shot of the batch and returns it folded into a
+    /// fresh [`ShotAccumulator`].
     ///
-    /// The summary depends only on `(job, factory, base_seed, shot)`:
-    /// callers may execute any subset of a batch's shots, in any order,
-    /// on any thread, and recover the batch aggregate by folding the
-    /// sorted summaries with [`BatchAggregate::from_summaries`]. The
-    /// multi-tenant job service schedules quanta of shots from many jobs
-    /// onto one worker pool through this entry point.
+    /// The result depends only on `(job, factory, base_seed, shot)`, so
+    /// callers may run any subset of a batch's shots, in any order, on
+    /// any thread, and merge the accumulators into the batch aggregate.
     ///
     /// Each call builds the per-shot machine state from scratch and
-    /// simulates the whole shot (so a fold of `run_shot` summaries is the
-    /// full-simulation oracle for replayed batches); a worker executing
-    /// many quanta should hold a [`WorkerScratch`] and call
+    /// simulates the whole shot, so a merge of `run_shot` accumulators
+    /// is the full-simulation oracle for replayed batches. A worker
+    /// running many shots should hold a [`WorkerScratch`] and call
     /// [`run_shot_reusing`](ShotEngine::run_shot_reusing) instead.
-    pub fn run_shot(&self, shot: u64) -> ShotSummary {
-        self.run_shot_reusing(shot, &mut WorkerScratch::default())
+    pub fn run_shot(&self, shot: u64) -> ShotAccumulator {
+        let mut acc = ShotAccumulator::default();
+        self.run_shot_reusing(shot, &mut WorkerScratch::default(), &mut acc);
+        acc
     }
 
-    /// [`run_shot`](ShotEngine::run_shot) with a per-worker reusable
-    /// arena: in the lean lowered configuration (the engine's hot path)
-    /// the shot runs on `scratch`'s [`LoweredShotRunner`], so machine
-    /// state is reset in place instead of reallocated per shot, and a
-    /// feedback-free job's later shots replay the first one's issue
-    /// stream. Any other step/report mode falls back to the fresh-state
-    /// path, which simulates every shot. The summary is bit-identical
-    /// either way — `scratch` affects host cost only, and it revalidates
-    /// itself against the engine's job, so one scratch may serve engines
-    /// of different jobs sequentially.
-    pub fn run_shot_reusing(&self, shot: u64, scratch: &mut WorkerScratch) -> ShotSummary {
-        let seed = shot_seed(self.base_seed, shot);
-        // Distinct derived streams for the backend and the machine's DAQ
-        // jitter so the two never correlate.
-        let qpu = self.factory.create(seed);
-        let machine_seed = splitmix64(seed ^ 0x51AE_17E5);
-        if self.step_mode == StepMode::Lowered && self.report_mode == ReportMode::Lean {
-            let runner = scratch.runner_for(&self.job);
-            let outcome = runner.run_shot(qpu, machine_seed, self.cycle_limit);
-            let summary = ShotSummary {
-                shot,
-                seed,
-                cycles: outcome.cycles,
-                execution_time_ns: outcome.execution_time_ns(),
-                stop: outcome.stop,
-                issued: outcome.issued_ops,
-                late_issues: outcome.late_issues,
-                late_cycles: outcome.late_cycles,
-                violations: outcome.violations,
-                awg_violations: outcome.awg_violations,
-                daq_contended: outcome.daq_contended,
-                per_qubit: digest_measurements(self.job.num_qubits(), outcome.measurements),
-            };
-            self.obs.record(&summary);
-            return summary;
-        }
-        let report = self
-            .job
-            .shot(qpu, machine_seed)
-            .report_mode(self.report_mode)
-            .run_with_mode(self.step_mode, self.cycle_limit);
-        let summary = ShotSummary {
-            shot,
-            seed,
-            cycles: report.cycles,
-            execution_time_ns: report.execution_time_ns(),
-            stop: report.stop,
-            issued: report.issued_ops,
-            late_issues: report.stats.late_issues,
-            late_cycles: report.stats.late_cycles,
-            violations: report.violations.len() as u64,
-            awg_violations: report.awg_violations.len() as u64,
-            daq_contended: report.stats.daq_contended_results,
-            per_qubit: digest_measurements(self.job.num_qubits(), &report.measurements),
-        };
-        self.obs.record(&summary);
-        summary
-    }
-
-    /// Runs `shots` shots and aggregates them in shot order.
+    /// Runs shot `shot` and pushes it into `acc` — the *shot quantum*
+    /// primitive the engine's workers and the job service's workers
+    /// loop over.
     ///
-    /// Work is distributed dynamically (an atomic shot counter), but the
-    /// aggregate folds summaries sorted by shot index, so the result is
-    /// bit-identical for any thread count.
+    /// With the lowered executor (the default) the shot runs on
+    /// `scratch`'s [`LoweredShotRunner`], so machine state is reset in
+    /// place instead of reallocated per shot, and a feedback-free job's
+    /// later shots replay the first one's issue stream. The cycle oracle
+    /// runs a fresh lean [`Shot`] instead. The pushed shot is
+    /// bit-identical either way: `scratch` affects host cost only, and
+    /// it revalidates itself against the engine's job, so one scratch
+    /// may serve engines of different jobs sequentially.
+    pub fn run_shot_reusing(
+        &self,
+        shot: u64,
+        scratch: &mut WorkerScratch,
+        acc: &mut ShotAccumulator,
+    ) {
+        let report;
+        let outcome = if self.step_mode == StepMode::Lowered {
+            let (qpu, machine_seed) = self.shot_inputs(shot);
+            scratch
+                .runner_for(&self.job)
+                .run_shot(qpu, machine_seed, self.cycle_limit)
+        } else {
+            report = self
+                .shot(shot)
+                .report_mode(ReportMode::Lean)
+                .run_with_mode(self.step_mode, self.cycle_limit);
+            report.outcome()
+        };
+        self.obs.shot_cycles.record(outcome.cycles);
+        acc.push(self.job.num_qubits(), &outcome);
+    }
+
+    /// Runs `shots` shots and aggregates them.
+    ///
+    /// Work is distributed dynamically (an atomic shot counter); each
+    /// worker folds its shots into its own [`ShotAccumulator`], and the
+    /// accumulators merge at the join. The fold is independent of shot
+    /// order, so the result is bit-identical for any thread count.
     pub fn run(&self, shots: u64) -> BatchReport {
         let start = Instant::now();
         let threads = self.effective_threads(shots);
-        let summaries: Vec<ShotSummary> = if threads <= 1 {
+        let next = AtomicU64::new(0);
+        let worker = || {
+            let mut acc = ShotAccumulator::default();
             let mut scratch = WorkerScratch::new();
-            (0..shots)
-                .map(|i| self.run_shot_reusing(i, &mut scratch))
-                .collect()
-        } else {
-            let next = AtomicU64::new(0);
-            let mut buckets: Vec<Vec<ShotSummary>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            let mut scratch = WorkerScratch::new();
-                            loop {
-                                let shot = next.fetch_add(1, Ordering::Relaxed);
-                                if shot >= shots {
-                                    break;
-                                }
-                                local.push(self.run_shot_reusing(shot, &mut scratch));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shot worker panicked"))
-                    .collect()
-            });
-            let mut all: Vec<ShotSummary> = buckets.drain(..).flatten().collect();
-            all.sort_unstable_by_key(|s| s.shot);
-            all
+            loop {
+                let shot = next.fetch_add(1, Ordering::Relaxed);
+                if shot >= shots {
+                    return acc;
+                }
+                self.run_shot_reusing(shot, &mut scratch, &mut acc);
+            }
         };
-        let aggregate = BatchAggregate::from_summaries(self.base_seed, &summaries);
+        let acc = if threads <= 1 {
+            worker()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+                let mut acc = ShotAccumulator::default();
+                for h in handles {
+                    acc.merge(&h.join().expect("shot worker panicked"));
+                }
+                acc
+            })
+        };
         BatchReport {
-            aggregate,
+            aggregate: acc.finish(self.base_seed),
             threads,
             wall_time: start.elapsed(),
         }
@@ -773,23 +762,24 @@ mod tests {
 
     #[test]
     fn shot_quantum_api_reproduces_the_batch_aggregate() {
-        // Running shots individually (in scrambled order) and folding the
-        // sorted summaries is bit-identical to ShotEngine::run — the
+        // Running shots individually (in scrambled order) and merging
+        // their accumulators is bit-identical to ShotEngine::run — the
         // contract the multi-tenant job service is built on.
         let job = tiny_job(11);
         let engine = ShotEngine::new(job.clone(), coin_factory(&job)).base_seed(42);
         let whole = engine.run(40);
-        let mut summaries: Vec<ShotSummary> = (0..40).rev().map(|i| engine.run_shot(i)).collect();
-        summaries.sort_unstable_by_key(|s| s.shot);
-        let folded = BatchAggregate::from_summaries(42, &summaries);
-        assert_eq!(whole.aggregate, folded);
+        let mut folded = ShotAccumulator::default();
+        for shot in (0..40).rev() {
+            folded.merge(&engine.run_shot(shot));
+        }
+        assert_eq!(whole.aggregate, folded.finish(42));
     }
 
     #[test]
     fn one_scratch_serves_alternating_jobs_exactly() {
         // Two feedback-free jobs (each scratch runner records and replays
         // an issue stream) and two clones of one of them: however the
-        // scratch alternates, every summary equals a fresh shot's.
+        // scratch alternates, every shot equals a fresh shot.
         let other = CompiledJob::compile(
             QuapeConfig::superscalar(4),
             quape_isa::assemble("0 X q1\n3 MEAS q1\n0 H q0\n5 MEAS q0\nSTOP\n")
@@ -809,9 +799,11 @@ mod tests {
                 // A few back-to-back shots, so the runner replays; the
                 // clone (engine 2) keeps engine 0's runner and trace.
                 for _ in 0..3 {
+                    let mut reused = ShotAccumulator::default();
+                    engine.run_shot_reusing(shot, &mut scratch, &mut reused);
                     assert_eq!(
-                        engine.run_shot_reusing(shot, &mut scratch),
-                        engine.run_shot(shot),
+                        reused.finish(0),
+                        engine.run_shot(shot).finish(0),
                         "engine {i}, shot {shot}"
                     );
                     shot += 1;
@@ -836,12 +828,42 @@ mod tests {
 
     #[test]
     fn distribution_summary_ranks() {
-        let d = DistributionSummary::from_values((1..=100).collect());
+        // Each of 1..=100 three times: 300 values held as 100 counts.
+        let mut counts = ValueCounts::default();
+        for v in (1..=100).rev().cycle().take(300) {
+            counts.push(v);
+        }
+        assert_eq!(counts.counts.len(), 100);
+        let d = counts.summary(300);
         assert_eq!(d.min, 1);
         assert_eq!(d.p50, 50);
         assert_eq!(d.p95, 95);
         assert_eq!(d.max, 100);
         assert!((d.mean - 50.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_empty_accumulator_finishes_to_the_empty_aggregate() {
+        // What a router reports mid-re-route, and a batch of no shots.
+        let empty = BatchAggregate {
+            shots: 0,
+            base_seed: 9,
+            qubits: Vec::new(),
+            stops: StopCounts::default(),
+            cycles: DistributionSummary::default(),
+            lateness: DistributionSummary::default(),
+            execution_time_ns: DistributionSummary::default(),
+            issued_total: 0,
+            late_issues_total: 0,
+            violations_total: 0,
+            awg_violations_total: 0,
+            daq_contended_total: 0,
+            simulated_ns_total: 0,
+        };
+        assert_eq!(ShotAccumulator::default().finish(9), empty);
+        let job = tiny_job(1);
+        let engine = ShotEngine::new(job.clone(), coin_factory(&job)).base_seed(9);
+        assert_eq!(engine.run(0).aggregate, empty);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use machdesc::{
 
 pub use engine::{
     shot_seed, BatchAggregate, BatchReport, DistributionSummary, EngineObs, QpuFactory,
-    QubitHistogram, ShotEngine, ShotSummary, StateVectorQpuFactory, StopCounts, WorkerScratch,
+    QubitHistogram, ShotAccumulator, ShotEngine, StateVectorQpuFactory, StopCounts, WorkerScratch,
 };
 pub use machine::{
     CompiledJob, LoweredShotRunner, Machine, MachineError, MeasurementRecord, ReportMode, Shot,

@@ -63,8 +63,8 @@ pub enum StepMode {
 ///
 /// The per-shot event vectors (`wait_cycles`, `issued`, `playback`,
 /// `step_dispatches`) are what figure-level analysis reads, but batch
-/// and serving paths reduce every shot to a
-/// [`ShotSummary`](crate::ShotSummary) of counters —
+/// and serving paths fold every shot's counters and measurements into a
+/// [`ShotAccumulator`](crate::ShotAccumulator) —
 /// materialising the vectors there is pure allocation cost. Lean mode
 /// skips them while keeping every counter (and therefore every
 /// [`BatchAggregate`](crate::BatchAggregate)) bit-identical to a full
@@ -77,8 +77,8 @@ pub enum ReportMode {
     Full,
     /// Summary-only: leave `wait_cycles`, `issued`, `playback` and
     /// `step_dispatches` empty in the report; counters (`issued_ops`,
-    /// `stats.awg_triggers`, `stats.*`) stay exact. The default for
-    /// [`ShotEngine`](crate::ShotEngine) batches.
+    /// `stats.awg_triggers`, `stats.*`) stay exact. What every
+    /// [`ShotEngine`](crate::ShotEngine) shot runs in.
     Lean,
 }
 

@@ -2,6 +2,7 @@
 //! metrics after a machine run.
 
 use crate::devices::{AwgViolation, AwgViolationKind, PlaybackEvent};
+use crate::machine::ShotOutcome;
 use quape_isa::{BlockId, BlockStatus, StepId};
 use quape_qpu::{IssuedOp, TimingViolation};
 use serde::{Deserialize, Serialize};
@@ -171,6 +172,25 @@ impl RunReport {
     /// later (the metric of Fig. 11/12).
     pub fn execution_time_ns(&self) -> u64 {
         self.ns.max(self.qpu_makespan_ns)
+    }
+
+    /// The report's counters and measurements as the borrowed
+    /// [`ShotOutcome`] a lean lowered shot returns, so both fold into a
+    /// [`ShotAccumulator`](crate::ShotAccumulator) the same way.
+    pub fn outcome(&self) -> ShotOutcome<'_> {
+        ShotOutcome {
+            cycles: self.cycles,
+            ns: self.ns,
+            stop: self.stop,
+            issued_ops: self.issued_ops,
+            late_issues: self.stats.late_issues,
+            late_cycles: self.stats.late_cycles,
+            violations: self.violations.len() as u64,
+            awg_violations: self.awg_violations.len() as u64,
+            daq_contended: self.stats.daq_contended_results,
+            qpu_makespan_ns: self.qpu_makespan_ns,
+            measurements: &self.measurements,
+        }
     }
 
     /// Number of quantum operations issued (exact in both report modes).

@@ -1,17 +1,17 @@
 //! Pins the engine's worker-scratch contract: with a reused
-//! [`WorkerScratch`], the lean lowered hot path reaches an allocation
-//! fixed point — steady-state shots do not grow the heap, and the
-//! per-shot allocation count is a small constant (backend construction
-//! plus the returned digest), independent of program size. That holds
-//! for simulated shots (a feedback chain) and for replayed ones (a
-//! feedback-free program, whose later shots replay the first one's issue
-//! stream).
+//! [`WorkerScratch`] and a reused [`ShotAccumulator`], the lean lowered
+//! hot path reaches an allocation fixed point — steady-state shots do
+//! not grow the heap, and the per-shot allocation count is a small
+//! constant (backend construction only), independent of program size.
+//! That holds for simulated shots (a feedback chain) and for replayed
+//! ones (a feedback-free program, whose later shots replay the first
+//! one's issue stream).
 //!
 //! The whole file is one test on purpose: the counting allocator is
 //! global, and concurrently running tests' allocations would pollute
 //! the counts.
 
-use quape_core::{CompiledJob, QuapeConfig, ShotEngine, StepMode, WorkerScratch};
+use quape_core::{CompiledJob, QuapeConfig, ShotAccumulator, ShotEngine, StepMode, WorkerScratch};
 use quape_isa::{ClassicalOp, Cond, Gate1, Program, ProgramBuilder, QuantumOp, Qubit};
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -95,24 +95,32 @@ fn assert_fixed_point(label: &str, program: Program) {
         .threads(1);
 
     let mut scratch = WorkerScratch::new();
+    let mut acc = ShotAccumulator::default();
     // Warmup: builds the arena and grows every buffer to the workload's
     // high-water mark (jitter seeds differ per shot, so a few shots are
-    // needed before the deepest queues have been seen).
-    for shot in 0..8 {
-        engine.run_shot_reusing(shot, &mut scratch);
+    // needed before the deepest queues have been seen). It also gives
+    // the accumulator a count for every per-shot value of these shots.
+    const N: u64 = 16;
+    for shot in 0..N {
+        engine.run_shot_reusing(shot, &mut scratch, &mut acc);
     }
 
-    let batch = |scratch: &mut WorkerScratch, from: u64, n: u64| -> u64 {
+    // The measured batches revisit the warmed shot indices: a shot's
+    // counters depend only on its index, so every value already has its
+    // count and no new key is inserted. New values only now and then
+    // cost the accumulator a B-tree node (4 nodes over 64 fresh shots
+    // of the fmr chain), which is growth with the distinct values, not
+    // per-shot churn.
+    let batch = |scratch: &mut WorkerScratch, acc: &mut ShotAccumulator| -> u64 {
         let before = allocs();
-        for shot in from..from + n {
-            engine.run_shot_reusing(shot, scratch);
+        for shot in 0..N {
+            engine.run_shot_reusing(shot, scratch, acc);
         }
         allocs() - before
     };
 
-    const N: u64 = 16;
-    let first = batch(&mut scratch, 8, N);
-    let second = batch(&mut scratch, 8 + N, N);
+    let first = batch(&mut scratch, &mut acc);
+    let second = batch(&mut scratch, &mut acc);
 
     // Steady state: a warmed scratch allocates exactly as much on the
     // next batch as on the previous one — no per-shot heap growth.
@@ -122,10 +130,11 @@ fn assert_fixed_point(label: &str, program: Program) {
     );
 
     // And the constant is small *and independent of program size*: the
-    // machine state is fully reused, so what remains per shot is the
-    // factory's boxed backend and its internal tables — not the
+    // machine state is fully reused and shots fold into the accumulator
+    // without a per-shot record, so what remains per shot is the
+    // factory's boxed backend and its internal table — not the
     // program-sized machine state (the un-reused path below costs orders
-    // of magnitude more). Measured steady state is 3 allocations/shot;
+    // of magnitude more). Measured steady state is 2 allocations/shot;
     // the bound leaves headroom for allocator/libstd drift only.
     let per_shot = first / N;
     assert!(
@@ -136,7 +145,7 @@ fn assert_fixed_point(label: &str, program: Program) {
     // The same batch without scratch reuse rebuilds machine state per
     // shot; the scratch path must be significantly lighter.
     let before = allocs();
-    for shot in 8..8 + N {
+    for shot in 0..N {
         engine.run_shot(shot);
     }
     let fresh = allocs() - before;

@@ -4,7 +4,7 @@
 //! batch aggregates — with `wait_cycles`/`issued`/`playback` left empty.
 
 use quape_core::{
-    BatchAggregate, CompiledJob, QuapeConfig, ReportMode, RunReport, ShotEngine, StepMode,
+    CompiledJob, QuapeConfig, ReportMode, RunReport, ShotAccumulator, ShotEngine, StepMode,
 };
 use quape_isa::{ClassicalOp, Cond, Gate1, Program, ProgramBuilder, QuantumOp, Qubit};
 use quape_qpu::{BehavioralQpu, BehavioralQpuFactory, MeasurementModel};
@@ -130,8 +130,12 @@ fn lean_shot_reports_match_full_reports_except_vectors() {
     }
 }
 
+/// The engine folds every shot from a lean report (or the lean lowered
+/// runner); the same shots run with full reports and folded through a
+/// [`ShotAccumulator`] give the same aggregate.
 #[test]
 fn engine_aggregates_are_identical_in_both_report_modes() {
+    const SHOTS: u64 = 48;
     for (label, cfg, program) in [
         (
             "feedback",
@@ -141,14 +145,25 @@ fn engine_aggregates_are_identical_in_both_report_modes() {
         ("pulse", QuapeConfig::superscalar(4), pulse_program()),
     ] {
         let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
-        let run = |mode: ReportMode| -> BatchAggregate {
-            ShotEngine::new(job.clone(), coin(&cfg))
+        for step in [StepMode::Cycle, StepMode::Lowered] {
+            let engine = ShotEngine::new(job.clone(), coin(&cfg))
                 .base_seed(99)
                 .threads(2)
-                .report_mode(mode)
-                .run(48)
-                .aggregate
-        };
-        assert_eq!(run(ReportMode::Full), run(ReportMode::Lean), "{label}");
+                .step_mode(step);
+            let mut full = ShotAccumulator::default();
+            for shot in 0..SHOTS {
+                let report = engine
+                    .shot(shot)
+                    .report_mode(ReportMode::Full)
+                    .run_with_mode(step, 10_000_000);
+                assert!(!report.issued.is_empty(), "{label}: a full report");
+                full.push(job.num_qubits(), &report.outcome());
+            }
+            assert_eq!(
+                engine.run(SHOTS).aggregate,
+                full.finish(99),
+                "{label} {step:?}"
+            );
+        }
     }
 }

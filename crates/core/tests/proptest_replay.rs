@@ -3,8 +3,8 @@
 //! every later shot into that shot's backend. On random feedback-free
 //! programs (gates, measurements, waits; several blocks; `STOP` or
 //! `HALT`) the engine's aggregate must equal, at one and two threads,
-//! both the fold of fresh per-shot `run_shot` summaries (every shot
-//! fully simulated) and the cycle-stepped oracle's aggregate — on
+//! both the merge of fresh per-shot `run_shot` accumulators (every
+//! shot fully simulated) and the cycle-stepped oracle's aggregate — on
 //! scalar, superscalar, multiprocessor and demod-starved multiplexed
 //! machines, with and without DAQ jitter, under budgets that truncate
 //! shots as well as ones that do not.
@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use quape_core::{
-    BatchAggregate, CompiledJob, LoweredShotRunner, MeasurementRecord, QpuBackend, QpuFactory,
-    QuapeConfig, ReportMode, ShotEngine, ShotOutcome, ShotSummary, StateVectorQpuFactory, StepMode,
+    CompiledJob, LoweredShotRunner, MeasurementRecord, QpuBackend, QpuFactory, QuapeConfig,
+    ReportMode, ShotAccumulator, ShotEngine, ShotOutcome, StateVectorQpuFactory, StepMode,
     StopReason,
 };
 use quape_isa::{
@@ -151,6 +151,15 @@ fn configs() -> Vec<(&'static str, QuapeConfig)> {
     out
 }
 
+/// Shots `0..shots`, each simulated in full on fresh state, merged.
+fn fresh_shots(engine: &ShotEngine, shots: u64) -> ShotAccumulator {
+    let mut acc = ShotAccumulator::default();
+    for shot in 0..shots {
+        acc.merge(&engine.run_shot(shot));
+    }
+    acc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -178,15 +187,13 @@ proptest! {
             };
             let budget = match edge {
                 None => 500_000,
-                Some(k) => (engine(500_000, 1, StepMode::Lowered).run_shot(0).cycles + k)
+                Some(k) => (engine(500_000, 1, StepMode::Lowered).run_shot(0).finish(0).cycles.max + k)
                     .saturating_sub(3)
                     .max(1),
             };
             let one = engine(budget, 1, StepMode::Lowered).run(SHOTS).aggregate;
             let two = engine(budget, 2, StepMode::Lowered).run(SHOTS).aggregate;
-            let fresh_engine = engine(budget, 1, StepMode::Lowered);
-            let fresh: Vec<ShotSummary> = (0..SHOTS).map(|s| fresh_engine.run_shot(s)).collect();
-            let fresh = BatchAggregate::from_summaries(seed, &fresh);
+            let fresh = fresh_shots(&engine(budget, 1, StepMode::Lowered), SHOTS).finish(seed);
             let cycle = engine(budget, 1, StepMode::Cycle).run(SHOTS).aggregate;
             let case = format!("{name} jitter {} budget {budget}", cfg.daq_jitter_ns);
             prop_assert_eq!(&one, &fresh, "{}: one thread vs fresh shots", case);
@@ -232,10 +239,9 @@ fn halt_with_a_chained_block_replays_exactly() {
             .base_seed(u64::from(wait))
             .threads(1);
         let replayed = engine.run(4 * SHOTS).aggregate;
-        let fresh: Vec<ShotSummary> = (0..4 * SHOTS).map(|s| engine.run_shot(s)).collect();
         assert_eq!(
             replayed,
-            BatchAggregate::from_summaries(u64::from(wait), &fresh),
+            fresh_shots(&engine, 4 * SHOTS).finish(u64::from(wait)),
             "wait {wait}"
         );
     }

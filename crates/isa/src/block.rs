@@ -230,7 +230,8 @@ impl BlockInfoTable {
         Self::with_capacity(crate::BLOCK_TABLE_CAPACITY)
     }
 
-    /// Creates an empty table with a custom capacity.
+    /// Creates an empty table with a custom capacity (at most
+    /// [`crate::MAX_BLOCKS`] entries are ever accepted).
     pub fn with_capacity(capacity: usize) -> Self {
         BlockInfoTable {
             entries: Vec::new(),
@@ -246,9 +247,9 @@ impl BlockInfoTable {
     /// and [`BlockTableError::MixedDependencyModes`] when the entry's
     /// dependency variant differs from existing entries.
     pub fn push(&mut self, info: BlockInfo) -> Result<BlockId, BlockTableError> {
-        if self.entries.len() >= self.capacity {
+        if self.entries.len() >= self.capacity() {
             return Err(BlockTableError::CapacityExceeded {
-                capacity: self.capacity,
+                capacity: self.capacity(),
             });
         }
         if let Some(mode) = self.mode() {
@@ -283,9 +284,10 @@ impl BlockInfoTable {
         self.entries.is_empty()
     }
 
-    /// Capacity (maximum number of entries).
+    /// Capacity (maximum number of entries): the configured one, but no
+    /// more than there are distinct block ids.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity.min(crate::MAX_BLOCKS)
     }
 
     /// Returns the entry for a block id.
@@ -475,6 +477,27 @@ mod tests {
             .push(BlockInfo::new("c", 2..3, Dependency::none()))
             .unwrap_err();
         assert_eq!(err, BlockTableError::CapacityExceeded { capacity: 2 });
+    }
+
+    #[test]
+    fn no_table_hands_out_more_ids_than_a_block_id_holds() {
+        let mut t = BlockInfoTable::with_capacity(70_000);
+        for i in 0..crate::MAX_BLOCKS {
+            let id = t
+                .push(BlockInfo::new("b", 0..1, Dependency::none()))
+                .unwrap();
+            assert_eq!(id.index(), i);
+        }
+        let err = t
+            .push(BlockInfo::new("b", 0..1, Dependency::none()))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BlockTableError::CapacityExceeded {
+                capacity: crate::MAX_BLOCKS
+            }
+        );
+        assert_eq!(t.capacity(), crate::MAX_BLOCKS);
     }
 
     #[test]

@@ -94,3 +94,6 @@ pub const MAX_TIMING: u32 = 127;
 /// Default capacity of the block information table (64 × 32-bit entries on
 /// the paper's FPGA prototype).
 pub const BLOCK_TABLE_CAPACITY: usize = 64;
+/// Most blocks any table can hold: one per distinct 16-bit
+/// [`BlockId`].
+pub const MAX_BLOCKS: usize = 1 << 16;

@@ -46,6 +46,11 @@ pub enum ObjectError {
     },
     /// A block name was not valid UTF-8.
     BadBlockName,
+    /// The header claims more blocks than there are block ids.
+    TooManyBlocks {
+        /// The block count in the header.
+        count: usize,
+    },
     /// The reconstructed program failed validation.
     Invalid(String),
 }
@@ -60,6 +65,11 @@ impl fmt::Display for ObjectError {
                 write!(f, "instruction {index} failed to decode")
             }
             ObjectError::BadBlockName => write!(f, "block name is not valid UTF-8"),
+            ObjectError::TooManyBlocks { count } => write!(
+                f,
+                "{count} blocks exceed the {} distinct block ids",
+                crate::MAX_BLOCKS
+            ),
             ObjectError::Invalid(msg) => write!(f, "invalid program: {msg}"),
         }
     }
@@ -167,6 +177,9 @@ pub fn read_object(bytes: &[u8]) -> Result<Program, ObjectError> {
     let n_instr = r.u32()? as usize;
     let n_blocks = r.u32()? as usize;
     let has_steps = r.u8()? != 0;
+    if n_blocks > crate::MAX_BLOCKS {
+        return Err(ObjectError::TooManyBlocks { count: n_blocks });
+    }
 
     let mut instructions = Vec::with_capacity(r.word_capacity(n_instr));
     for index in 0..n_instr {
@@ -320,6 +333,25 @@ STOP
         bytes.push(1);
         assert_eq!(bytes.len(), 17);
         assert_eq!(read_object(&bytes), Err(ObjectError::Truncated));
+    }
+
+    #[test]
+    fn a_block_count_past_the_block_ids_is_rejected() {
+        // A header claiming one block more than 16-bit ids can name is a
+        // typed error before any block is read; one at the limit is not.
+        let header = |n_blocks: u32| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&VERSION.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(&n_blocks.to_le_bytes());
+            bytes.push(0);
+            bytes
+        };
+        assert_eq!(
+            read_object(&header(65_537)),
+            Err(ObjectError::TooManyBlocks { count: 65_537 })
+        );
+        assert_eq!(read_object(&header(65_536)), Err(ObjectError::Truncated));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::profile::{JobRequirements, ShardProfile};
 use crate::snapshot::{FleetSnapshot, ShardSnapshot, TenantStatsRow};
-use quape_core::{BatchAggregate, MachineDescription};
+use quape_core::{BatchAggregate, MachineDescription, ShotAccumulator};
 use quape_obs::{ObsScope, Recorder, TraceKind};
 use quape_server::{
     CacheStats, JobError, JobHandle, JobProgress, JobRequest, JobResult, JobServer, ServerConfig,
@@ -728,7 +728,7 @@ impl FleetHandle {
         match (&job.terminal, &job.handle) {
             (Some(Ok(r)), _) => r.aggregate.clone(),
             (Some(Err(_)), _) | (None, None) => {
-                BatchAggregate::from_summaries(job.snapshot.base_seed, &[])
+                ShotAccumulator::default().finish(job.snapshot.base_seed)
             }
             (None, Some(handle)) => {
                 let handle = handle.clone();

@@ -22,8 +22,10 @@
 //! * **Fair shot-quantum scheduling** ([`JobServer`]): active jobs are
 //!   interleaved on one scoped-thread worker pool in priority-weighted
 //!   round-robin *quanta* of shots, so a million-shot job cannot starve
-//!   a hundred-shot job. Each job's summaries are folded exactly as
-//!   [`ShotEngine::run`](quape_core::ShotEngine::run) folds them, so a
+//!   a hundred-shot job. Each job's shots are folded exactly as
+//!   [`ShotEngine::run`](quape_core::ShotEngine::run) folds them (one
+//!   mergeable [`ShotAccumulator`](quape_core::ShotAccumulator) per
+//!   quantum, merged into the job's completed prefix), so a
 //!   job's [`BatchAggregate`](quape_core::BatchAggregate) is
 //!   **bit-identical** to a solo run — for any worker count and any
 //!   interleaving (differential-tested).

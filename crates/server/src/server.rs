@@ -8,8 +8,8 @@
 //! shots, grabs a **quantum** of `shot_quantum × priority weight`
 //! consecutive shot indices, advances the round-robin cursor, and
 //! executes the quantum outside the lock via
-//! [`ShotEngine::run_shot`](quape_core::ShotEngine::run_shot). The
-//! cursor guarantees progress for every job on every rotation — a
+//! [`ShotEngine::run_shot_reusing`](quape_core::ShotEngine::run_shot_reusing).
+//! The cursor guarantees progress for every job on every rotation — a
 //! million-shot job gets exactly one quantum per turn, the same as a
 //! hundred-shot job — while the weight lets high-priority tenants drain
 //! faster without ever starving the rest.
@@ -34,13 +34,16 @@
 //!
 //! A shot's outcome depends only on `(job, factory, base_seed, shot
 //! index)`, so neither the worker count nor the interleaving affects any
-//! per-job result: summaries are folded in shot order with
-//! [`BatchAggregate::from_summaries`], exactly as a solo
-//! [`ShotEngine::run`](quape_core::ShotEngine::run) folds them. Shot
-//! quanta are claimed as a monotone prefix `0..n` of the job's shot
-//! indices, so a cancelled job's partial aggregate is always
-//! **prefix-consistent**: bit-identical to a solo run of its first `n`
-//! shots.
+//! per-job result: each quantum folds into its own
+//! [`ShotAccumulator`], and the job merges quanta into the accumulator
+//! of its contiguous completed prefix as that prefix grows, the same
+//! order-independent fold a solo
+//! [`ShotEngine::run`](quape_core::ShotEngine::run) uses. Shot quanta
+//! are claimed as a monotone prefix `0..n` of the job's shot indices, so
+//! a cancelled job's partial aggregate is always **prefix-consistent**:
+//! bit-identical to a solo run of its first `n` shots. A job holds one
+//! prefix accumulator plus the quanta that landed past a gap, never a
+//! per-shot record.
 //!
 //! ## Multiprogramming packing (§3.1.2 space multiplexing)
 //!
@@ -70,11 +73,12 @@
 use crate::cache::{CacheStats, CompileCache};
 use quape_core::{
     BatchAggregate, CompiledJob, DescriptionError, EngineObs, MachineDescription, MachineError,
-    QpuFactory, QuapeConfig, ShotEngine, ShotSummary, WorkerScratch,
+    QpuFactory, QuapeConfig, ShotAccumulator, ShotEngine, WorkerScratch,
 };
 use quape_isa::{AsmError, Dependency, Fnv64, Program};
 use quape_obs::{ObsScope, TraceKind};
 use quape_workloads::multiprogramming;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -563,7 +567,8 @@ pub struct JobResult {
 /// A point-in-time view of one job's execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobProgress {
-    /// Shots whose summaries have landed.
+    /// Shots that have landed, whether or not they join the completed
+    /// prefix yet.
     pub shots_done: u64,
     /// Shots the request asked for.
     pub shots_total: u64,
@@ -573,30 +578,10 @@ pub struct JobProgress {
     pub finished: bool,
 }
 
-/// Sorts `summaries` by shot index and folds the *contiguous completed
-/// prefix* in shot order — the one fold rule shared by mid-flight
-/// partials ([`JobHandle::partial_aggregate`]) and final results, so
-/// the two can never diverge. Returns the aggregate and the prefix
-/// length.
-fn prefix_aggregate(base_seed: u64, summaries: &mut [ShotSummary]) -> (BatchAggregate, u64) {
-    summaries.sort_unstable_by_key(|s| s.shot);
-    // After the sort, position i holds shot i for exactly the
-    // contiguous completed prefix.
-    let prefix = summaries
-        .iter()
-        .enumerate()
-        .take_while(|(i, s)| s.shot == *i as u64)
-        .count();
-    (
-        BatchAggregate::from_summaries(base_seed, &summaries[..prefix]),
-        prefix as u64,
-    )
-}
-
-/// The shared per-job cell a [`JobHandle`] reads: summaries as they
-/// land, the final result, and the cancellation flag. Lock order is
-/// strictly *server state → cell* — cell-only readers (progress, wait)
-/// never touch the server lock.
+/// The shared per-job cell a [`JobHandle`] reads: the fold of the
+/// quanta that landed, the final result, and the cancellation flag.
+/// Lock order is strictly *server state → cell* — cell-only readers
+/// (progress, wait) never touch the server lock.
 struct JobCell {
     name: String,
     priority: Priority,
@@ -612,8 +597,40 @@ struct JobCell {
 
 #[derive(Default)]
 struct CellInner {
-    summaries: Vec<ShotSummary>,
+    /// The fold of shots `0..prefix_end`, the contiguous completed
+    /// prefix: what partial and final aggregates report.
+    prefix: ShotAccumulator,
+    prefix_end: u64,
+    /// Landed shots past a gap in the prefix, as maximal runs of
+    /// adjacent quanta keyed by first shot, each with its end and its
+    /// fold. Every gap is a claimed quantum still executing (or lost to
+    /// a panic), so there are no more runs than quanta in flight.
+    pending: BTreeMap<u64, (u64, ShotAccumulator)>,
     result: Option<JobResult>,
+}
+
+impl CellInner {
+    /// Lands the quantum `shots`, folded into `acc`: joins it with the
+    /// landed runs that end where it starts and start where it ends,
+    /// and extends the prefix when the joined run starts at its end.
+    fn land(&mut self, shots: Range<u64>, mut acc: ShotAccumulator) {
+        let Range { mut start, mut end } = shots;
+        let before = self.pending.range(..start).next_back();
+        if let Some((&run_start, _)) = before.filter(|(_, (run_end, _))| *run_end == start) {
+            acc.merge(&self.pending.remove(&run_start).expect("run just found").1);
+            start = run_start;
+        }
+        if let Some((run_end, run)) = self.pending.remove(&end) {
+            acc.merge(&run);
+            end = run_end;
+        }
+        if start == self.prefix_end {
+            self.prefix.merge(&acc);
+            self.prefix_end = end;
+        } else {
+            self.pending.insert(start, (end, acc));
+        }
+    }
 }
 
 /// A live handle on one submitted job. Clone freely; all methods are
@@ -651,7 +668,10 @@ impl JobHandle {
         let inner = self.cell.inner.lock().expect("job cell lock poisoned");
         let shots_done = match &inner.result {
             Some(r) => r.shots,
-            None => inner.summaries.len() as u64,
+            None => {
+                let pending = inner.pending.iter().map(|(start, (end, _))| end - start);
+                inner.prefix_end + pending.sum::<u64>()
+            }
         };
         JobProgress {
             shots_done,
@@ -675,9 +695,7 @@ impl JobHandle {
         if let Some(r) = &inner.result {
             return r.aggregate.clone();
         }
-        let mut summaries = inner.summaries.clone();
-        drop(inner);
-        prefix_aggregate(self.cell.base_seed, &mut summaries).0
+        inner.prefix.finish(self.cell.base_seed)
     }
 
     /// True once the job's result is available.
@@ -734,7 +752,7 @@ impl JobHandle {
 /// One submitted job inside a scheduler entry. A solo entry holds one
 /// member; a packed entry holds every member of the pack. Each member
 /// keeps its own engine (its own factory and base seed), so
-/// its summaries — and therefore its aggregate — are independent of how
+/// its shots — and therefore its aggregate — are independent of how
 /// the scheduler grouped it.
 struct MemberJob {
     id: u64,
@@ -745,9 +763,9 @@ struct MemberJob {
     /// `shots`) while the member is uncancelled, then freezes.
     claimed: u64,
     done: u64,
-    /// Shots of claimed quanta whose execution panicked: their summaries
-    /// will never land, so quiescence is `done + lost == claimed`. A
-    /// lost quantum cancels the member (its summaries would leave a gap).
+    /// Shots of claimed quanta whose execution panicked: they will never
+    /// land, so quiescence is `done + lost == claimed`. A lost quantum
+    /// cancels the member (its shots would leave a gap).
     lost: u64,
     cell: Arc<JobCell>,
 }
@@ -857,10 +875,6 @@ struct SchedState {
     completed: u64,
     next_id: u64,
     finished: Vec<JobResult>,
-    /// Members already removed from `jobs` whose final fold is running
-    /// outside the lock ([`JobServer::finalize_members_detached`]);
-    /// drains wait for this to reach zero before taking `finished`.
-    finalizing: usize,
     /// Pack formations in flight: their entries are out of `jobs` while
     /// a worker combines and compiles off-lock; drains wait for this to
     /// reach zero so the members are not missed.
@@ -1312,23 +1326,26 @@ impl JobServer {
     }
 
     /// Finalizes one member (no claimed quantum of its still executing):
-    /// folds its summaries in shot order over the *contiguous completed
-    /// prefix*, publishes the [`JobResult`] to the cell and wakes
-    /// waiters. Caller has removed the member from its entry; the
-    /// returned result also goes to the server's finished list.
+    /// finishes the fold of its *contiguous completed prefix*, publishes
+    /// the [`JobResult`] to the cell and wakes waiters. Caller has
+    /// removed the member from its entry; the returned result also goes
+    /// to the server's finished list.
     ///
-    /// Uncancelled members always have a gapless `0..shots` summary set;
-    /// a panicked quantum leaves a gap (and cancels the member), so the
-    /// fold stops at the gap to keep the prefix-consistency guarantee.
+    /// Uncancelled members always land a gapless `0..shots`; a panicked
+    /// quantum leaves a gap (and cancels the member), so the fold stops
+    /// at the gap to keep the prefix-consistency guarantee.
     fn finalize_member(obs: &ServerObs, member: &MemberJob, rank: u64) -> JobResult {
         let flagged = member.cancelled();
         let mut inner = member.cell.inner.lock().expect("job cell lock poisoned");
-        let mut summaries = std::mem::take(&mut inner.summaries);
-        let (aggregate, executed) = prefix_aggregate(member.cell.base_seed, &mut summaries);
+        // The result answers every later reader, and handles may outlive
+        // the job by far: the cell keeps no fold past this point.
         debug_assert!(
-            flagged || executed == summaries.len() as u64,
+            flagged || inner.pending.is_empty(),
             "an uncancelled job's claimed quanta must form a contiguous prefix"
         );
+        let aggregate = std::mem::take(&mut inner.prefix).finish(member.cell.base_seed);
+        inner.pending.clear();
+        let executed = aggregate.shots;
         let result = JobResult {
             id: member.id,
             name: member.cell.name.clone(),
@@ -1395,10 +1412,12 @@ impl JobServer {
         member
     }
 
-    /// Finalizes one member under the server lock — for the small folds
-    /// of the claim-path reap and the terminal stop cleanup. The hot
-    /// paths ([`complete`](JobServer::complete), cancellation) use
-    /// [`finalize_members_detached`](JobServer::finalize_members_detached).
+    /// Finalizes one member under the server lock, removing it from
+    /// the entry at `entry_index` (and the entry with its last member).
+    /// Finishing a fold costs O(qubits + distinct values) however many
+    /// shots landed, so no finalize needs to leave the lock. The result
+    /// waits in `hook_pending` until the caller, off the lock, calls
+    /// [`flush_finish_hooks`](JobServer::flush_finish_hooks).
     fn finalize_and_remove(
         obs: &ServerObs,
         st: &mut SchedState,
@@ -1411,54 +1430,6 @@ impl JobServer {
         let result = Self::finalize_member(obs, &member, rank);
         st.hook_pending.push(result.clone());
         st.finished.push(result);
-    }
-
-    /// Removes the given members (indices into the entry's member list)
-    /// and folds their results *outside* the server lock — a fold is
-    /// O(shots · log shots), and holding the one lock every claim and
-    /// submit needs would stall the whole pool on a large job.
-    /// Ownership of the removed [`MemberJob`]s makes the folds
-    /// race-free; the `finalizing` counter keeps drains from taking
-    /// `finished` before the results land there.
-    fn finalize_members_detached(
-        &self,
-        mut st: MutexGuard<'_, SchedState>,
-        entry_index: usize,
-        mut member_indices: Vec<usize>,
-    ) {
-        // Remove back-to-front so earlier indices stay valid; assign
-        // completion ranks in member order.
-        member_indices.sort_unstable();
-        let mut removed = Vec::with_capacity(member_indices.len());
-        for &mi in member_indices.iter().rev() {
-            let member = st.jobs[entry_index].members.remove(mi);
-            removed.push(member);
-        }
-        removed.reverse();
-        if st.jobs[entry_index].members.is_empty() {
-            let _ = Self::remove_entry(&mut st, entry_index);
-        }
-        let mut ranked = Vec::with_capacity(removed.len());
-        for member in removed {
-            let rank = st.completed;
-            st.completed += 1;
-            ranked.push((member, rank));
-        }
-        st.finalizing += ranked.len();
-        drop(st);
-        let results: Vec<JobResult> = ranked
-            .iter()
-            .map(|(member, rank)| Self::finalize_member(&self.inner.obs, member, *rank))
-            .collect();
-        let mut st = self.lock_state();
-        st.finalizing -= results.len();
-        for result in results {
-            st.hook_pending.push(result.clone());
-            st.finished.push(result);
-        }
-        drop(st);
-        self.inner.work.notify_all();
-        self.flush_finish_hooks();
     }
 
     /// Reaps quiescent cancelled members, then claims the next shot
@@ -1525,11 +1496,11 @@ impl JobServer {
         None
     }
 
-    /// Folds finished per-member batches of one claimed quantum back
-    /// into their members; finalizes every member whose last expected
-    /// shot landed (all requested shots, or all claimed shots of a
-    /// cancelled member).
-    fn complete(&self, entry_id: u64, batches: Vec<(u64, Vec<ShotSummary>)>) {
+    /// Lands the folds of one claimed quantum's finished member ranges
+    /// in their members' cells; finalizes every member whose last
+    /// expected shot landed (all requested shots, or all claimed shots
+    /// of a cancelled member).
+    fn complete(&self, entry_id: u64, batches: Vec<(u64, Range<u64>, ShotAccumulator)>) {
         let mut st = self.lock_state();
         let entry_index = st
             .jobs
@@ -1539,36 +1510,40 @@ impl JobServer {
         let mut to_finalize = Vec::new();
         {
             let entry = &mut st.jobs[entry_index];
-            for (member_id, batch) in batches {
+            for (member_id, shots, acc) in batches {
                 let mi = entry
                     .members
                     .iter()
                     .position(|m| m.id == member_id)
                     .expect("a member with claimed shots outstanding is never removed");
                 let m = &mut entry.members[mi];
-                m.done += batch.len() as u64;
+                m.done += shots.end - shots.start;
                 m.cell
                     .inner
                     .lock()
                     .expect("job cell lock poisoned")
-                    .summaries
-                    .extend(batch);
+                    .land(shots, acc);
                 if m.finished() {
                     to_finalize.push(mi);
                 }
             }
         }
-        if !to_finalize.is_empty() {
-            self.finalize_members_detached(st, entry_index, to_finalize);
-        } else {
-            drop(st);
+        // Members in ascending index order: each removal shifts the
+        // later ones down by one, and completion ranks follow member order.
+        let finalized = !to_finalize.is_empty();
+        for (removed, mi) in to_finalize.into_iter().enumerate() {
+            Self::finalize_and_remove(&self.inner.obs, &mut st, entry_index, mi - removed);
+        }
+        drop(st);
+        if finalized {
+            self.flush_finish_hooks();
         }
         // Progress may unblock a drain (job finished) or another claim.
         self.inner.work.notify_all();
     }
 
     /// Records a claimed member range whose execution panicked: its
-    /// summaries will never land, so the member is cancelled (the gap
+    /// shots will never land, so the member is cancelled (the gap
     /// makes further shots meaningless) and finalized as a prefix
     /// partial once quiescent. Other members of the same entry are
     /// untouched.
@@ -1589,10 +1564,10 @@ impl JobServer {
         m.lost += shots;
         m.cell.cancelled.store(true, Ordering::Relaxed);
         if m.quiescent() {
-            self.finalize_members_detached(st, entry_index, vec![mi]);
-        } else {
-            drop(st);
+            Self::finalize_and_remove(&self.inner.obs, &mut st, entry_index, mi);
         }
+        drop(st);
+        self.flush_finish_hooks();
         self.inner.work.notify_all();
     }
 
@@ -1610,13 +1585,14 @@ impl JobServer {
             let shots = unit.range.end - unit.range.start;
             let started = Instant::now();
             let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                unit.range
-                    .clone()
-                    .map(|s| unit.engine.run_shot_reusing(s, &mut scratch))
-                    .collect::<Vec<ShotSummary>>()
+                let mut acc = ShotAccumulator::default();
+                for shot in unit.range.clone() {
+                    unit.engine.run_shot_reusing(shot, &mut scratch, &mut acc);
+                }
+                acc
             }));
             match batch {
-                Ok(batch) => {
+                Ok(acc) => {
                     let obs = &self.inner.obs;
                     obs.quanta.inc();
                     obs.quantum_us.record_micros(started.elapsed());
@@ -1628,7 +1604,7 @@ impl JobServer {
                         unit.range.end,
                         started,
                     );
-                    batches.push((unit.member, batch));
+                    batches.push((unit.member, unit.range, acc));
                 }
                 Err(_) => {
                     // The scratch may hold arbitrary mid-shot state
@@ -1645,7 +1621,7 @@ impl JobServer {
 
     /// Cooperative cancellation (see [`JobHandle::cancel`]).
     fn cancel_job(&self, id: u64, cell: &Arc<JobCell>) {
-        let st = self.lock_state();
+        let mut st = self.lock_state();
         let Some((entry_index, member_index)) = st
             .jobs
             .iter()
@@ -1654,11 +1630,11 @@ impl JobServer {
         else {
             // Not queued: either already finished (cancelling is a
             // no-op — the flag stays clear so progress() keeps agreeing
-            // with the result) or inside a pack formation / detached
-            // fold. The cell knows which: no published result means the
-            // job is still live somewhere, so the flag must stick — the
-            // packer re-inserts the member with the flag already set
-            // and the claim path skips it.
+            // with the result) or inside a pack formation. The cell
+            // knows which: no published result means the job is still
+            // live somewhere, so the flag must stick — the packer
+            // re-inserts the member with the flag already set and the
+            // claim path skips it.
             let unfinished = cell
                 .inner
                 .lock()
@@ -1676,11 +1652,11 @@ impl JobServer {
         // quantum after cancel() returns.
         cell.cancelled.store(true, Ordering::Relaxed);
         if st.jobs[entry_index].members[member_index].quiescent() {
-            // Nothing in flight: finalize right here (off the lock).
-            self.finalize_members_detached(st, entry_index, vec![member_index]);
-        } else {
-            drop(st);
+            // Nothing in flight: finalize right here.
+            Self::finalize_and_remove(&self.inner.obs, &mut st, entry_index, member_index);
         }
+        drop(st);
+        self.flush_finish_hooks();
         self.inner.work.notify_all();
     }
 
@@ -1901,11 +1877,7 @@ impl JobServer {
             }
             match st.phase {
                 ServePhase::Shutdown => break,
-                ServePhase::Draining
-                    if st.jobs.is_empty() && st.finalizing == 0 && st.forming == 0 =>
-                {
-                    break
-                }
+                ServePhase::Draining if st.jobs.is_empty() && st.forming == 0 => break,
                 _ => {
                     st = self.inner.work.wait(st).expect("server lock poisoned");
                 }
@@ -1939,11 +1911,6 @@ impl JobServer {
             });
         }
         let mut st = self.lock_state();
-        // A cancellation on another thread may still be folding its
-        // result off-lock; wait so this drain does not miss it.
-        while st.finalizing > 0 {
-            st = self.inner.work.wait(st).expect("server lock poisoned");
-        }
         st.cursor = 0;
         let mut results = std::mem::take(&mut st.finished);
         if st.jobs.is_empty() {
@@ -2056,19 +2023,6 @@ impl ServingServer {
             }
         }
         let mut st = self.server.lock_state();
-        // A cancellation on a user thread may still be folding its
-        // result off-lock; wait so the drained list does not miss it.
-        // (Skipped after a worker panic: the panicking worker may have
-        // died inside a detached fold, which would leave `finalizing`
-        // stuck above zero forever.)
-        while st.finalizing > 0 && !worker_panicked {
-            st = self
-                .server
-                .inner
-                .work
-                .wait(st)
-                .expect("server lock poisoned");
-        }
         // After the join no claimed quantum is still executing, so any
         // member still queued (the shutdown path; after a drain only if
         // a worker died) finalizes as a cancelled prefix partial.
@@ -2114,6 +2068,7 @@ impl Drop for ServingServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 
     #[test]
     fn priority_weights_are_monotonic() {
@@ -2133,5 +2088,108 @@ mod tests {
         // Same text, different config → different key.
         let c = JobSource::Text(text).cache_key(&QuapeConfig::superscalar(8));
         assert_ne!(a, c);
+    }
+
+    /// Behavioural backends, except that the backend for shot seed
+    /// `stall_seed` is handed out only once `released` is set: the
+    /// worker running that shot stalls until then.
+    struct StallingFactory {
+        stall_seed: u64,
+        released: Arc<(Mutex<bool>, Condvar)>,
+        inner: BehavioralQpuFactory,
+    }
+
+    impl QpuFactory for StallingFactory {
+        fn create(&self, seed: u64) -> Box<dyn quape_core::QpuBackend> {
+            if seed == self.stall_seed {
+                let (lock, cond) = &*self.released;
+                let released = lock.lock().expect("release lock poisoned");
+                drop(cond.wait_while(released, |r| !*r));
+            }
+            QpuFactory::create(&self.inner, seed)
+        }
+    }
+
+    /// A job cell holds one prefix fold plus at most one run of landed
+    /// quanta per quantum in flight, so its state is O(quanta in flight +
+    /// distinct values) however many shots land; and every partial
+    /// polled mid-run is the aggregate of a solo run's first shots.
+    #[test]
+    fn a_job_cell_holds_state_per_quantum_in_flight_not_per_shot() {
+        const SHOTS: u64 = 4000;
+        const WORKERS: usize = 2;
+        let cfg = QuapeConfig::superscalar(4);
+        let program = quape_isa::assemble("0 H q0\n2 MEAS q0\n0 MEAS q1\nSTOP\n").unwrap();
+        let coin =
+            || BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
+        let released = Arc::new((Mutex::new(false), Condvar::new()));
+        let factory = StallingFactory {
+            stall_seed: quape_core::shot_seed(5, 0),
+            released: Arc::clone(&released),
+            inner: coin(),
+        };
+        let serving = JobServer::serve(ServerConfig {
+            threads: WORKERS,
+            shot_quantum: 2,
+            ..Default::default()
+        });
+        let source = JobSource::Program(program.clone());
+        let request = JobRequest::new("long", source, cfg.clone(), factory, SHOTS).base_seed(5);
+        let handle = serving.submit(request).unwrap();
+        let cell_state = || {
+            let inner = handle.cell.inner.lock().unwrap();
+            let behind: u64 = inner
+                .pending
+                .iter()
+                .map(|(start, (end, _))| end - start)
+                .sum();
+            (inner.pending.len(), inner.prefix_end, behind)
+        };
+
+        // Shot 0 stalls its worker, so the other lands quantum after
+        // quantum behind the gap: one run of them, and an empty prefix.
+        while handle.progress().shots_done < SHOTS / 10 {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let (runs, prefix_end, behind) = cell_state();
+        let stalled_partial = handle.partial_aggregate();
+        // Release before asserting: a failed assertion must not leave the
+        // stalled worker for the server's shutdown to wait on forever.
+        *released.0.lock().unwrap() = true;
+        released.1.notify_all();
+        assert_eq!((runs, prefix_end), (1, 0));
+        assert!(behind >= SHOTS / 10);
+        assert_eq!(stalled_partial.shots, 0);
+
+        // Released, the job runs on: every gap is a quantum in flight.
+        let mut partials = Vec::new();
+        while !handle.is_finished() {
+            let (runs, ..) = cell_state();
+            assert!(
+                runs <= WORKERS,
+                "{runs} runs pending with {WORKERS} workers"
+            );
+            partials.push(handle.partial_aggregate());
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let result = handle.wait();
+        assert_eq!(result.shots, SHOTS);
+        assert!(cell_state().0 == 0);
+
+        // Every partial, and the result, is a prefix of the solo run.
+        partials.push(result.aggregate);
+        let solo = ShotEngine::new(CompiledJob::compile(cfg.clone(), program).unwrap(), coin())
+            .base_seed(5);
+        let mut scratch = WorkerScratch::new();
+        let mut acc = ShotAccumulator::default();
+        let mut shot = 0;
+        for partial in &partials {
+            while shot < partial.shots {
+                solo.run_shot_reusing(shot, &mut scratch, &mut acc);
+                shot += 1;
+            }
+            assert_eq!(partial, &acc.finish(5), "partial of {shot} shots");
+        }
+        serving.drain().unwrap();
     }
 }
