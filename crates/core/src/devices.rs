@@ -17,6 +17,20 @@ use quape_isa::{OpTimings, QuantumOp, Qubit};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// Inserts `item` into `queue`, kept sorted by `key`, behind every entry
+/// whose key is no greater (FIFO among ties). The device and timing
+/// queues receive entries mostly in key order, so an entry that sorts
+/// last is pushed without a search or an insert.
+pub(crate) fn insert_sorted<T, K: Ord>(queue: &mut VecDeque<T>, item: T, key: impl Fn(&T) -> K) {
+    let k = key(&item);
+    if queue.back().is_none_or(|last| key(last) <= k) {
+        queue.push_back(item);
+    } else {
+        let pos = queue.partition_point(|e| key(e) <= k);
+        queue.insert(pos, item);
+    }
+}
+
 /// Default number of concurrent demodulation servers per readout channel
 /// (see [`crate::QuapeConfig::daq_demod_slots`]).
 pub(crate) const DEFAULT_DEMOD_SLOTS: usize = 4;
@@ -151,12 +165,7 @@ impl Daq {
     /// Enqueues a result for delivery at an explicit time, bypassing the
     /// demod-server model (raw acquisition-chain injection).
     pub fn schedule(&mut self, result: PendingResult) {
-        // Binary search for the insertion point; `<=` keeps equal delivery
-        // times in FIFO order (a new result lands after existing ties).
-        let pos = self
-            .pending
-            .partition_point(|p| p.deliver_at_ns <= result.deliver_at_ns);
-        self.pending.insert(pos, result);
+        insert_sorted(&mut self.pending, result, |p| p.deliver_at_ns);
     }
 
     /// Routes a readout through the demod pipeline of `channel`: the
@@ -271,7 +280,12 @@ pub struct QubitChannels {
 ///   frequency-multiplexed readout: `r` shared readout lines serve all
 ///   qubits (qubits congruent modulo `r` share a line), giving `2·n + r`
 ///   channels — e.g. the paper's 8 readout channels for 10 qubits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Both constructors clamp the qubit count to [`quape_isa::MAX_QUBITS`],
+/// the widest setup the ISA addresses, so every channel number of a
+/// mapped qubit fits the `u16` channel space. They are the only way to
+/// build a map, so no map escapes the clamp.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelMap {
     num_qubits: u16,
     readout_lines: u16,
@@ -282,10 +296,7 @@ impl ChannelMap {
     /// flux channel `2q+1`, and its own readout channel
     /// `2·num_qubits + q`.
     pub fn linear(num_qubits: u16) -> Self {
-        ChannelMap {
-            num_qubits,
-            readout_lines: num_qubits.max(1),
-        }
+        Self::multiplexed(num_qubits, u16::MAX)
     }
 
     /// Multiplexed-readout layout: microwave/flux as in
@@ -294,17 +305,23 @@ impl ChannelMap {
     /// every qubit congruent to it. `readout_lines` is clamped to
     /// `1..=num_qubits`.
     pub fn multiplexed(num_qubits: u16, readout_lines: u16) -> Self {
+        let widest = u16::try_from(quape_isa::MAX_QUBITS).unwrap_or(u16::MAX);
+        let num_qubits = num_qubits.min(widest);
+        let readout_lines = readout_lines.clamp(1, num_qubits.max(1));
         ChannelMap {
             num_qubits,
-            readout_lines: readout_lines.clamp(1, num_qubits.max(1)),
+            readout_lines,
         }
     }
 
-    /// Channels of one qubit.
+    /// Channels of one qubit. A qubit beyond the map gets the readout
+    /// line its index is congruent to, and drive channels saturated at
+    /// `u16::MAX` rather than wrapped.
     pub fn channels(&self, q: Qubit) -> QubitChannels {
+        let drive = q.index().saturating_mul(2);
         QubitChannels {
-            microwave: 2 * q.index(),
-            flux: 2 * q.index() + 1,
+            microwave: drive,
+            flux: drive.saturating_add(1),
             readout: 2 * self.num_qubits + q.index() % self.readout_lines,
         }
     }
@@ -382,9 +399,10 @@ fn waveform_id(op: &QuantumOp) -> u16 {
 /// bank tracks per-channel and per-qubit occupancy so overlap/late-trigger
 /// conflicts are flagged **at the device** ([`AwgViolation`]), and keeps
 /// the in-flight playbacks in an end-time-ordered queue for the
-/// concurrency peak. Only an emission reads that queue, so a run loop may
-/// retire playbacks lazily: [`AwgBank::tick`] retires everything that
-/// ended by its argument, however late it is called.
+/// concurrency peak. Only an emission reads that queue, and each emission
+/// first retires every playback that ended by its own time, so a run loop
+/// need not tick the bank at all; [`AwgBank::tick`] retires everything
+/// that ended by its argument, however late it is called.
 #[derive(Debug, Clone)]
 pub struct AwgBank {
     timings: OpTimings,
@@ -400,6 +418,8 @@ pub struct AwgBank {
     max_concurrent: usize,
     record_timeline: bool,
     triggers: u64,
+    /// Time of the latest emission: its instant's retirement is done.
+    last_emission_ns: u64,
 }
 
 impl AwgBank {
@@ -416,6 +436,7 @@ impl AwgBank {
             max_concurrent: 0,
             record_timeline: true,
             triggers: 0,
+            last_emission_ns: 0,
         }
     }
 
@@ -447,6 +468,7 @@ impl AwgBank {
         self.retired = 0;
         self.max_concurrent = 0;
         self.triggers = 0;
+        self.last_emission_ns = 0;
     }
 
     fn busy_slot(v: &mut Vec<u64>, i: usize) -> &mut u64 {
@@ -522,16 +544,26 @@ impl AwgBank {
                 op: *op,
             });
         }
-        // In-flight queue, ordered by end time (FIFO among ties).
-        let pos = self.active_ends.partition_point(|&e| e <= end_ns);
-        self.active_ends.insert(pos, end_ns);
+        insert_sorted(&mut self.active_ends, end_ns, |&e| e);
         self.max_concurrent = self.max_concurrent.max(self.active_ends.len());
+    }
+
+    /// Retires, ahead of an emission at `time_ns`, every playback that
+    /// ended by then: once per instant, as a cycle-stepped run's tick at
+    /// the start of that cycle does. Playbacks emitted at one instant stay
+    /// concurrent with each other, zero-length ones included.
+    fn retire_before(&mut self, time_ns: u64) {
+        if time_ns > self.last_emission_ns {
+            self.tick(time_ns);
+            self.last_emission_ns = time_ns;
+        }
     }
 
     /// Emits the codeword(s) for one operation: microwave channel for
     /// single-qubit gates, flux channels of both qubits for two-qubit
     /// gates, readout channel for measurements.
     pub fn emit(&mut self, map: &ChannelMap, time_ns: u64, op: &QuantumOp) {
+        self.retire_before(time_ns);
         let wf = waveform_id(op);
         match *op {
             QuantumOp::Gate1(_, q) => {
@@ -559,6 +591,7 @@ impl AwgBank {
         waveform: u16,
         dur_ns: u64,
     ) {
+        self.retire_before(time_ns);
         match *op {
             QuantumOp::Gate1(_, q) => {
                 self.play_with(map.channels(q).microwave, q, time_ns, waveform, dur_ns, op);
@@ -790,6 +823,39 @@ mod tests {
     }
 
     #[test]
+    fn channel_maps_clamp_to_the_addressable_width_instead_of_overflowing() {
+        let widest = quape_isa::MAX_QUBITS as u16;
+        for map in [
+            ChannelMap::linear(u16::MAX),
+            ChannelMap::multiplexed(u16::MAX, u16::MAX),
+            ChannelMap::linear(widest),
+        ] {
+            assert_eq!(map.channel_count(), 3 * widest);
+            let mut seen = std::collections::HashSet::new();
+            for i in 0..widest {
+                let ch = map.channels(q(i));
+                assert!(seen.insert(ch.microwave));
+                assert!(seen.insert(ch.flux));
+                assert!(seen.insert(ch.readout));
+            }
+            assert_eq!(seen.len(), usize::from(map.channel_count()));
+            assert!(seen.iter().all(|&c| c < map.channel_count()));
+            // A qubit beyond the map saturates instead of wrapping.
+            let far = map.channels(q(u16::MAX));
+            assert_eq!((far.microwave, far.flux), (u16::MAX, u16::MAX));
+            assert!(far.readout < map.channel_count());
+        }
+        let muxed = ChannelMap::multiplexed(u16::MAX, 8);
+        assert_eq!(muxed.readout_lines(), 8);
+        assert_eq!(muxed.channel_count(), 2 * widest + 8);
+        // Past the map, a qubit shares the line it is congruent to.
+        assert_eq!(
+            muxed.channels(q(widest + 3)).readout,
+            muxed.channels(q(3)).readout
+        );
+    }
+
+    #[test]
     fn awg_routes_ops_to_channels() {
         let map = ChannelMap::linear(4);
         let mut awg = AwgBank::new(timings());
@@ -912,6 +978,39 @@ mod tests {
         awg.emit(&map, 1000, &QuantumOp::Gate1(Gate1::X, q(3)));
         assert_eq!(awg.playing(), 1);
         assert_eq!(awg.max_concurrent(), 3);
+    }
+
+    #[test]
+    fn sorted_insert_appends_in_order_and_keeps_ties_fifo() {
+        let mut queue = VecDeque::new();
+        for (key, tag) in [(5, 'a'), (5, 'b'), (9, 'c'), (3, 'd'), (5, 'e'), (9, 'f')] {
+            insert_sorted(&mut queue, (key, tag), |&(k, _)| k);
+        }
+        let tags: String = queue.iter().map(|&(_, t)| t).collect();
+        assert_eq!(tags, "dabecf");
+    }
+
+    #[test]
+    fn an_emission_retires_what_ended_before_its_instant_only() {
+        // Zero-length pulses: ones emitted at the same instant overlap
+        // (a cycle's tick retires before that cycle's emissions, never
+        // between them), and a later emission retires them first.
+        let instant = OpTimings {
+            single_qubit_ns: 0,
+            ..timings()
+        };
+        let map = ChannelMap::linear(4);
+        let mut awg = AwgBank::new(instant);
+        for qubit in 0..3 {
+            awg.emit(&map, 10, &QuantumOp::Gate1(Gate1::X, q(qubit)));
+        }
+        assert_eq!((awg.playing(), awg.max_concurrent()), (3, 3));
+        awg.emit(&map, 20, &QuantumOp::Measure(q(3)));
+        assert_eq!((awg.playing(), awg.retired()), (1, 3));
+        // Ticking as well, as the cycle-stepped loop does, changes nothing.
+        assert_eq!(awg.tick(20), 0);
+        awg.emit(&map, 20, &QuantumOp::Gate1(Gate1::X, q(0)));
+        assert_eq!((awg.playing(), awg.max_concurrent()), (2, 3));
     }
 
     #[test]

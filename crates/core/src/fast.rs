@@ -21,14 +21,23 @@
 //! Cycle-vs-Lowered step-mode equivalence tests and the
 //! `debug_assertions` cross-checks in the run loop enforce it.
 //!
-//! Unlike the reference processor, this one also carries the time-skip
-//! machinery of the lowered run loop: [`StallFlags`] recorded at the
-//! stall bump sites, the trusted [`FastProcessor::skip_check`], its
-//! from-first-principles verifier [`FastProcessor::stall_info`], and
-//! [`FastProcessor::account_stall_span`] for bulk accounting.
+//! Unlike the reference processor, this one also carries the machinery
+//! the lowered run loop uses to cover many cycles per step:
+//!
+//! * [`StallFlags`] recorded at the stall bump sites, including whether
+//!   the tick left the processor provably inert;
+//! * the trusted [`FastProcessor::skip_check`], its from-first-principles
+//!   verifier [`FastProcessor::stall_info`], and
+//!   [`FastProcessor::account_stall_span`] for bulk accounting;
+//! * [`FastProcessor::is_dormant`] and [`FastProcessor::is_running`],
+//!   which let the loop tick one processor alone over consecutive cycles.
+//!
+//! The pre-decode buffer keeps its classical-dispatch candidate up to
+//! date as slots arrive and leave ([`Predecode`]), so dispatch does not
+//! rescan the buffer every cycle.
 
 use crate::config::QuapeConfig;
-use crate::devices::MeasurementFile;
+use crate::devices::{insert_sorted, MeasurementFile};
 use crate::processor::{Env, ProcessorCore};
 use crate::report::{ProcessorStats, StepDispatch};
 use quape_isa::{
@@ -106,6 +115,124 @@ struct FastSlot {
     flags: u8,
 }
 
+/// True for slots of the quantum stream (quantum ops and `QWAIT`), which
+/// classical lookahead bypasses.
+#[inline]
+fn in_quantum_stream(flags: u8) -> bool {
+    flags & (f::QUANTUM | f::QWAIT) != 0
+}
+
+/// The pre-decode buffer. It keeps its classical-dispatch candidate up to
+/// date as slots arrive and leave, so dispatch reads the candidate
+/// instead of rescanning the buffer (and the measurements ahead of it)
+/// every cycle. Slots enter at the back; the quantum stream leaves from
+/// the front, a classical op from wherever the candidate is.
+#[derive(Debug, Default)]
+struct Predecode {
+    slots: VecDeque<FastSlot>,
+    /// Index of the first classical slot (outside the quantum stream), or
+    /// `slots.len()` when none is buffered.
+    first_classical: usize,
+    /// Measurements buffered ahead of `first_classical`.
+    measures_ahead: usize,
+}
+
+impl Predecode {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn front(&self) -> Option<FastSlot> {
+        self.slots.front().copied()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.first_classical = 0;
+        self.measures_ahead = 0;
+    }
+
+    /// True when a classical slot is buffered (the candidate exists).
+    fn has_classical(&self) -> bool {
+        self.first_classical < self.slots.len()
+    }
+
+    fn push_back(&mut self, slot: FastSlot) {
+        if !self.has_classical() && in_quantum_stream(slot.flags) {
+            self.first_classical += 1;
+            self.measures_ahead += usize::from(slot.flags & f::MEASURE != 0);
+        }
+        self.slots.push_back(slot);
+    }
+
+    /// Removes the front slot, which belongs to the quantum stream.
+    fn pop_quantum(&mut self) {
+        let slot = self.slots.pop_front().expect("a buffered quantum slot");
+        debug_assert!(in_quantum_stream(slot.flags));
+        self.first_classical -= 1;
+        self.measures_ahead -= usize::from(slot.flags & f::MEASURE != 0);
+    }
+
+    /// The slot classical dispatch picks, with its index: the first
+    /// classical slot, unless it may only dispatch from the front (`STOP`,
+    /// `HALT`, or a `SYNC` op behind a buffered measurement) and is not
+    /// there.
+    fn classical_pick(&self) -> Option<(usize, FastSlot)> {
+        let i = self.first_classical;
+        let slot = *self.slots.get(i)?;
+        let needs_front = slot.flags & f::NEEDS_FRONT != 0
+            || (slot.flags & f::SYNC != 0 && self.measures_ahead > 0);
+        let pick = (i == 0 || !needs_front).then_some((i, slot));
+        debug_assert_eq!(
+            pick.map(|(i, _)| i),
+            self.scan_pick().map(|(i, _)| i),
+            "classical candidate diverged from the buffer scan"
+        );
+        pick
+    }
+
+    /// The buffer scan `classical_pick` keeps up incrementally: the
+    /// from-first-principles pick the stall verifier and the
+    /// `debug_assertions` cross-check read.
+    fn scan_pick(&self) -> Option<(usize, FastSlot)> {
+        for (i, slot) in self.slots.iter().enumerate() {
+            if in_quantum_stream(slot.flags) {
+                continue;
+            }
+            let needs_front = slot.flags & f::NEEDS_FRONT != 0
+                || (slot.flags & f::SYNC != 0
+                    && self.slots.iter().take(i).any(|s| s.flags & f::MEASURE != 0));
+            return (i == 0 || !needs_front).then_some((i, *slot));
+        }
+        None
+    }
+
+    /// Removes the picked classical slot at `index` and moves the
+    /// candidate to the next classical slot behind it. Each quantum slot
+    /// is walked past once, so this is O(1) amortized.
+    fn remove_pick(&mut self, index: usize) {
+        debug_assert_eq!(index, self.first_classical);
+        if index == 0 {
+            self.slots.pop_front();
+        } else {
+            self.slots.remove(index);
+        }
+        let mut next = index;
+        while let Some(slot) = self.slots.get(next) {
+            if !in_quantum_stream(slot.flags) {
+                break;
+            }
+            self.measures_ahead += usize::from(slot.flags & f::MEASURE != 0);
+            next += 1;
+        }
+        self.first_classical = next;
+    }
+}
+
 /// Per-cycle stall counters the last tick bumped, recorded at the bump
 /// sites so the run loop's time skip can replicate them in bulk without
 /// re-deriving the dispatch decision.
@@ -115,6 +242,14 @@ struct StallFlags {
     measure_wait: bool,
     /// Bumped `context_dependency_stalls`.
     context_stall: bool,
+    /// Until a clocked event (a timing-queue head, a countdown deadline)
+    /// or an external one (a DAQ delivery, a scheduler action) arrives,
+    /// every later tick repeats this one minus its progress: no issue, no
+    /// dispatch, no fetch, no transition, the same counter bumps. True
+    /// after a tick that made no progress, and after one that entered a
+    /// countdown or left the processor stalled with nothing to fetch (see
+    /// [`FastProcessor::tick`]).
+    inert: bool,
 }
 
 /// Verdict of [`FastProcessor::stall_info`]: the processor provably does
@@ -152,7 +287,7 @@ pub(crate) struct FastProcessor {
     active: usize,
     pc: u32,
     state: State,
-    buffer: VecDeque<FastSlot>,
+    buffer: Predecode,
     fetch_blocked: bool,
     timeline: u64,
     timeline_anchored: bool,
@@ -179,7 +314,7 @@ impl FastProcessor {
             active: 0,
             pc: 0,
             state: State::Idle,
-            buffer: VecDeque::new(),
+            buffer: Predecode::default(),
             fetch_blocked: false,
             timeline: 0,
             timeline_anchored: false,
@@ -344,20 +479,13 @@ impl FastProcessor {
         }
         // Keep the queue ordered by issue time: out-of-band operations may
         // be earlier than already-queued pre-scheduled ones.
-        let pos = self
-            .tqueue
-            .iter()
-            .rposition(|t| t.issue_cycle <= issue_cycle)
-            .map_or(0, |p| p + 1);
-        self.tqueue.insert(
-            pos,
-            FastTimedOp {
-                issue_cycle,
-                op,
-                waveform,
-                dur_ns,
-            },
-        );
+        let timed = FastTimedOp {
+            issue_cycle,
+            op,
+            waveform,
+            dur_ns,
+        };
+        insert_sorted(&mut self.tqueue, timed, |t| t.issue_cycle);
         self.stats.dispatched_quantum += 1;
         env.step_dispatches.push(StepDispatch {
             cycle,
@@ -367,8 +495,10 @@ impl FastProcessor {
     }
 
     fn conflicts_with_context(&self, op: &QuantumOp) -> bool {
-        op.qubits()
-            .any(|q| self.contexts.iter().any(|c| c.qubit == q || c.target == q))
+        !self.contexts.is_empty()
+            && op
+                .qubits()
+                .any(|q| self.contexts.iter().any(|c| c.qubit == q || c.target == q))
     }
 
     fn tick_timing_controller(&mut self, cycle: u64, env: &mut Env<'_>) -> bool {
@@ -386,15 +516,46 @@ impl FastProcessor {
 
     /// Advances the processor by one clock cycle (port of the reference
     /// `Processor::tick`; same progress-hint contract).
+    ///
+    /// It also records in the stall flags whether the processor is left
+    /// *inert*: every later tick repeats this one minus its progress
+    /// until a clocked or external event arrives, so the run loop may
+    /// take a time skip at once instead of stepping a tick that only
+    /// proves the stall. That holds after a tick without progress (the
+    /// trusted skip's premise) and after one that
+    ///
+    /// - entered or stayed in a `ContextSwitch`/`Switching` countdown, or
+    ///   left the processor `Idle` or `Halted` without resolving a
+    ///   context: only the timing queue, the deadline and a DAQ delivery
+    ///   (for the context store) can wake it;
+    /// - ran with a non-empty buffer whose classical candidate was
+    ///   already buffered (or to which nothing was fetched), dispatched
+    ///   nothing, resolved no context, and ends with fetch closed (blocked
+    ///   behind control flow, buffer full, or past the block end). The
+    ///   next tick sees the same buffer front and the same classical
+    ///   candidate — fetch only appends behind them — under the same
+    ///   measurement results and contexts, so it stalls the same way and
+    ///   bumps the same counters.
+    ///
+    /// [`FastProcessor::stall_info`] cross-checks every verdict the skip
+    /// trusts under `debug_assertions`.
     fn tick(&mut self, cycle: u64, env: &mut Env<'_>) -> bool {
         self.stall_flags = StallFlags::default();
+        let (progress, inert) = self.tick_stages(cycle, env);
+        self.stall_flags.inert = !progress || inert;
+        progress
+    }
+
+    /// The stages of [`FastProcessor::tick`]: returns the progress hint
+    /// and whether the tick left the processor inert.
+    fn tick_stages(&mut self, cycle: u64, env: &mut Env<'_>) -> (bool, bool) {
         let mut progress = self.tick_timing_controller(cycle, env);
 
         match self.state {
-            State::Halted => return progress,
+            State::Halted => return (progress, true),
             State::Switching { until } => {
                 if cycle < until {
-                    return progress;
+                    return (progress, true);
                 }
                 self.state = State::Running;
                 progress = true;
@@ -405,7 +566,7 @@ impl FastProcessor {
                 resume_idle,
             } => {
                 if cycle < fires_at {
-                    return progress;
+                    return (progress, true);
                 }
                 if let Some(op) = op {
                     self.enqueue_catch_up(cycle, op, env);
@@ -415,7 +576,7 @@ impl FastProcessor {
                 } else {
                     State::Running
                 };
-                return true;
+                return (true, false);
             }
             State::Idle | State::Running => {}
         }
@@ -423,9 +584,11 @@ impl FastProcessor {
         // MRCE context unit: a resolved context triggers the switch before
         // any dispatch this cycle. (Empty-store guard: feedback chains
         // without MRCE never pay for the scan.)
+        let mut resolved = false;
         if !self.contexts.is_empty() {
             if let Some(pos) = self.contexts.iter().position(|c| env.mrr.is_valid(c.qubit)) {
                 progress = true;
+                resolved = true;
                 let ctx = self.contexts.remove(pos);
                 let chosen = if env.mrr.read(ctx.qubit).value {
                     ctx.op_if_one
@@ -445,25 +608,64 @@ impl FastProcessor {
                         op,
                         resume_idle,
                     };
-                    return true;
+                    return (true, true);
                 }
             }
         }
         if matches!(self.state, State::Idle) {
-            return progress;
+            return (progress, !resolved);
         }
 
+        let buffered = self.buffer.len();
+        let candidate_buffered = self.buffer.has_classical();
         let dispatched = self.dispatch(cycle, env);
         let mut fetched = false;
         if matches!(self.state, State::Running) {
-            let buffered = self.buffer.len();
             self.fetch(env);
             fetched = self.buffer.len() != buffered || !matches!(self.state, State::Running);
         }
         if dispatched {
             self.stats.active_cycles += 1;
         }
-        progress || dispatched || fetched
+        let stalled = !dispatched
+            && !resolved
+            && buffered > 0
+            && (candidate_buffered || !fetched)
+            && matches!(self.state, State::Running)
+            && self.fetch_closed(env.cfg);
+        (progress || dispatched || fetched, stalled)
+    }
+
+    /// True when the fetch stage cannot add a slot: blocked behind
+    /// control flow, buffer full, or walked past the block end (whose
+    /// implicit `STOP` needs an empty buffer).
+    fn fetch_closed(&self, cfg: &QuapeConfig) -> bool {
+        self.fetch_blocked
+            || self.buffer.len() >= cfg.predecode_buffer
+            || !self.active_contains(self.pc)
+    }
+
+    /// True when the stall flags of the last tick say the processor is
+    /// inert (see [`FastProcessor::tick`]).
+    pub(crate) fn is_inert(&self) -> bool {
+        self.stall_flags.inert
+    }
+
+    /// True when no tick can do anything until the scheduler starts a
+    /// block here: idle or halted with an empty timing queue, and idle
+    /// with an empty context store.
+    pub(crate) fn is_dormant(&self) -> bool {
+        match self.state {
+            State::Idle => self.tqueue.is_empty() && self.contexts.is_empty(),
+            State::Halted => self.tqueue.is_empty(),
+            _ => false,
+        }
+    }
+
+    /// True while the processor executes a block (not idle, halted, or
+    /// counting down a switch).
+    pub(crate) fn is_running(&self) -> bool {
+        matches!(self.state, State::Running)
     }
 
     /// Dispatch stage (port of the reference `dispatch`; flag tests in
@@ -472,13 +674,13 @@ impl FastProcessor {
         let mut any = false;
 
         // ---- Quantum dispatch: group at the buffer front. ----
-        if let Some(front) = self.buffer.front().copied() {
+        if let Some(front) = self.buffer.front() {
             if front.flags & f::QWAIT != 0 {
                 let MicroWord::Qwait { cycles } = self.micro(front.addr).word else {
                     unreachable!("QWAIT flag on non-QWAIT micro-op");
                 };
                 self.timeline += u64::from(cycles);
-                self.buffer.pop_front();
+                self.buffer.pop_quantum();
                 self.stats.dispatched_classical += 1;
                 any = true;
             } else if front.flags & f::QUANTUM != 0 {
@@ -496,13 +698,13 @@ impl FastProcessor {
                     self.stats.context_dependency_stalls += 1;
                     self.stall_flags.context_stall = true;
                 } else {
-                    self.buffer.pop_front();
+                    self.buffer.pop_quantum();
                     self.enqueue_quantum(
                         cycle, timing, op, waveform, dur_ns, head.step, env, false,
                     );
                     let mut grouped = 1;
                     while grouped < env.cfg.quantum_pipes {
-                        let Some(slot) = self.buffer.front().copied() else {
+                        let Some(slot) = self.buffer.front() else {
                             break;
                         };
                         if slot.flags & f::QUANTUM == 0 || slot.flags & f::TIMING_ZERO == 0 {
@@ -521,7 +723,7 @@ impl FastProcessor {
                         if self.conflicts_with_context(&op) {
                             break;
                         }
-                        self.buffer.pop_front();
+                        self.buffer.pop_quantum();
                         self.enqueue_quantum(
                             cycle,
                             0,
@@ -540,28 +742,8 @@ impl FastProcessor {
         }
 
         // ---- Classical dispatch with lookahead. ----
-        let mut idx = None;
-        for (i, slot) in self.buffer.iter().enumerate() {
-            if slot.flags & (f::QUANTUM | f::QWAIT) != 0 {
-                // Quantum stream (including QWAIT): classical lookahead
-                // bypasses it, keep scanning.
-                continue;
-            }
-            let needs_front = slot.flags & f::NEEDS_FRONT != 0
-                || (slot.flags & f::SYNC != 0
-                    && self
-                        .buffer
-                        .iter()
-                        .take(i)
-                        .any(|s| s.flags & f::MEASURE != 0));
-            if needs_front && i != 0 {
-                break;
-            }
-            idx = Some((i, slot.addr));
-            break;
-        }
-        if let Some((i, addr)) = idx {
-            if self.execute_classical(cycle, addr, i, env) {
+        if let Some((i, slot)) = self.buffer.classical_pick() {
+            if self.execute_classical(cycle, slot.addr, i, env) {
                 any = true;
             }
         }
@@ -708,7 +890,7 @@ impl FastProcessor {
             W::Quantum { .. } => unreachable!("quantum handled in the quantum stream"),
         }
         self.stats.dispatched_classical += 1;
-        self.buffer.remove(buf_index);
+        self.buffer.remove_pick(buf_index);
         if let Some(target) = taken_target {
             self.stats.branches_taken += 1;
             self.redirect(target, env);
@@ -769,10 +951,10 @@ impl FastProcessor {
     }
 
     /// The cycle-*dependent* half of the skip check, used on the trusted
-    /// path: the immediately preceding tick made no observable progress,
-    /// which proves the cycle-independent state (dispatch, fetch, context
-    /// resolution) inactive and leaves only this processor's clocked
-    /// events to bound the jump. Returns `None` when one of them is due
+    /// path: the immediately preceding tick left the processor inert
+    /// (see [`FastProcessor::tick`]), which proves the cycle-independent
+    /// state (dispatch, fetch, context resolution) inactive and leaves
+    /// only this processor's clocked events to bound the jump. Returns `None` when one of them is due
     /// at `cycle` (the run loop must step), otherwise the stall verdict
     /// with the per-cycle counters the previous tick recorded.
     /// [`FastProcessor::stall_info`] is the from-first-principles verifier
@@ -885,25 +1067,8 @@ impl FastProcessor {
                 }
             }
         }
-        // Classical lookahead — same pick as `dispatch`.
-        let mut pick = None;
-        for (i, slot) in self.buffer.iter().enumerate() {
-            if slot.flags & (f::QUANTUM | f::QWAIT) != 0 {
-                continue;
-            }
-            let needs_front = slot.flags & f::NEEDS_FRONT != 0
-                || (slot.flags & f::SYNC != 0
-                    && self
-                        .buffer
-                        .iter()
-                        .take(i)
-                        .any(|s| s.flags & f::MEASURE != 0));
-            if needs_front && i != 0 {
-                break;
-            }
-            pick = Some(slot.addr);
-            break;
-        }
+        // Classical lookahead — the same pick as `dispatch`, by a scan.
+        let pick = self.buffer.scan_pick().map(|(_, slot)| slot.addr);
         if let Some(addr) = pick {
             match self.micro(addr).word {
                 MicroWord::Stop => {

@@ -73,8 +73,8 @@ pub use engine::{
     QubitHistogram, ShotAccumulator, ShotEngine, StateVectorQpuFactory, StopCounts, WorkerScratch,
 };
 pub use machine::{
-    CompiledJob, LoweredShotRunner, Machine, MachineError, MeasurementRecord, ReportMode, Shot,
-    ShotOutcome, StepMode,
+    CompiledJob, HostWork, LoweredShotRunner, Machine, MachineError, MeasurementRecord, ReportMode,
+    Shot, ShotOutcome, StepMode,
 };
 pub use metrics::{ces_report, ces_report_paper, CesReport, StepMetrics, TR_GATE_NS};
 pub use report::{BlockEvent, MachineStats, ProcessorStats, RunReport, StepDispatch, StopReason};

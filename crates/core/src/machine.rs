@@ -396,6 +396,7 @@ impl CompiledJob {
             late_cycles: 0,
             measurements: Vec::new(),
             skip_scratch: Vec::with_capacity(cfg.num_processors),
+            work: HostWork::default(),
         }
     }
 
@@ -458,6 +459,8 @@ pub(crate) struct ShotCore<P: ProcessorCore> {
     /// Scratch for the lowered loop's per-processor stall verdicts
     /// (allocated once per shot, reused across skip checks).
     skip_scratch: Vec<StallInfo>,
+    /// How the lowered loop covered this shot's cycles.
+    work: HostWork,
 }
 
 impl<P: ProcessorCore> ShotCore<P> {
@@ -513,6 +516,7 @@ impl<P: ProcessorCore> ShotCore<P> {
             measurements: &mut self.measurements,
             halt: &mut self.halt,
             error: &mut self.error,
+            readout_scheduled: false,
         };
         for p in &mut self.processors {
             progress |= p.tick(now, &mut env);
@@ -623,6 +627,7 @@ impl ShotCore<FastProcessor> {
         self.late_cycles = 0;
         self.measurements.clear();
         self.skip_scratch.clear();
+        self.work = HostWork::default();
     }
 
     /// Reduces the finished shot to a borrowed [`ShotOutcome`]: the exact
@@ -740,6 +745,7 @@ impl ShotCore<FastProcessor> {
         };
         qpu.set_lean(true);
         self.measurements.clear();
+        self.work = HostWork::default();
         qpu.replay(&trace.stream, &mut self.measurements);
         self.qpu = qpu;
         self.cycle = stop_cycle;
@@ -751,36 +757,77 @@ impl ShotCore<FastProcessor> {
     /// The lowered run loop — [`StepMode::Lowered`]'s whole-shot entry
     /// point.
     ///
-    /// It has the stop conditions of [`run_loop`](ShotCore::run_loop)
-    /// and adds a time skip: after a tick that made no observable
-    /// progress, if the coming cycle is provably a pure stall for every
-    /// component, the clock jumps to the earliest event horizon (bounded
-    /// by the cycle budget), bulk-accounting the per-cycle statistics a
-    /// cycle-stepped run would have accumulated.
+    /// It has the stop conditions of [`run_loop`](ShotCore::run_loop),
+    /// and it pays per event rather than per cycle. Each loop iteration
+    /// covers its cycles in one of three ways ([`HostWork`] counts them):
     ///
-    /// Soundness: during a span in which no processor dispatches, no
+    /// - a **step** ticks every component for one cycle;
+    /// - a **run** extends a step by the cycles in which one processor is
+    ///   the only component that can act, ticking it alone in a tight
+    ///   loop with none of the per-cycle machine checks;
+    /// - a **time skip** jumps the clock over a span in which every
+    ///   component provably stalls, to the earliest event horizon
+    ///   (bounded by the cycle budget), bulk-accounting the per-cycle
+    ///   statistics a cycle-stepped run would have accumulated.
+    ///
+    /// A feedback round on one processor thus costs a step (the DAQ
+    /// delivers), a run (the `FMR` → `CMPI` → `BR` tail, the conditional
+    /// gate, the next measurement and the fetches up to the next stall,
+    /// or the context switch's aftermath) and a skip (the readout wait),
+    /// instead of one loop iteration per pipeline cycle.
+    ///
+    /// Skip soundness: during a span in which no processor dispatches, no
     /// timing queue issues, the DAQ delivers nothing and the scheduler
     /// starts nothing, the machine state is constant except for those
     /// statistics — so every skipped cycle would have been identical, and
     /// the first cycle at which anything *can* change is the minimum of
-    /// the component horizons. The stalled tick already proved all
-    /// *cycle-independent* activity inactive — dispatch, fetch, context
-    /// resolution, and (when the scheduler ran free) the action picker —
-    /// so the skip only re-examines the *clocked* events: timing-queue
-    /// heads, switch deadlines, the DAQ, and scheduler busy spans.
+    /// the component horizons. The skip is attempted as soon as the last
+    /// step left every processor *inert* (see [`FastProcessor::tick`]):
+    /// either its tick made no progress, or the tick itself proved the
+    /// next one a repeat of its stall — it entered a context-switch or
+    /// block-switch countdown, or it stalled on a measurement or a context
+    /// dependency with nothing left to fetch. Either way the
+    /// *cycle-independent* activity of every processor (dispatch, fetch,
+    /// context resolution) is proved inactive without stepping a further
+    /// tick that only shows it, so the skip only re-examines the *clocked*
+    /// events: timing-queue heads, countdown deadlines, the DAQ, and
+    /// scheduler busy spans. A scheduler that acted or came off a busy
+    /// span in the last step is asked for real ([`Scheduler::would_act`]).
+    /// When the last step made progress, the loop-top stop check runs
+    /// before the skip is tried; the skip leaves every stop input as it
+    /// was, so the loop top it lands on needs no check.
     ///
-    /// AWG retirement is not among them. A waveform ending inside the
-    /// span changes only the bank's in-flight queue, which nothing reads
-    /// but an emission (for its overlap checks and the concurrency peak),
-    /// and no stop condition reads at all. The first stepped cycle after
-    /// the span retires every waveform that ended by then, before any
-    /// processor can emit, so each emission sees the queue the
-    /// cycle-stepped run would have left. The from-first-principles verifiers
-    /// ([`FastProcessor::stall_info`], [`Scheduler::would_act`])
-    /// cross-check every trusted verdict under `debug_assertions`.
+    /// Run soundness: after a step at cycle `c` that made progress, the
+    /// loop ticks one processor alone through `c + 1..limit` when nothing
+    /// else can act there — it is running and not inert, every other
+    /// processor is dormant (idle or halted with nothing queued, so its
+    /// tick is a no-op), the scheduler settled with no block finish
+    /// pending (so its tick would be elided), no `HALT` or error is
+    /// pending, and `limit` is the earlier of the next DAQ delivery and
+    /// the cycle budget. Each cycle of the run is that processor's full
+    /// tick, so it accounts dispatches, issues, branches, fetches and
+    /// stalls exactly as the cycle-stepped run does. The run ends after the tick that leaves
+    /// the processor inert or not running (a block finished, a context
+    /// switch began, a `HALT` or an error), and an issue that schedules a
+    /// readout pulls `limit` in to that delivery. The skipped loop tops
+    /// see unchanged stop inputs: a running processor keeps the shot from
+    /// completing, no `HALT` is pending, and the settled scheduler and
+    /// the dormant processors stay as they were. The `FMR` → `CMPI` →
+    /// `BR` tail of every feedback round, whose classical ops dispatch
+    /// one per cycle, runs this way with the rest of the round.
     ///
-    /// The host-side cost of a stepped cycle, which dominates shot wall
-    /// time on feedback chains, is kept low as well:
+    /// AWG retirement is not among the events either, and this loop never
+    /// ticks the AWG. A waveform's end changes only the bank's in-flight
+    /// queue, which nothing reads but an emission (for its overlap checks
+    /// and the concurrency peak), and no stop condition reads at all.
+    /// Each emission first retires every waveform that ended by its time
+    /// ([`AwgBank::emit`]), once per instant, so it sees the queue the
+    /// cycle-stepped run's per-cycle tick would have left. The
+    /// from-first-principles verifiers ([`FastProcessor::stall_info`],
+    /// [`Scheduler::would_act`]) cross-check every trusted verdict under
+    /// `debug_assertions`.
+    ///
+    /// The host-side cost of a stepped cycle is kept low as well:
     ///
     /// - The [`Env`] is built **once per shot** instead of once per tick
     ///   (`step_with_progress` re-borrows all seventeen fields on every
@@ -794,8 +841,15 @@ impl ShotCore<FastProcessor> {
     ///   dependency state is kept in bit-vectors and counts updated as
     ///   blocks start and finish, and the priority counter moves only
     ///   when a block completes (see the scheduler module).
-    /// - The AWG's playback queue is not an event horizon (see the
-    ///   soundness argument above), so waveform ends never cut a skip.
+    /// - The DAQ event horizon is cached and refreshed only after a
+    ///   delivery or an issue that scheduled a readout; the
+    ///   timing queues, the DAQ queue and the pre-decode buffer append
+    ///   and pop in O(1) unless an entry arrives out of order, and
+    ///   dispatch reads a classical candidate the buffer keeps up to date
+    ///   instead of rescanning it.
+    /// - The AWG's playback queue is not an event horizon and is retired
+    ///   at emissions (see the soundness argument above), so waveform
+    ///   ends never cut a skip and no cycle pays for retirement.
     ///
     /// The differential suites (`step_mode_equivalence`,
     /// `proptest_executors`) hold this loop bit-identical to the
@@ -812,110 +866,126 @@ impl ShotCore<FastProcessor> {
         fn merge(h: &mut Option<u64>, at: u64) {
             *h = Some(h.map_or(at, |x| x.min(at)));
         }
-        {
-            let clock_ns = self.job.cfg.clock_ns;
-            let cfg: &QuapeConfig = &self.job.cfg;
-            let program: &Program = &self.job.program;
-            let code: &LoweredProgram = &self.code;
-            let processors = &mut self.processors;
-            let scheduler = &mut self.scheduler;
-            let stats = &mut self.stats;
-            let skip_scratch = &mut self.skip_scratch;
-            let cycle = &mut self.cycle;
-            let settle = &mut self.settle;
-            let mut env = Env {
-                cfg,
-                program,
-                mrr: &mut self.mrr,
-                daq: &mut self.daq,
-                awg: &mut self.awg,
-                qpu: &mut *self.qpu,
-                chan: &self.job.chan,
-                rng: &mut self.rng,
-                shared_regs: &mut self.shared_regs,
-                step_dispatches: &mut self.step_dispatches,
-                wait_cycles: &mut self.wait_cycles,
-                late_issues: &mut self.late_issues,
-                late_cycles: &mut self.late_cycles,
-                measurements: &mut self.measurements,
-                halt: &mut self.halt,
-                error: &mut self.error,
-            };
-            // While the previous tick observably did nothing, the stop
-            // conditions cannot have changed (their inputs are all
-            // observable state) and a time skip is worth attempting.
-            let mut maybe_stalled = false;
-            // Cached DAQ event horizon (`u64::MAX` = none pending). The
-            // queue only changes by delivering (guarded below) or by an
-            // issue inside a processor tick (which reports progress); the
-            // cache is refreshed at exactly those points, so the
-            // steady-state stall cycles and the skip checks read a local
-            // instead of probing the queue.
-            let mut daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
-            let watch_settle = *settle != Settle::Off;
-            loop {
-                if !maybe_stalled {
-                    if *env.error {
-                        break StopReason::Error;
-                    }
-                    let stop = processor_stop(processors, scheduler.all_done(), *env.halt);
-                    if watch_settle {
-                        settle.observe(*cycle, stop);
-                    }
-                    if let Some(stop) = stop {
-                        if env.daq.in_flight() == 0 {
-                            break stop;
-                        }
+        let clock_ns = self.job.cfg.clock_ns;
+        let cfg: &QuapeConfig = &self.job.cfg;
+        let program: &Program = &self.job.program;
+        let code: &LoweredProgram = &self.code;
+        let processors = &mut self.processors;
+        let scheduler = &mut self.scheduler;
+        let stats = &mut self.stats;
+        let skip_scratch = &mut self.skip_scratch;
+        let cycle = &mut self.cycle;
+        let settle = &mut self.settle;
+        let work = &mut self.work;
+        let mut env = Env {
+            cfg,
+            program,
+            mrr: &mut self.mrr,
+            daq: &mut self.daq,
+            awg: &mut self.awg,
+            qpu: &mut *self.qpu,
+            chan: &self.job.chan,
+            rng: &mut self.rng,
+            shared_regs: &mut self.shared_regs,
+            step_dispatches: &mut self.step_dispatches,
+            wait_cycles: &mut self.wait_cycles,
+            late_issues: &mut self.late_issues,
+            late_cycles: &mut self.late_cycles,
+            measurements: &mut self.measurements,
+            halt: &mut self.halt,
+            error: &mut self.error,
+            readout_scheduled: false,
+        };
+        // False while the stop inputs are known unchanged since the last
+        // loop top that checked them (they are all observable state, so
+        // a step without progress or a skip leaves them as they were).
+        let mut stop_may_change = true;
+        // True when the last step left every processor inert: a time skip
+        // is worth attempting.
+        let mut inert = false;
+        // Cached DAQ event horizon (`u64::MAX` = none pending). The queue
+        // only changes by delivering (guarded below) or by an issue that
+        // schedules a readout (flagged in the env); the cache is refreshed
+        // at exactly those points, so steps, skips and runs read a local
+        // instead of probing the queue.
+        let mut daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
+        let watch_settle = *settle != Settle::Off;
+        loop {
+            if stop_may_change {
+                if *env.error {
+                    break StopReason::Error;
+                }
+                let stop = processor_stop(processors, scheduler.all_done(), *env.halt);
+                if watch_settle {
+                    settle.observe(*cycle, stop);
+                }
+                if let Some(stop) = stop {
+                    if env.daq.in_flight() == 0 {
+                        break stop;
                     }
                 }
-                if *cycle >= max_cycles {
-                    break StopReason::CycleLimit;
-                }
-                // Time skip (see the soundness argument on `run_fast`).
-                if maybe_stalled {
-                    let skipped = 'skip: {
-                        let now = *cycle;
-                        let now_ns = now * clock_ns;
-                        let mut horizon: Option<u64> = None;
-                        if daq_next != u64::MAX {
-                            if daq_next <= now_ns {
-                                break 'skip false;
-                            }
-                            merge(&mut horizon, daq_next.div_ceil(clock_ns));
+            }
+            if *cycle >= max_cycles {
+                break StopReason::CycleLimit;
+            }
+            // Time skip (see the soundness argument on `run_fast`).
+            if inert {
+                let skipped = 'skip: {
+                    let now = *cycle;
+                    let mut horizon: Option<u64> = None;
+                    if daq_next != u64::MAX {
+                        if daq_next <= now * clock_ns {
+                            break 'skip false;
                         }
-                        debug_assert_eq!(
-                            daq_next,
-                            env.daq.next_delivery_ns().unwrap_or(u64::MAX),
-                            "stale DAQ horizon cache"
-                        );
-                        // A processor finishing a block would have
-                        // registered as progress last tick (and only that
-                        // moves the priority counter), so it needs no
-                        // re-check here.
-                        debug_assert!(!processors.iter().any(|p| p.finished_pending()));
-                        let cross_check =
-                            |p: &FastProcessor,
-                             verdict: &Option<StallInfo>,
-                             mrr: &MeasurementFile| {
-                                let full = p.stall_info(now, mrr, cfg);
-                                match (verdict, full) {
-                                    (None, None) => true,
-                                    (Some(a), Some(b)) => {
-                                        a.horizon == b.horizon
-                                            && a.measure_wait == b.measure_wait
-                                            && a.context_stall == b.context_stall
-                                    }
-                                    _ => false,
+                        merge(&mut horizon, daq_next.div_ceil(clock_ns));
+                    }
+                    debug_assert_eq!(
+                        daq_next,
+                        env.daq.next_delivery_ns().unwrap_or(u64::MAX),
+                        "stale DAQ horizon cache"
+                    );
+                    // A processor finishing a block leaves itself not
+                    // inert (and only that moves the priority counter),
+                    // so it needs no re-check here.
+                    debug_assert!(!processors.iter().any(|p| p.finished_pending()));
+                    let cross_check =
+                        |p: &FastProcessor, verdict: &Option<StallInfo>, mrr: &MeasurementFile| {
+                            let full = p.stall_info(now, mrr, cfg);
+                            match (verdict, full) {
+                                (None, None) => true,
+                                (Some(a), Some(b)) => {
+                                    a.horizon == b.horizon
+                                        && a.measure_wait == b.measure_wait
+                                        && a.context_stall == b.context_stall
                                 }
-                            };
-                        // Uniprocessor fast path: one verdict on the
-                        // stack, no scratch traffic.
-                        let mut solo = StallInfo::default();
-                        let single = processors.len() == 1;
-                        if single {
-                            let verdict = processors[0].skip_check(now);
+                                _ => false,
+                            }
+                        };
+                    // Uniprocessor fast path: one verdict on the stack, no
+                    // scratch traffic.
+                    let mut solo = StallInfo::default();
+                    let single = processors.len() == 1;
+                    if single {
+                        let verdict = processors[0].skip_check(now);
+                        debug_assert!(
+                            cross_check(&processors[0], &verdict, env.mrr),
+                            "trusted skip check diverged from the full stall verifier"
+                        );
+                        match verdict {
+                            None => break 'skip false,
+                            Some(s) => {
+                                if let Some(h) = s.horizon {
+                                    merge(&mut horizon, h);
+                                }
+                                solo = s;
+                            }
+                        }
+                    } else {
+                        skip_scratch.clear();
+                        for p in processors.iter() {
+                            let verdict = p.skip_check(now);
                             debug_assert!(
-                                cross_check(&processors[0], &verdict, env.mrr),
+                                cross_check(p, &verdict, env.mrr),
                                 "trusted skip check diverged from the full stall verifier"
                             );
                             match verdict {
@@ -924,135 +994,199 @@ impl ShotCore<FastProcessor> {
                                     if let Some(h) = s.horizon {
                                         merge(&mut horizon, h);
                                     }
-                                    solo = s;
-                                }
-                            }
-                        } else {
-                            skip_scratch.clear();
-                            for p in processors.iter() {
-                                let verdict = p.skip_check(now);
-                                debug_assert!(
-                                    cross_check(p, &verdict, env.mrr),
-                                    "trusted skip check diverged from the full stall verifier"
-                                );
-                                match verdict {
-                                    None => break 'skip false,
-                                    Some(s) => {
-                                        if let Some(h) = s.horizon {
-                                            merge(&mut horizon, h);
-                                        }
-                                        skip_scratch.push(s);
-                                    }
+                                    skip_scratch.push(s);
                                 }
                             }
                         }
-                        // Scheduler: only its clocked busy span can fire
-                        // within a stall.
-                        let mut scheduler_busy = true;
-                        if let Some(finish) = scheduler.job_finish() {
-                            if now >= finish {
-                                break 'skip false;
-                            }
-                            merge(&mut horizon, finish);
-                        } else if scheduler.is_busy(now) {
-                            merge(&mut horizon, scheduler.busy_until());
-                        } else {
-                            scheduler_busy = false;
-                            // A free scheduler that settled last tick stays
-                            // inactive until machine state changes; one that
-                            // just came off a busy span has not evaluated
-                            // its picker yet — ask it for real.
-                            if !scheduler.is_settled()
-                                && scheduler.would_act(now, processors, program, cfg)
-                            {
-                                break 'skip false;
-                            }
-                            debug_assert!(
-                                !scheduler.would_act(now, processors, program, cfg),
-                                "settled scheduler would still act"
-                            );
-                        }
-                        // No event horizon at all means the machine can
-                        // only spin to the cycle budget (e.g. an FMR
-                        // waiting on a result that never comes).
-                        let target = horizon.unwrap_or(max_cycles).min(max_cycles);
-                        if target <= now {
+                    }
+                    // Scheduler: only its clocked busy span can fire
+                    // within a stall.
+                    let mut scheduler_busy = true;
+                    if let Some(finish) = scheduler.job_finish() {
+                        if now >= finish {
                             break 'skip false;
                         }
-                        let span = target - now;
-                        // The span never crosses the scheduler's
-                        // `busy_until`/`finish` (both are in the horizon),
-                        // so every skipped cycle counts as busy.
-                        if scheduler_busy {
-                            stats.scheduler_busy_cycles += span;
+                        merge(&mut horizon, finish);
+                    } else if scheduler.is_busy(now) {
+                        merge(&mut horizon, scheduler.busy_until());
+                    } else {
+                        scheduler_busy = false;
+                        // A free scheduler that settled on its last tick
+                        // stays inactive until machine state changes; one
+                        // that acted or just came off a busy span has not
+                        // proved that yet — ask it for real.
+                        if !scheduler.is_settled()
+                            && scheduler.would_act(now, processors, program, cfg)
+                        {
+                            break 'skip false;
                         }
-                        let mut waiting = 0usize;
-                        if single {
-                            if solo.measure_wait {
-                                waiting = 1;
-                            }
-                            processors[0].account_stall_span(&solo, span);
-                        } else {
-                            for (p, s) in processors.iter_mut().zip(skip_scratch.iter()) {
-                                if s.measure_wait {
-                                    waiting += 1;
-                                }
-                                p.account_stall_span(s, span);
-                            }
-                        }
-                        env.wait_cycles.extend_span(now, target, waiting);
-                        *cycle = target;
-                        true
-                    };
-                    if skipped {
-                        maybe_stalled = false;
-                        continue;
+                        debug_assert!(
+                            !scheduler.would_act(now, processors, program, cfg),
+                            "settled scheduler would still act"
+                        );
                     }
+                    // No event horizon at all means the machine can only
+                    // spin to the cycle budget (e.g. an FMR waiting on a
+                    // result that never comes).
+                    let target = horizon.unwrap_or(max_cycles).min(max_cycles);
+                    if target <= now {
+                        break 'skip false;
+                    }
+                    let span = target - now;
+                    // The span never crosses the scheduler's
+                    // `busy_until`/`finish` (both are in the horizon), so
+                    // every skipped cycle counts as busy.
+                    if scheduler_busy {
+                        stats.scheduler_busy_cycles += span;
+                    }
+                    let mut waiting = 0usize;
+                    if single {
+                        if solo.measure_wait {
+                            waiting = 1;
+                        }
+                        processors[0].account_stall_span(&solo, span);
+                    } else {
+                        for (p, s) in processors.iter_mut().zip(skip_scratch.iter()) {
+                            if s.measure_wait {
+                                waiting += 1;
+                            }
+                            p.account_stall_span(s, span);
+                        }
+                    }
+                    env.wait_cycles.extend_span(now, target, waiting);
+                    work.skips += 1;
+                    work.skipped_cycles += span;
+                    *cycle = target;
+                    true
+                };
+                // Whether taken or refused, the next iteration steps: a
+                // skip lands on the first cycle something can act at.
+                inert = false;
+                if skipped {
+                    stop_may_change = false;
+                    continue;
                 }
-                // Inline `step_with_progress`, with the settled-scheduler
-                // tick elision and the device ticks guarded by the cached
-                // horizons (a tick with nothing due is a no-op by
-                // construction: both device ticks only pop entries whose
-                // time has been reached).
-                let now = *cycle;
-                let now_ns = now * clock_ns;
-                let mut progress = false;
-                if daq_next <= now_ns {
-                    progress = env.daq.tick(now_ns, env.mrr) != 0;
-                    daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
-                }
-                // Retire every waveform that ended by now, including those
-                // that ended inside a skipped span: the playback queue is
-                // read only by an emission, which comes after this.
-                env.awg.tick(now_ns);
-                if !scheduler.is_settled() || processors.iter().any(|p| p.finished_pending()) {
-                    let events = scheduler.events.len();
-                    scheduler.tick(now, processors, program, code, cfg, stats);
-                    progress |= events != scheduler.events.len();
-                } else {
-                    // A settled scheduler with no pending done-notification
-                    // cannot act: nothing that feeds its picker (block
-                    // statuses, processor idle/bank state) has changed
-                    // since it last proved itself inactive, and settling
-                    // implies no fill job in flight and no busy span.
-                    debug_assert!(
-                        !scheduler.would_act(now, processors, program, cfg),
-                        "settled scheduler would act on a stepped cycle"
-                    );
-                }
-                for p in processors.iter_mut() {
-                    progress |= p.tick(now, &mut env);
-                }
-                if progress {
-                    // A processor tick can only touch the DAQ queue
-                    // through an issue (which reports progress), so the
-                    // horizon cache needs refreshing exactly here.
-                    daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
-                }
-                *cycle = now + 1;
-                maybe_stalled = !progress;
             }
+            // Inline `step_with_progress`, with the settled-scheduler tick
+            // elision, the DAQ tick guarded by its cached horizon (a tick
+            // with nothing due is a no-op by construction: it only pops
+            // entries whose time has been reached), and no AWG tick (each
+            // emission retires what ended before it).
+            let now = *cycle;
+            let now_ns = now * clock_ns;
+            let mut progress = false;
+            if daq_next <= now_ns {
+                progress = env.daq.tick(now_ns, env.mrr) != 0;
+                daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
+            }
+            if !scheduler.is_settled() || processors.iter().any(|p| p.finished_pending()) {
+                let events = scheduler.events.len();
+                scheduler.tick(now, processors, program, code, cfg, stats);
+                progress |= events != scheduler.events.len();
+            } else {
+                // A settled scheduler with no pending done-notification
+                // cannot act: nothing that feeds its picker (block
+                // statuses, processor idle/bank state) has changed since
+                // it last proved itself inactive, and settling implies no
+                // fill job in flight and no busy span.
+                debug_assert!(
+                    !scheduler.would_act(now, processors, program, cfg),
+                    "settled scheduler would act on a stepped cycle"
+                );
+            }
+            inert = true;
+            for p in processors.iter_mut() {
+                progress |= p.tick(now, &mut env);
+                inert &= p.is_inert();
+            }
+            if env.readout_scheduled {
+                env.readout_scheduled = false;
+                daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
+            }
+            // Run (see the soundness argument on `run_fast`).
+            let mut end = now + 1;
+            if progress && !inert && !*env.halt && !*env.error && scheduler.is_settled() {
+                if let Some(solo) = sole_active(processors) {
+                    debug_assert!(
+                        !scheduler.would_act(end, processors, program, cfg),
+                        "a run starts under a scheduler that would act"
+                    );
+                    let p = &mut processors[solo];
+                    // A cycle is in range while no delivery is due at it.
+                    while p.is_running()
+                        && !p.is_inert()
+                        && end < max_cycles
+                        && end * clock_ns < daq_next
+                    {
+                        p.tick(end, &mut env);
+                        if env.readout_scheduled {
+                            env.readout_scheduled = false;
+                            daq_next = env.daq.next_delivery_ns().unwrap_or(u64::MAX);
+                        }
+                        end += 1;
+                    }
+                    // The dormant processors' last ticks left them inert.
+                    inert = p.is_inert();
+                }
+            }
+            if end == now + 1 {
+                work.stepped_cycles += 1;
+            } else {
+                work.runs += 1;
+                work.run_cycles += end - now;
+            }
+            *cycle = end;
+            stop_may_change = progress;
         }
+    }
+}
+
+/// The one processor that is not dormant, when every other one is and
+/// none has a finished block awaiting the scheduler: the only processor
+/// that can act while the scheduler stays settled.
+fn sole_active(processors: &[FastProcessor]) -> Option<usize> {
+    let mut active = None;
+    for (i, p) in processors.iter().enumerate() {
+        if p.finished_pending() {
+            return None;
+        }
+        if !p.is_dormant() {
+            if active.is_some() {
+                return None;
+            }
+            active = Some(i);
+        }
+    }
+    active
+}
+
+/// How the [`StepMode::Lowered`] run loop covered one shot's cycles:
+/// each loop iteration either steps one cycle, extends a step into a run
+/// of one processor ticking alone, or jumps the clock over a provable
+/// stall, so the three cycle counts add up to the shot's cycles.
+///
+/// These describe the host's work, not the machine: the
+/// [`StepMode::Cycle`] oracle steps every cycle, so they are kept out of
+/// [`RunReport`] and its equality.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostWork {
+    /// Cycles the loop stepped one at a time (machine-wide).
+    pub stepped_cycles: u64,
+    /// Runs: loop iterations that stepped a cycle and then ticked one
+    /// processor alone through at least one more.
+    pub runs: u64,
+    /// Cycles covered by runs, their opening step included.
+    pub run_cycles: u64,
+    /// Time skips taken.
+    pub skips: u64,
+    /// Cycles jumped by time skips.
+    pub skipped_cycles: u64,
+}
+
+impl HostWork {
+    /// Every cycle the loop covered: stepped + run + skipped.
+    pub fn cycles(&self) -> u64 {
+        self.stepped_cycles + self.run_cycles + self.skipped_cycles
     }
 }
 
@@ -1304,6 +1438,14 @@ impl LoweredShotRunner {
         &self.job
     }
 
+    /// How the run loop covered the last shot's cycles (all zero before
+    /// the first shot and after a replayed one, which simulates none).
+    pub fn host_work(&self) -> HostWork {
+        self.core
+            .as_ref()
+            .map_or_else(HostWork::default, |core| core.work)
+    }
+
     /// Runs one lean shot on the arena, driving `qpu` and seeding the
     /// machine PRNG with `rng_seed`, and returns the borrowed outcome
     /// digest. Equivalent to
@@ -1471,6 +1613,7 @@ impl Shot {
             late_cycles: core.late_cycles,
             measurements: core.measurements,
             skip_scratch: core.skip_scratch,
+            work: HostWork::default(),
         }
     }
 }

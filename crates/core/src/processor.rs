@@ -48,6 +48,10 @@ pub(crate) struct Env<'a> {
     pub measurements: &'a mut Vec<crate::machine::MeasurementRecord>,
     pub halt: &'a mut bool,
     pub error: &'a mut bool,
+    /// Set when an issue scheduled a readout, which may have moved the
+    /// DAQ's next delivery: the lowered loop refreshes its cached horizon
+    /// then, and only then.
+    pub readout_scheduled: bool,
 }
 
 impl Env<'_> {
@@ -78,6 +82,7 @@ impl Env<'_> {
     /// draw when DAQ jitter is configured, so it must run in issue order.
     fn finish_measure(&mut self, t_ns: u64, q: Qubit, value: bool) {
         route_readout(self.cfg, self.chan, self.rng, self.daq, t_ns, q, value);
+        self.readout_scheduled = true;
         self.measurements.push(crate::machine::MeasurementRecord {
             time_ns: t_ns,
             qubit: q,

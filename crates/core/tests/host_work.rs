@@ -1,0 +1,104 @@
+//! Pins the lowered run loop's host-work counters ([`HostWork`]) on the
+//! two 1000-round feedback chains of the engine benchmark: how many
+//! cycles it stepped machine-wide, covered in runs of one processor
+//! ticking alone, and jumped over. The counts are exact for a fixed
+//! seed, so a change in how the loop pays for a feedback round shows up
+//! here as a changed number, and every shot obeys the law
+//! stepped + run + skipped = cycles.
+
+use quape_core::{CompiledJob, HostWork, LoweredShotRunner, QuapeConfig, ReportMode, StepMode};
+use quape_isa::Program;
+use quape_qpu::{BehavioralQpu, MeasurementModel};
+use quape_workloads::feedback::{feedback_chain, mrce_feedback_chain};
+
+const SEED: u64 = 7;
+
+/// Runs shot `SEED` of `program` on the uniprocessor through a runner and
+/// returns its host work and cycle count, after checking the outcome
+/// against the cycle-stepped oracle.
+fn work_of(program: Program) -> (HostWork, u64) {
+    let cfg = QuapeConfig::uniprocessor();
+    let job = CompiledJob::compile(cfg.clone(), program).expect("chain compiles");
+    let qpu = || {
+        Box::new(BehavioralQpu::new(
+            cfg.timings,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+            SEED,
+        ))
+    };
+    let mut runner = LoweredShotRunner::new(job.clone());
+    let cycles = runner.run_shot(qpu(), SEED, u64::MAX).cycles;
+    let oracle = job
+        .shot(qpu(), SEED)
+        .report_mode(ReportMode::Lean)
+        .run_with_mode(StepMode::Cycle, u64::MAX);
+    assert_eq!(cycles, oracle.cycles);
+    let work = runner.host_work();
+    assert_eq!(work.cycles(), cycles, "stepped + run + skipped = cycles");
+    (work, cycles)
+}
+
+/// Each FMR round is one run — the step at which the DAQ delivers,
+/// then `FMR` → `CMPI` → `BR`, the conditional X, the next measurement
+/// and the fetches up to its stall — and one skip over the readout wait.
+/// (Stepping every cycle until a tick without progress, the loop used to
+/// step 7,511 cycles and take 1,000 skips on this shot.)
+#[test]
+fn fmr_chain_host_work_is_pinned() {
+    let (work, cycles) = work_of(feedback_chain(0, 1000).expect("generates"));
+    assert_eq!(cycles, 46_915);
+    assert_eq!(
+        work,
+        HostWork {
+            stepped_cycles: 2,
+            runs: 1_001,
+            run_cycles: 6_508,
+            skips: 1_001,
+            skipped_cycles: 40_405,
+        }
+    );
+}
+
+/// Each MRCE round is a step (the result lands and the context switch
+/// begins), a skip over the 3-cycle switch, a run (the conditional X,
+/// the next measurement and `MRCE`, the fetches until the buffer fills)
+/// and a skip over the readout wait. (It used to step 6,012 cycles.)
+#[test]
+fn mrce_chain_host_work_is_pinned() {
+    let (work, cycles) = work_of(mrce_feedback_chain(0, 1000).expect("generates"));
+    assert_eq!(cycles, 46_904);
+    assert_eq!(
+        work,
+        HostWork {
+            stepped_cycles: 1_002,
+            runs: 1_001,
+            run_cycles: 3_009,
+            skips: 2_001,
+            skipped_cycles: 42_893,
+        }
+    );
+}
+
+/// A replayed shot simulates nothing, so it reports no host work.
+#[test]
+fn a_replayed_shot_reports_no_host_work() {
+    let program = quape_isa::assemble("0 H q0\n2 MEAS q0\nSTOP\n").expect("assembles");
+    let cfg = QuapeConfig::uniprocessor();
+    let job = CompiledJob::compile(cfg.clone(), program).expect("compiles");
+    let mut runner = LoweredShotRunner::new(job);
+    let qpu = |seed| {
+        Box::new(BehavioralQpu::new(
+            cfg.timings,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+            seed,
+        ))
+    };
+    let first = runner.run_shot(qpu(1), 1, u64::MAX).cycles;
+    assert_eq!(
+        runner.host_work().cycles(),
+        first,
+        "the recording shot simulates"
+    );
+    runner.run_shot(qpu(2), 2, u64::MAX);
+    assert_eq!(runner.host_work(), HostWork::default());
+}

@@ -241,10 +241,32 @@ struct FleetState {
     stopping: bool,
 }
 
+/// One routed job's registry entry: what its [`FleetHandle`] reports in
+/// every phase, and the phase itself.
 struct JobState {
+    name: String,
+    shots: u64,
+    base_seed: u64,
+    /// The shard owning the job (its last one, once terminal).
+    shard: usize,
+    phase: JobPhase,
+}
+
+/// Where a routed job stands.
+enum JobPhase {
+    /// Placed or being moved between shards.
+    Live(LiveJob),
+    /// Completed, cancelled or lost. Only the outcome is kept: a fleet
+    /// that serves for long must not hold every served job's request (its
+    /// source text may be 100 KB) or its shard handle.
+    Terminal(Result<JobResult, JobError>),
+}
+
+/// What a live job needs to be re-routed, stolen or cancelled.
+struct LiveJob {
+    /// The request as submitted: the re-route source of truth.
     snapshot: JobRequest,
     requirements: JobRequirements,
-    shard: usize,
     server_id: u64,
     handle: Option<JobHandle>,
     attempts: u32,
@@ -252,7 +274,35 @@ struct JobState {
     /// True while a recovery/steal path owns the job's resubmission —
     /// at most one mover at a time.
     in_recovery: bool,
-    terminal: Option<Result<JobResult, JobError>>,
+}
+
+impl JobState {
+    fn live(&self) -> Option<&LiveJob> {
+        match &self.phase {
+            JobPhase::Live(live) => Some(live),
+            JobPhase::Terminal(_) => None,
+        }
+    }
+
+    fn live_mut(&mut self) -> Option<&mut LiveJob> {
+        match &mut self.phase {
+            JobPhase::Live(live) => Some(live),
+            JobPhase::Terminal(_) => None,
+        }
+    }
+
+    fn terminal(&self) -> Option<&Result<JobResult, JobError>> {
+        match &self.phase {
+            JobPhase::Live(_) => None,
+            JobPhase::Terminal(outcome) => Some(outcome),
+        }
+    }
+
+    /// True while no recovery or steal owns the job and it is not
+    /// terminal: the state in which one may start moving it.
+    fn movable(&self) -> bool {
+        self.live().is_some_and(|live| !live.in_recovery)
+    }
 }
 
 #[derive(Default)]
@@ -260,8 +310,51 @@ struct JobTable {
     next_id: u64,
     jobs: HashMap<u64, JobState>,
     /// `(shard index, per-shard server id)` → fleet id, for routing a
-    /// shard's finish-hook results back to the registry.
+    /// shard's finish-hook results back to the registry. Only live jobs
+    /// are mapped.
     by_server: HashMap<(usize, u64), u64>,
+}
+
+impl JobTable {
+    /// The live state of job `fleet_id`; `None` once it is terminal (a
+    /// fleet stop may finish a job a recovery or steal is moving).
+    fn live_mut(&mut self, fleet_id: u64) -> Option<&mut LiveJob> {
+        self.jobs.get_mut(&fleet_id).and_then(JobState::live_mut)
+    }
+
+    /// Lands a moved job on `shard` as server job `server_id`: maps it and
+    /// ends the move. Returns whether the user cancelled it meanwhile, or
+    /// `None` when it turned terminal during the move (nothing lands).
+    fn land(&mut self, fleet_id: u64, shard: usize, handle: &JobHandle) -> Option<bool> {
+        let job = self.jobs.get_mut(&fleet_id).expect("registered job");
+        let live = job.live_mut()?;
+        live.server_id = handle.id();
+        live.handle = Some(handle.clone());
+        live.in_recovery = false;
+        let user_cancelled = live.user_cancelled;
+        job.shard = shard;
+        self.by_server.insert((shard, handle.id()), fleet_id);
+        Some(user_cancelled)
+    }
+
+    /// Makes job `fleet_id` terminal with `outcome` and unmaps it,
+    /// returning its live state for the caller to drop once the table's
+    /// lock is released (freeing a large request need not hold it).
+    /// `None` (and no change) when the job already was terminal.
+    #[must_use = "drop the retired state after releasing the lock"]
+    fn finish(&mut self, fleet_id: u64, outcome: Result<JobResult, JobError>) -> Option<LiveJob> {
+        let job = self.jobs.get_mut(&fleet_id).expect("registered job");
+        job.live()?;
+        let JobPhase::Live(live) = std::mem::replace(&mut job.phase, JobPhase::Terminal(outcome))
+        else {
+            unreachable!("checked live above");
+        };
+        let key = (job.shard, live.server_id);
+        if self.by_server.get(&key) == Some(&fleet_id) {
+            self.by_server.remove(&key);
+        }
+        Some(live)
+    }
 }
 
 /// Fleet-scope telemetry handles, pre-registered at construction so the
@@ -618,21 +711,23 @@ impl Router {
         }
         // Every shard is joined and every finish hook has fired; any
         // job still non-terminal was stranded mid-recovery by the stop.
+        let mut retired = Vec::new();
         let results = {
             let mut table = self.inner.lock_jobs();
             let mut ids: Vec<u64> = table.jobs.keys().copied().collect();
             ids.sort_unstable();
             ids.iter()
-                .map(|id| {
-                    let job = table.jobs.get_mut(id).expect("job id just listed");
-                    let result = job.terminal.get_or_insert(Err(JobError::ShardLost)).clone();
+                .map(|&id| {
+                    retired.extend(table.finish(id, Err(JobError::ShardLost)));
+                    let job = &table.jobs[&id];
                     RoutedResult {
                         shard: job.shard,
-                        result,
+                        result: job.terminal().expect("just finished").clone(),
                     }
                 })
                 .collect()
         };
+        drop(retired);
         self.inner.jobs_cond.notify_all();
         Ok(results)
     }
@@ -678,7 +773,7 @@ impl FleetHandle {
 
     /// The request's name.
     pub fn name(&self) -> String {
-        self.inner.lock_jobs().jobs[&self.id].snapshot.name.clone()
+        self.inner.lock_jobs().jobs[&self.id].name.clone()
     }
 
     /// The shard currently owning the job (its first placement until a
@@ -692,28 +787,31 @@ impl FleetHandle {
     pub fn progress(&self) -> JobProgress {
         let table = self.inner.lock_jobs();
         let job = &table.jobs[&self.id];
-        match (&job.terminal, &job.handle) {
-            (Some(Ok(r)), _) => JobProgress {
+        match &job.phase {
+            JobPhase::Terminal(Ok(r)) => JobProgress {
                 shots_done: r.shots,
                 shots_total: r.shots_requested,
                 cancelled: r.cancelled,
                 finished: true,
             },
-            (Some(Err(_)), _) => JobProgress {
+            JobPhase::Terminal(Err(_)) => JobProgress {
                 shots_done: 0,
-                shots_total: job.snapshot.shots,
+                shots_total: job.shots,
                 cancelled: true,
                 finished: true,
             },
-            (None, Some(handle)) => {
+            JobPhase::Live(LiveJob {
+                handle: Some(handle),
+                ..
+            }) => {
                 let handle = handle.clone();
                 drop(table);
                 handle.progress()
             }
-            (None, None) => JobProgress {
+            JobPhase::Live(live) => JobProgress {
                 shots_done: 0,
-                shots_total: job.snapshot.shots,
-                cancelled: job.user_cancelled,
+                shots_total: job.shots,
+                cancelled: live.user_cancelled,
                 finished: false,
             },
         }
@@ -725,22 +823,25 @@ impl FleetHandle {
     pub fn partial_aggregate(&self) -> BatchAggregate {
         let table = self.inner.lock_jobs();
         let job = &table.jobs[&self.id];
-        match (&job.terminal, &job.handle) {
-            (Some(Ok(r)), _) => r.aggregate.clone(),
-            (Some(Err(_)), _) | (None, None) => {
-                ShotAccumulator::default().finish(job.snapshot.base_seed)
-            }
-            (None, Some(handle)) => {
+        match &job.phase {
+            JobPhase::Terminal(Ok(r)) => r.aggregate.clone(),
+            JobPhase::Live(LiveJob {
+                handle: Some(handle),
+                ..
+            }) => {
                 let handle = handle.clone();
                 drop(table);
                 handle.partial_aggregate()
+            }
+            JobPhase::Terminal(Err(_)) | JobPhase::Live(_) => {
+                ShotAccumulator::default().finish(job.base_seed)
             }
         }
     }
 
     /// True once the job's outcome is available.
     pub fn is_finished(&self) -> bool {
-        self.inner.lock_jobs().jobs[&self.id].terminal.is_some()
+        self.inner.lock_jobs().jobs[&self.id].terminal().is_some()
     }
 
     /// Cooperatively cancels the job wherever it currently runs — or
@@ -749,8 +850,10 @@ impl FleetHandle {
         let handle = {
             let mut table = self.inner.lock_jobs();
             let job = table.jobs.get_mut(&self.id).expect("registered job");
-            job.user_cancelled = true;
-            job.handle.clone()
+            job.live_mut().and_then(|live| {
+                live.user_cancelled = true;
+                live.handle.clone()
+            })
         };
         if let Some(handle) = handle {
             handle.cancel();
@@ -768,11 +871,11 @@ impl FleetHandle {
         let table = self
             .inner
             .jobs_cond
-            .wait_while(table, |t| t.jobs[&self.id].terminal.is_none())
+            .wait_while(table, |t| t.jobs[&self.id].terminal().is_none())
             .expect("jobs lock poisoned");
         table.jobs[&self.id]
-            .terminal
-            .clone()
+            .terminal()
+            .cloned()
             .expect("wait_while guarantees a terminal")
     }
 
@@ -783,9 +886,9 @@ impl FleetHandle {
         let (table, _) = self
             .inner
             .jobs_cond
-            .wait_timeout_while(table, timeout, |t| t.jobs[&self.id].terminal.is_none())
+            .wait_timeout_while(table, timeout, |t| t.jobs[&self.id].terminal().is_none())
             .expect("jobs lock poisoned");
-        table.jobs[&self.id].terminal.clone()
+        table.jobs[&self.id].terminal().cloned()
     }
 }
 
@@ -884,15 +987,19 @@ impl RouterInner {
                         table.jobs.insert(
                             fleet_id,
                             JobState {
-                                snapshot,
-                                requirements,
+                                name: snapshot.name.clone(),
+                                shots: snapshot.shots,
+                                base_seed: snapshot.base_seed,
                                 shard,
-                                server_id: handle.id(),
-                                handle: Some(handle.clone()),
-                                attempts: 0,
-                                user_cancelled: false,
-                                in_recovery: false,
-                                terminal: None,
+                                phase: JobPhase::Live(LiveJob {
+                                    snapshot,
+                                    requirements,
+                                    server_id: handle.id(),
+                                    handle: Some(handle.clone()),
+                                    attempts: 0,
+                                    user_cancelled: false,
+                                    in_recovery: false,
+                                }),
                             },
                         );
                         fleet_id
@@ -942,22 +1049,22 @@ impl RouterInner {
         let Some(&fleet_id) = table.by_server.get(&(shard, result.id)) else {
             return; // Revoked (stolen/re-routed) or not yet mapped.
         };
-        let job = table.jobs.get_mut(&fleet_id).expect("mapped job");
-        if job.terminal.is_some() {
-            return;
-        }
+        let Some(user_cancelled) = table.live_mut(fleet_id).map(|live| live.user_cancelled) else {
+            return; // Only live jobs are mapped.
+        };
         // A cancelled partial on a dead shard is not this job's fate —
         // the kill sweep re-runs it from scratch elsewhere. Everything
         // else (full completion anywhere, a user's cancel, a fleet
         // stop's finalization, a quantum panic on a live shard) is
         // terminal as-is.
         let rerouting =
-            result.cancelled && status == ShardStatus::Down && !job.user_cancelled && !stopping;
+            result.cancelled && status == ShardStatus::Down && !user_cancelled && !stopping;
         if rerouting {
             return;
         }
-        job.terminal = Some(Ok(result.clone()));
+        let retired = table.finish(fleet_id, Ok(result.clone()));
         drop(table);
+        drop(retired);
         self.notify_terminal(fleet_id, &Ok(result.clone()));
     }
 
@@ -973,14 +1080,10 @@ impl RouterInner {
 
     /// Marks a job terminal (if it is not already) and notifies.
     fn set_terminal(&self, fleet_id: u64, outcome: Result<JobResult, JobError>) {
-        {
-            let mut table = self.lock_jobs();
-            let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-            if job.terminal.is_some() {
-                return;
-            }
-            job.terminal = Some(outcome.clone());
-        }
+        let Some(retired) = self.lock_jobs().finish(fleet_id, outcome.clone()) else {
+            return;
+        };
+        drop(retired);
         self.notify_terminal(fleet_id, &outcome);
     }
 
@@ -1007,7 +1110,7 @@ impl RouterInner {
             let mut ids: Vec<u64> = table
                 .jobs
                 .iter()
-                .filter(|(_, j)| j.shard == victim && j.terminal.is_none() && !j.in_recovery)
+                .filter(|(_, j)| j.shard == victim && j.movable())
                 .map(|(id, _)| *id)
                 .collect();
             ids.sort_unstable();
@@ -1048,12 +1151,13 @@ impl RouterInner {
             let revoked = {
                 let table = self.lock_jobs();
                 let job = &table.jobs[&fleet_id];
-                if job.terminal.is_some() || job.in_recovery {
-                    false
-                } else {
-                    let server_id = job.server_id;
-                    drop(table);
-                    self.servers[index].revoke_unstarted(server_id)
+                match job.live() {
+                    Some(live) if !live.in_recovery => {
+                        let server_id = live.server_id;
+                        drop(table);
+                        self.servers[index].revoke_unstarted(server_id)
+                    }
+                    _ => false,
                 }
             };
             if revoked {
@@ -1070,23 +1174,25 @@ impl RouterInner {
         let (mut req, requirements, old_shard) = {
             let mut table = self.lock_jobs();
             let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-            if job.terminal.is_some() || job.in_recovery {
+            if !job.movable() {
                 return;
             }
-            job.in_recovery = true;
-            job.handle = None;
-            let old_key = (job.shard, job.server_id);
-            let snapshot = (job.snapshot.clone(), job.requirements, job.shard);
+            let shard = job.shard;
+            let live = job.live_mut().expect("movable jobs are live");
+            live.in_recovery = true;
+            live.handle = None;
+            let old_key = (shard, live.server_id);
+            let snapshot = (live.snapshot.clone(), live.requirements, shard);
             table.by_server.remove(&old_key);
             snapshot
         };
         self.obs.recoveries.inc();
         loop {
-            let attempts = {
-                let mut table = self.lock_jobs();
-                let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-                job.attempts += 1;
-                job.attempts
+            let Some(attempts) = self.lock_jobs().live_mut(fleet_id).map(|live| {
+                live.attempts += 1;
+                live.attempts
+            }) else {
+                return; // Finished by a fleet stop meanwhile.
             };
             if attempts > self.retry.max_attempts {
                 self.finish_recovery(fleet_id, Some(Err(JobError::ShardLost)));
@@ -1105,15 +1211,12 @@ impl RouterInner {
             match self.servers[shard].submit(req.clone()) {
                 Ok(handle) => {
                     self.obs.rerouted.inc();
-                    let user_cancelled = {
-                        let mut table = self.lock_jobs();
-                        table.by_server.insert((shard, handle.id()), fleet_id);
-                        let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-                        job.shard = shard;
-                        job.server_id = handle.id();
-                        job.handle = Some(handle.clone());
-                        job.in_recovery = false;
-                        job.user_cancelled
+                    let Some(user_cancelled) = self.lock_jobs().land(fleet_id, shard, &handle)
+                    else {
+                        // Finished by a fleet stop meanwhile: nothing
+                        // would ever read or cancel the new request.
+                        handle.cancel();
+                        return;
                     };
                     self.obs
                         .scope
@@ -1156,10 +1259,13 @@ impl RouterInner {
     /// Ends a recovery: clears the guard and (optionally) sets the
     /// terminal outcome (an error is a lost job).
     fn finish_recovery(&self, fleet_id: u64, outcome: Option<Result<JobResult, JobError>>) {
+        if let Some(live) = self
+            .lock_jobs()
+            .jobs
+            .get_mut(&fleet_id)
+            .and_then(JobState::live_mut)
         {
-            let mut table = self.lock_jobs();
-            let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-            job.in_recovery = false;
+            live.in_recovery = false;
         }
         if let Some(outcome) = outcome {
             if outcome.is_err() {
@@ -1207,11 +1313,11 @@ impl RouterInner {
                 let table = self.lock_jobs();
                 let id = table.by_server.get(&(victim, *server_id)).copied();
                 id.filter(|id| {
-                    let job = &table.jobs[id];
-                    job.terminal.is_none()
-                        && !job.in_recovery
-                        && !job.user_cancelled
-                        && thief_profile.can_run(&job.requirements)
+                    table.jobs[id].live().is_some_and(|live| {
+                        !live.in_recovery
+                            && !live.user_cancelled
+                            && thief_profile.can_run(&live.requirements)
+                    })
                 })
             }) else {
                 continue;
@@ -1224,23 +1330,23 @@ impl RouterInner {
             }
             let req = {
                 let mut table = self.lock_jobs();
-                let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-                job.in_recovery = true;
                 table.by_server.remove(&(victim, *server_id));
-                table.jobs[&fleet_id].snapshot.clone()
+                let Some(live) = table.live_mut(fleet_id) else {
+                    return false; // Finished by a fleet stop meanwhile.
+                };
+                live.in_recovery = true;
+                live.snapshot.clone()
             };
             match self.servers[thief].submit(req) {
                 Ok(handle) => {
                     self.obs.stolen.inc();
-                    let user_cancelled = {
-                        let mut table = self.lock_jobs();
-                        table.by_server.insert((thief, handle.id()), fleet_id);
-                        let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-                        job.shard = thief;
-                        job.server_id = handle.id();
-                        job.handle = Some(handle.clone());
-                        job.in_recovery = false;
-                        job.user_cancelled
+                    let Some(user_cancelled) = self.lock_jobs().land(fleet_id, thief, &handle)
+                    else {
+                        // Finished by a fleet stop meanwhile: the move
+                        // did not land, and nothing would ever read or
+                        // cancel the new request.
+                        handle.cancel();
+                        return false;
                     };
                     self.obs
                         .scope
@@ -1273,5 +1379,96 @@ impl RouterInner {
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quape_core::{CompiledJob, QuapeConfig, ShotEngine};
+    use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
+    use quape_server::{JobSource, ServerConfig};
+
+    /// A feedback program padded with comment lines to `bytes` of text.
+    fn padded_text(bytes: usize) -> String {
+        let mut text = String::from("0 H q0\n2 MEAS q0\nFMR r0, q0\nSTOP\n");
+        while text.len() < bytes {
+            text.push_str("# padding the request text like a long tenant upload\n");
+        }
+        text
+    }
+
+    #[test]
+    fn a_terminal_job_keeps_its_outcome_but_not_its_request() {
+        let cfg = QuapeConfig::superscalar(4);
+        let factory =
+            BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
+        let text = padded_text(64 * 1024);
+        let shots = 12;
+        let router = Router::new(RouterConfig {
+            shards: 2,
+            shard: ServerConfig {
+                threads: 1,
+                ..ServerConfig::default()
+            },
+            ..RouterConfig::default()
+        });
+        let routed = router
+            .submit(
+                JobRequest::new(
+                    "padded",
+                    JobSource::Text(text.clone()),
+                    cfg.clone(),
+                    factory.clone(),
+                    shots,
+                )
+                .base_seed(7),
+            )
+            .expect("submits");
+        let handle = routed.handle;
+        let result = handle.wait().expect("completes");
+
+        // The entry keeps its header and outcome, and nothing else: no
+        // request snapshot (the source text), no shard handle, no mapping.
+        {
+            let table = router.inner.lock_jobs();
+            let job = &table.jobs[&handle.id()];
+            assert!(job.live().is_none(), "a terminal entry holds no request");
+            assert_eq!(
+                (job.name.as_str(), job.shots, job.base_seed),
+                ("padded", shots, 7)
+            );
+            assert!(table.by_server.is_empty(), "terminal jobs are unmapped");
+        }
+
+        // Every handle query answers from the outcome alone.
+        let program = quape_isa::assemble(&text).expect("assembles");
+        let job = CompiledJob::compile(cfg, program).expect("compiles");
+        let solo = ShotEngine::new(job, factory)
+            .base_seed(7)
+            .threads(1)
+            .run(shots)
+            .aggregate;
+        assert_eq!(result.aggregate, solo);
+        assert_eq!(handle.name(), "padded");
+        assert!(handle.is_finished());
+        let progress = handle.progress();
+        assert_eq!((progress.shots_done, progress.shots_total), (shots, shots));
+        assert!(progress.finished && !progress.cancelled);
+        assert_eq!(handle.partial_aggregate(), solo);
+        assert_eq!(handle.wait().expect("still completed").aggregate, solo);
+        assert_eq!(
+            handle
+                .wait_timeout(Duration::from_millis(1))
+                .expect("terminal")
+                .expect("completed")
+                .aggregate,
+            solo
+        );
+        handle.cancel(); // A no-op on a terminal job.
+        assert!(!handle.progress().cancelled);
+        let results = router.drain().expect("drains");
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].result.as_ref().expect("ok").aggregate, solo);
     }
 }

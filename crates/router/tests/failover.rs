@@ -14,6 +14,8 @@ use quape_router::{
 use quape_server::{JobRequest, JobSource, ServerConfig};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
 
+mod support;
+
 fn cfg() -> QuapeConfig {
     QuapeConfig::superscalar(4)
 }
@@ -339,7 +341,11 @@ fn steal_moves_whole_job_bit_identically() {
     // Sticky placement pins every copy of one program to one shard,
     // piling a backlog there while the other shard idles.
     let router = Router::new(fleet(2, Placement::StickyByDigest));
-    let first = router.submit(request("pile0", 1, 2000, 80)).unwrap();
+    // The 1-thread victim holds pile0's first shot until the steal has
+    // run, so everything behind it is still unstarted and stealable.
+    let mut pile0 = request("pile0", 1, 2000, 80);
+    let gate = support::stall_first_shot(&mut pile0, coin(&cfg()));
+    let first = router.submit(pile0).unwrap();
     let victim = first.shard;
     let thief = 1 - victim;
     let mut handles = vec![first.handle];
@@ -350,9 +356,9 @@ fn steal_moves_whole_job_bit_identically() {
         assert_eq!(routed.shard, victim, "sticky pins the pile to one shard");
         handles.push(routed.handle);
     }
-    // The 1-thread victim is grinding pile0's 2000 shots; everything
-    // behind it is unstarted and stealable.
-    assert!(router.steal_once(1), "an idle shard and a backlog coexist");
+    let stole = router.steal_once(1);
+    gate.open();
+    assert!(stole, "an idle shard and a backlog coexist");
     assert_eq!(router.stolen_jobs(), 1);
     let moved: Vec<_> = handles.iter().filter(|h| h.shard() == thief).collect();
     assert_eq!(moved.len(), 1, "exactly one whole job moved");

@@ -16,6 +16,8 @@ use quape_router::{FaultPlan, Placement, Router, RouterConfig, ShardStatus};
 use quape_server::{JobRequest, JobServer, JobSource, ServerConfig};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
 
+mod support;
+
 fn cfg() -> QuapeConfig {
     QuapeConfig::superscalar(4)
 }
@@ -236,7 +238,12 @@ fn failover_trace_carries_both_shards() {
 fn steal_trace_terminates_on_both_scopes() {
     let recorder = Recorder::new();
     let router = Router::new(fleet(2, Placement::StickyByDigest, recorder.clone()));
-    let first = router.submit(request("pile0", 1, 2000, 80)).unwrap();
+    // The pile's first job holds the victim's only worker on its first
+    // shot until the steal has run, so the jobs behind it are still
+    // queued when the idle shard looks for a backlog.
+    let mut pile0 = request("pile0", 1, 2000, 80);
+    let gate = support::stall_first_shot(&mut pile0, coin(&cfg()));
+    let first = router.submit(pile0).unwrap();
     let victim = first.shard;
     let mut handles = vec![first.handle];
     for i in 1..5 {
@@ -247,7 +254,9 @@ fn steal_trace_terminates_on_both_scopes() {
                 .handle,
         );
     }
-    assert!(router.steal_once(1), "an idle shard and a backlog coexist");
+    let stole = router.steal_once(1);
+    gate.open();
+    assert!(stole, "an idle shard and a backlog coexist");
     for handle in &handles {
         handle.wait().unwrap();
     }
