@@ -8,22 +8,46 @@
 use crate::machine::MeasurementRecord;
 use quape_isa::{OpTimings, QuantumOp, Qubit};
 use quape_qpu::{
-    BehavioralQpu, DepolarizingNoise, IssuedOp, MeasurementModel, Occupancy, ReadoutError,
-    StateVector, TimingViolation,
+    BehavioralQpu, DepolarizingNoise, IssuedOp, MeasurementModel, ReadoutError, StateVector,
+    TimingViolation,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// What a backend's occupancy model reports at the end of a shot: the
+/// counters a shot outcome takes from its QPU.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QpuCounters {
+    /// Operations received ([`QpuBackend::issued_count`]).
+    pub issued_ops: u64,
+    /// Timing violations seen ([`QpuBackend::violations`]).
+    pub violations: u64,
+    /// When the QPU becomes idle ([`QpuBackend::makespan_ns`]).
+    pub makespan_ns: u64,
+}
+
+impl QpuCounters {
+    /// The counters `qpu` holds now.
+    pub(crate) fn of<B: QpuBackend + ?Sized>(qpu: &B) -> Self {
+        QpuCounters {
+            issued_ops: qpu.issued_count(),
+            violations: qpu.violations().len() as u64,
+            makespan_ns: qpu.makespan_ns(),
+        }
+    }
+}
+
 /// A recorded issue stream, as shot replay hands it to a backend: every
 /// operation with its issue time, in order; its measurement subsequence;
-/// and the [`Occupancy`] a fresh, lean [`BehavioralQpu`] with the job's
-/// timings reaches after the whole stream (computed once, by applying the
+/// and the [`QpuCounters`] a fresh, lean [`BehavioralQpu`] with the job's
+/// timings reaches over the whole stream (computed once, by applying the
 /// stream to such a QPU, so there is one occupancy rule).
 #[derive(Debug)]
 pub struct IssueStream {
     ops: Vec<IssuedOp>,
     measures: Vec<IssuedOp>,
-    occupancy: Occupancy,
+    timings: OpTimings,
+    counters: QpuCounters,
 }
 
 impl IssueStream {
@@ -41,7 +65,8 @@ impl IssueStream {
         IssueStream {
             ops,
             measures,
-            occupancy: qpu.occupancy(),
+            timings,
+            counters: QpuCounters::of(&qpu),
         }
     }
 
@@ -55,19 +80,25 @@ impl IssueStream {
         &self.measures
     }
 
-    /// The occupancy state after the stream, under the job's timings.
-    pub fn occupancy(&self) -> &Occupancy {
-        &self.occupancy
+    /// The counters a pristine behavioural QPU with
+    /// [`timings`](IssueStream::timings) reaches over the stream.
+    pub(crate) fn counters(&self) -> QpuCounters {
+        self.counters
+    }
+
+    /// The job's operation timings, under which the stream was recorded.
+    pub(crate) fn timings(&self) -> &OpTimings {
+        &self.timings
     }
 }
 
 /// The default [`QpuBackend::replay`]: every operation through
-/// [`QpuBackend::apply`], in order.
+/// [`QpuBackend::apply`], in order; the counters the backend then holds.
 fn apply_stream<B: QpuBackend + ?Sized>(
     qpu: &mut B,
     stream: &IssueStream,
     measurements: &mut Vec<MeasurementRecord>,
-) {
+) -> QpuCounters {
     for issued in stream.ops() {
         if let (QuantumOp::Measure(qubit), Some(value)) =
             (issued.op, qpu.apply(issued.time_ns, issued.op))
@@ -79,6 +110,7 @@ fn apply_stream<B: QpuBackend + ?Sized>(
             });
         }
     }
+    QpuCounters::of(qpu)
 }
 
 /// A quantum processing unit as seen by the control stack.
@@ -114,17 +146,23 @@ pub trait QpuBackend {
 
     /// Receives a whole recorded stream, as shot replay does for every
     /// shot of a feedback-free job after the first, pushing one
-    /// [`MeasurementRecord`] per measurement in stream order. Replay
-    /// calls it on a lean backend (see [`set_lean`](QpuBackend::set_lean)).
+    /// [`MeasurementRecord`] per measurement in stream order, and returns
+    /// the backend's [`QpuCounters`] after the stream. Replay calls it on
+    /// a lean backend (see [`set_lean`](QpuBackend::set_lean)) and drops
+    /// the backend afterwards, so only the returned counters are read.
     ///
     /// The default applies every operation through
     /// [`apply`](QpuBackend::apply). An override may take a shortcut only
-    /// if it leaves the outcomes and every counter exactly as that loop
-    /// would: the behavioural backend, when pristine and running with the
-    /// stream's timings, adopts the stream's [`Occupancy`] and draws just
-    /// the outcomes.
-    fn replay(&mut self, stream: &IssueStream, measurements: &mut Vec<MeasurementRecord>) {
-        apply_stream(self, stream, measurements);
+    /// if it yields the outcomes and counters exactly as that loop would:
+    /// the behavioural backend, when pristine and running with the
+    /// stream's timings, draws just the outcomes and returns the counters
+    /// recorded with the stream, copying no occupancy state.
+    fn replay(
+        &mut self,
+        stream: &IssueStream,
+        measurements: &mut Vec<MeasurementRecord>,
+    ) -> QpuCounters {
+        apply_stream(self, stream, measurements)
     }
 
     /// Number of operations received so far. Must stay accurate even
@@ -165,8 +203,12 @@ impl QpuBackend for BehavioralQpu {
         self.set_record_log(!lean);
     }
 
-    fn replay(&mut self, stream: &IssueStream, measurements: &mut Vec<MeasurementRecord>) {
-        if !self.adopt(stream.occupancy()) {
+    fn replay(
+        &mut self,
+        stream: &IssueStream,
+        measurements: &mut Vec<MeasurementRecord>,
+    ) -> QpuCounters {
+        if !self.is_pristine(stream.timings()) {
             return apply_stream(self, stream, measurements);
         }
         for issued in stream.measures() {
@@ -178,6 +220,7 @@ impl QpuBackend for BehavioralQpu {
                 });
             }
         }
+        stream.counters()
     }
 
     fn issued_count(&self) -> u64 {

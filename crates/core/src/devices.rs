@@ -10,7 +10,7 @@
 //! violations (a trigger arriving while the channel's previous waveform is
 //! still playing, or while the target qubit is still busy) are caught *at
 //! the device*. The DAQ runs a bounded number of demod
-//! servers per readout channel, so acquisition contention on a multiplexed
+//! servers per readout line, so acquisition contention on a multiplexed
 //! readout line delays delivery instead of being assumed away.
 
 use quape_isa::{OpTimings, QuantumOp, Qubit};
@@ -112,18 +112,35 @@ pub struct PendingResult {
 
 /// The DAQ model: demodulation + integration + thresholding latency with a
 /// non-deterministic jitter component (the Stage I/II uncertainty of §2.4),
-/// served by a **bounded pool of demod servers per readout channel**. When
-/// every server of a channel is still integrating a previous readout, a new
+/// served by a **bounded pool of demod servers per readout line**. When
+/// every server of a line is still integrating a previous readout, a new
 /// result waits for the earliest server to free up — its delivery into the
 /// result register is pushed back by the contention, and the delay is
 /// accounted in [`Daq::contended_results`] / [`Daq::contention_delay_ns`].
+///
+/// The servers live in one flat table, a row of end times per readout
+/// line, built once with the shot arena and zeroed in place by
+/// [`Daq::reset`]. Rows start one server wide and widen only as far as a
+/// line ever has readouts in flight at once, so a huge slot count costs
+/// no memory it does not use. A readout costs one pass over its line's
+/// row: the
+/// server model is the same for a simulated shot, which also queues the
+/// result for delivery ([`Daq::schedule_readout`]), and for a replayed
+/// one, which only needs the delivery time.
 #[derive(Debug, Clone)]
 pub struct Daq {
     pending: VecDeque<PendingResult>,
     demod_slots: usize,
-    /// Per readout channel: delivery times of in-flight demod jobs
-    /// (at most `demod_slots` entries survive a [`Daq::schedule_readout`]).
-    servers: Vec<Vec<u64>>,
+    /// When each demod server finishes its current job, `width` per line,
+    /// line after line; an entry no later than a readout's ready time is
+    /// a free server.
+    ends: Vec<u64>,
+    /// Servers per row: `demod_slots`, or fewer until a line has had that
+    /// many readouts in flight at once. Kept across [`Daq::reset`].
+    width: usize,
+    /// The latest ready time routed since the last reset, which the
+    /// server model requires never to decrease.
+    last_ready_ns: u64,
     delivered: usize,
     contended_results: u64,
     contention_delay_ns: u64,
@@ -131,18 +148,20 @@ pub struct Daq {
 
 impl Default for Daq {
     fn default() -> Self {
-        Self::new(DEFAULT_DEMOD_SLOTS)
+        Self::new(DEFAULT_DEMOD_SLOTS, 1)
     }
 }
 
 impl Daq {
     /// Creates an idle DAQ with `demod_slots` concurrent demodulation
-    /// servers per readout channel (must be ≥ 1).
-    pub fn new(demod_slots: usize) -> Self {
+    /// servers (at least 1) on each of `readout_lines` readout lines.
+    pub fn new(demod_slots: usize, readout_lines: u16) -> Self {
         Daq {
             pending: VecDeque::new(),
             demod_slots: demod_slots.max(1),
-            servers: Vec::new(),
+            ends: vec![0; usize::from(readout_lines.max(1))],
+            width: 1,
+            last_ready_ns: 0,
             delivered: 0,
             contended_results: 0,
             contention_delay_ns: 0,
@@ -150,13 +169,12 @@ impl Daq {
     }
 
     /// Returns the DAQ to its just-constructed state, keeping the queue
-    /// and per-channel server allocations (the arena-reuse twin of
+    /// and server-table allocations (the arena-reuse twin of
     /// [`Daq::new`]).
     pub fn reset(&mut self) {
         self.pending.clear();
-        for servers in &mut self.servers {
-            servers.clear();
-        }
+        self.ends.fill(0);
+        self.last_ready_ns = 0;
         self.delivered = 0;
         self.contended_results = 0;
         self.contention_delay_ns = 0;
@@ -168,50 +186,97 @@ impl Daq {
         insert_sorted(&mut self.pending, result, |p| p.deliver_at_ns);
     }
 
-    /// Routes a readout through the demod pipeline of `channel`: the
-    /// readout pulse ends at `ready_ns`, demodulation + integration +
-    /// thresholding take `demod_ns`, and the result is delivered when a
-    /// demod server has finished with it. With all of the channel's
-    /// servers busy at `ready_ns`, demodulation starts when the earliest
-    /// one frees up. Returns the delivery time.
+    /// Routes a readout through the demod pipeline of readout line `line`
+    /// and queues its result for delivery. The readout pulse ends at
+    /// `ready_ns`, and demodulation + integration + thresholding take
+    /// `demod_ns` on a server of the line. A server whose job ended by
+    /// `ready_ns` is free; with all of them busy, demodulation starts
+    /// when the earliest frees up, and the wait is counted as contention.
+    /// Returns the delivery time.
+    ///
+    /// Readouts must arrive in non-decreasing `ready_ns` order between
+    /// resets, as they do when issued by the control stack, whose issue
+    /// times never decrease: a server once free is then free for every
+    /// later readout, which is what lets the table keep only one end time
+    /// per server. Debug builds assert the order.
+    #[inline]
     pub fn schedule_readout(
         &mut self,
-        channel: u16,
+        line: u16,
         qubit: Qubit,
         value: bool,
         ready_ns: u64,
         demod_ns: u64,
     ) -> u64 {
-        let ch = channel as usize;
-        if ch >= self.servers.len() {
-            self.servers.resize(ch + 1, Vec::new());
-        }
-        let servers = &mut self.servers[ch];
-        // Servers whose previous job finished by `ready_ns` are free again.
-        servers.retain(|&end| end > ready_ns);
-        let start_ns = if servers.len() < self.demod_slots {
-            ready_ns
-        } else {
-            // All servers busy: wait for the earliest to free up (ties
-            // resolve to the first entry — deterministic).
-            let (idx, &earliest) = servers
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &end)| end)
-                .expect("servers non-empty when saturated");
-            servers.swap_remove(idx);
-            self.contended_results += 1;
-            self.contention_delay_ns += earliest - ready_ns;
-            earliest
-        };
-        let deliver_at_ns = start_ns + demod_ns;
-        servers.push(deliver_at_ns);
+        let deliver_at_ns = self.demodulate(line, ready_ns, demod_ns);
         self.schedule(PendingResult {
             qubit,
             value,
             deliver_at_ns,
         });
         deliver_at_ns
+    }
+
+    /// The demod-server decision of [`Daq::schedule_readout`], which
+    /// queues nothing: returns the delivery time. It has the same
+    /// non-decreasing `ready_ns` precondition, under which which free
+    /// server a readout takes does not matter.
+    #[inline]
+    pub(crate) fn demodulate(&mut self, line: u16, ready_ns: u64, demod_ns: u64) -> u64 {
+        debug_assert!(
+            ready_ns >= self.last_ready_ns,
+            "readout ready at {ready_ns} ns routed after one ready at {} ns",
+            self.last_ready_ns
+        );
+        self.last_ready_ns = ready_ns;
+        let line = usize::from(line);
+        if (line + 1) * self.width > self.ends.len() {
+            self.ends.resize((line + 1) * self.width, 0);
+        }
+        // The first free server, else the one that finishes first.
+        let row = &self.ends[line * self.width..][..self.width];
+        let mut slot = 0;
+        for (i, &end) in row.iter().enumerate() {
+            if end <= ready_ns {
+                slot = i;
+                break;
+            }
+            if end < row[slot] {
+                slot = i;
+            }
+        }
+        let earliest = row[slot];
+        let start_ns = if earliest <= ready_ns {
+            ready_ns
+        } else if self.width < self.demod_slots {
+            slot = self.widen();
+            ready_ns
+        } else {
+            self.contended_results += 1;
+            self.contention_delay_ns += earliest - ready_ns;
+            earliest
+        };
+        let deliver_at_ns = start_ns + demod_ns;
+        self.ends[line * self.width + slot] = deliver_at_ns;
+        deliver_at_ns
+    }
+
+    /// Doubles the servers per row (up to `demod_slots`), keeping every
+    /// line's end times; returns the index of the first new, free server.
+    #[cold]
+    fn widen(&mut self) -> usize {
+        let old = self.width;
+        let width = (old * 2).min(self.demod_slots);
+        let mut ends = vec![0; self.ends.len() / old * width];
+        for (new, row) in ends
+            .chunks_exact_mut(width)
+            .zip(self.ends.chunks_exact(old))
+        {
+            new[..old].copy_from_slice(row);
+        }
+        self.ends = ends;
+        self.width = width;
+        old
     }
 
     /// Delivers every result due at `now_ns` into the register file,
@@ -322,8 +387,14 @@ impl ChannelMap {
         QubitChannels {
             microwave: drive,
             flux: drive.saturating_add(1),
-            readout: 2 * self.num_qubits + q.index() % self.readout_lines,
+            readout: 2 * self.num_qubits + self.readout_line(q),
         }
+    }
+
+    /// The readout line (`0..readout_lines`) that reads out `q`: its
+    /// readout channel is `2·num_qubits` past it.
+    pub(crate) fn readout_line(&self, q: Qubit) -> u16 {
+        q.index() % self.readout_lines
     }
 
     /// Number of shared readout lines.
@@ -760,29 +831,90 @@ mod tests {
     }
 
     #[test]
-    fn daq_unsaturated_channel_delivers_at_nominal_time() {
-        let mut daq = Daq::new(2);
+    fn daq_unsaturated_line_delivers_at_nominal_time() {
+        let mut daq = Daq::new(2, 1);
         // Two overlapping readouts fit in the two servers: no delay.
-        assert_eq!(daq.schedule_readout(5, q(0), false, 300, 100), 400);
-        assert_eq!(daq.schedule_readout(5, q(1), true, 320, 100), 420);
+        assert_eq!(daq.schedule_readout(0, q(0), false, 300, 100), 400);
+        assert_eq!(daq.schedule_readout(0, q(1), true, 320, 100), 420);
         assert_eq!(daq.contended_results(), 0);
         assert_eq!(daq.contention_delay_ns(), 0);
     }
 
     #[test]
     fn daq_demod_contention_delays_delivery() {
-        let mut daq = Daq::new(1);
+        let mut daq = Daq::new(1, 2);
         // Same readout line, second result ready while the single server
         // still integrates the first: it waits until 400, delivers at 500.
-        assert_eq!(daq.schedule_readout(5, q(0), false, 300, 100), 400);
-        assert_eq!(daq.schedule_readout(5, q(1), true, 320, 100), 500);
+        assert_eq!(daq.schedule_readout(1, q(0), false, 300, 100), 400);
+        assert_eq!(daq.schedule_readout(1, q(1), true, 320, 100), 500);
         assert_eq!(daq.contended_results(), 1);
         assert_eq!(daq.contention_delay_ns(), 80);
-        // A different channel has its own servers: no contention.
-        assert_eq!(daq.schedule_readout(6, q(2), true, 320, 100), 420);
+        // A different line has its own servers: no contention.
+        assert_eq!(daq.schedule_readout(0, q(2), true, 320, 100), 420);
         // After the first two finish, the line is free again.
-        assert_eq!(daq.schedule_readout(5, q(0), false, 600, 100), 700);
+        assert_eq!(daq.schedule_readout(1, q(0), false, 600, 100), 700);
         assert_eq!(daq.contended_results(), 1);
+    }
+
+    /// One line with two servers, saturated: each readout takes a free
+    /// server if one has finished by its ready time, else waits for the
+    /// earliest to finish. Deliveries worked by hand (demod 100 ns).
+    #[test]
+    fn daq_saturated_two_slot_line_matches_hand_computed_deliveries() {
+        let mut daq = Daq::new(2, 1);
+        let mut mrr = MeasurementFile::new();
+        let deliveries: Vec<u64> = [300, 310, 320, 330, 500, 506]
+            .into_iter()
+            .map(|ready| daq.schedule_readout(0, q(0), true, ready, 100))
+            .collect();
+        // 300, 310: two free servers (ends 400, 410). 320: both busy,
+        // starts at 400 (waits 80). 330: starts at 410 (waits 80). 500:
+        // the server whose job ends at 500 is free again. 506: the other
+        // one ends at 510 (waits 4).
+        assert_eq!(deliveries, [400, 410, 500, 510, 600, 610]);
+        assert_eq!(daq.contended_results(), 3);
+        assert_eq!(daq.contention_delay_ns(), 80 + 80 + 4);
+        assert_eq!(daq.next_delivery_ns(), Some(400));
+        assert_eq!(daq.tick(509, &mut mrr), 3);
+        assert_eq!(daq.tick(610, &mut mrr), 3);
+        assert_eq!(daq.delivered(), 6);
+        daq.reset();
+        assert_eq!(daq.schedule_readout(0, q(0), true, 320, 100), 420);
+        assert_eq!(daq.contended_results(), 0);
+    }
+
+    /// The table keeps one end time per server, which is exact only for
+    /// readouts in ready-time order; debug builds refuse any other.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "routed after one ready at 320 ns")]
+    fn daq_refuses_a_readout_ready_before_the_last_one() {
+        let mut daq = Daq::new(2, 2);
+        daq.schedule_readout(0, q(0), true, 320, 100);
+        daq.schedule_readout(1, q(1), true, 300, 100);
+    }
+
+    /// Rows start one server wide and widen as readouts pile up; the
+    /// configured count still bounds them.
+    #[test]
+    fn daq_rows_widen_up_to_the_configured_slots() {
+        let slots = 17;
+        let mut daq = Daq::new(slots, 3);
+        assert_eq!(daq.width, 1);
+        daq.demodulate(0, 50, 10);
+        for _ in 0..slots {
+            assert_eq!(daq.demodulate(2, 100, 100), 200);
+        }
+        assert_eq!(daq.contended_results(), 0);
+        assert_eq!(daq.demodulate(2, 100, 100), 300);
+        assert_eq!(daq.contended_results(), 1);
+        assert_eq!(daq.contention_delay_ns(), 100);
+        assert_eq!(daq.width, slots);
+        assert_eq!(
+            daq.ends[0], 60,
+            "line 0 kept its server across the widening"
+        );
+        assert_eq!(Daq::new(usize::MAX, 128).ends.len(), 128);
     }
 
     #[test]

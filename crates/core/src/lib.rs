@@ -57,7 +57,7 @@ mod report;
 mod scheduler;
 mod timeline;
 
-pub use backend::{IssueStream, QpuBackend, StateVectorQpu};
+pub use backend::{IssueStream, QpuBackend, QpuCounters, StateVectorQpu};
 pub use config::QuapeConfig;
 pub use devices::{
     AwgBank, AwgViolation, AwgViolationKind, ChannelMap, Daq, MeasurementFile, MrrEntry,

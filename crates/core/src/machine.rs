@@ -22,18 +22,17 @@
 //! the workspace was written against: `Machine::new(cfg, program, qpu)`
 //! compiles a job and builds its one shot.
 
-use crate::backend::{IssueStream, QpuBackend};
+use crate::backend::{IssueStream, QpuBackend, QpuCounters};
 use crate::config::QuapeConfig;
 use crate::devices::{AwgBank, ChannelMap, Daq, MeasurementFile};
 use crate::fast::{FastProcessor, StallInfo};
-use crate::processor::{route_readout, Env, Processor, ProcessorCore};
+use crate::processor::{draw_demod_ns, Env, Processor, ProcessorCore};
 use crate::report::{MachineStats, RunReport, StepDispatch, StopReason};
 use crate::scheduler::Scheduler;
 use quape_isa::{
     BlockInfo, BlockInfoTable, Dependency, Instruction, LoweredProgram, Program, ProgramError,
     QuantumOp, SHARED_REG_COUNT,
 };
-use quape_qpu::IssuedOp;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -380,7 +379,7 @@ impl CompiledJob {
             processors,
             scheduler,
             mrr: MeasurementFile::new(),
-            daq: Daq::new(cfg.daq_demod_slots),
+            daq: Daq::new(cfg.daq_demod_slots, self.chan.readout_lines()),
             awg: AwgBank::new(cfg.timings),
             qpu,
             rng: SmallRng::seed_from_u64(rng_seed),
@@ -632,35 +631,39 @@ impl ShotCore<FastProcessor> {
 
     /// Reduces the finished shot to a borrowed [`ShotOutcome`]: the exact
     /// counters [`into_report`](ShotCore::into_report) would surface,
-    /// without materialising an owned [`RunReport`]. Drains the QPU
-    /// result accumulators as a side effect (they restart empty on the
-    /// next reset). The AWG's violation count comes from the caller: a
-    /// replayed shot does not drive the AWG.
-    fn finish_outcome(&mut self, stop: StopReason, awg_violations: u64) -> ShotOutcome<'_> {
-        let (_issued, violations) = self.qpu.take_results();
+    /// without materialising an owned [`RunReport`]. The QPU and AWG
+    /// counters come from the caller: a replayed shot drives neither the
+    /// core's backend nor its AWG.
+    fn finish_outcome(
+        &self,
+        stop: StopReason,
+        awg_violations: u64,
+        qpu: QpuCounters,
+    ) -> ShotOutcome<'_> {
         ShotOutcome {
             cycles: self.cycle,
             ns: self.cycle * self.job.cfg.clock_ns,
             stop,
-            issued_ops: self.qpu.issued_count(),
+            issued_ops: qpu.issued_ops,
             late_issues: self.late_issues,
             late_cycles: self.late_cycles,
-            violations: violations.len() as u64,
+            violations: qpu.violations,
             awg_violations,
             daq_contended: self.daq.contended_results(),
-            qpu_makespan_ns: self.qpu.makespan_ns(),
+            qpu_makespan_ns: qpu.makespan_ns,
             measurements: &self.measurements,
         }
     }
 
     /// Turns a finished recording shot, seeded `rng_seed`, into a
-    /// [`ReplayTrace`] built from the backend's log. Returns `None` when
-    /// the shot cannot serve as one: it did not stop by the processor
-    /// side holding unchanged since it first held, it issued an operation
-    /// after that point, its log is incomplete or longer than
-    /// [`MAX_RECORDED_ISSUES`], or running its own readouts through a
-    /// fresh DAQ does not reproduce its stop cycle and DAQ contention.
-    fn take_trace(&self, stop: StopReason, rng_seed: u64) -> Option<ReplayTrace> {
+    /// [`ReplayTrace`] built from the backend's log, which it moves out
+    /// rather than copies. Returns `None` when the shot cannot serve as
+    /// one: it did not stop by the processor side holding unchanged since
+    /// it first held, it issued an operation after that point, its log is
+    /// incomplete or longer than [`MAX_RECORDED_ISSUES`], or running its
+    /// own readouts through a fresh DAQ does not reproduce its stop cycle
+    /// and DAQ contention.
+    fn take_trace(&mut self, stop: StopReason, rng_seed: u64) -> Option<ReplayTrace> {
         let Settle::Held {
             cycle: settled_cycle,
             reason,
@@ -684,12 +687,22 @@ impl ShotCore<FastProcessor> {
         {
             return None;
         }
-        let mut daq = Daq::new(cfg.daq_demod_slots);
-        let mut rng = SmallRng::seed_from_u64(rng_seed);
-        let stream = IssueStream::new(issues.to_vec(), cfg.timings);
-        let latest = route_readouts(cfg, &self.job.chan, &mut rng, &mut daq, stream.measures());
+        let (issues, _violations) = self.qpu.take_results();
+        let stream = IssueStream::new(issues, cfg.timings);
+        let readouts = stream
+            .measures()
+            .iter()
+            .filter_map(|issued| match issued.op {
+                QuantumOp::Measure(q) => Some(Readout {
+                    line: self.job.chan.readout_line(q),
+                    ready_ns: issued.time_ns + cfg.timings.readout_pulse_ns,
+                }),
+                _ => None,
+            })
+            .collect();
         let trace = ReplayTrace {
             stream,
+            readouts,
             settled_cycle,
             // Once every block is done, no processor can act again; after
             // a `HALT`, the others may still run past the recorded stop.
@@ -702,6 +715,9 @@ impl ShotCore<FastProcessor> {
             late_cycles: self.late_cycles,
             awg_violations: self.awg.violations().len() as u64,
         };
+        let mut daq = Daq::new(cfg.daq_demod_slots, self.job.chan.readout_lines());
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let latest = trace.route(cfg, &mut rng, &mut daq);
         let reproduced = trace.stop_cycle(latest, cfg.clock_ns) == Some(self.cycle)
             && daq.contended_results() == self.daq.contended_results();
         debug_assert!(reproduced, "replay missed a recorded shot's stop");
@@ -710,33 +726,29 @@ impl ShotCore<FastProcessor> {
 
     /// Replays `trace` as the shot that drives `qpu` with the machine
     /// PRNG seeded `rng_seed`, leaving the result in the core's counters
-    /// for [`finish_outcome`](Self::finish_outcome).
+    /// and returning the backend's, for
+    /// [`finish_outcome`](Self::finish_outcome).
     ///
-    /// Readout timing depends on when and on which qubit each measurement
-    /// was issued and on the jitter draws, never on outcomes. So the DAQ
-    /// pass, over the recorded measurements only, runs first and fixes
-    /// the stop cycle before the backend sees an operation. A shot whose
-    /// stop the trace cannot tell, or that would reach `max_cycles`,
-    /// hands `qpu` back untouched, to be simulated in full. Otherwise the
-    /// backend receives the whole stream through
-    /// [`QpuBackend::replay`].
+    /// Readout timing depends on when and on which line each measurement
+    /// was read out and on the jitter draws, never on outcomes. So the
+    /// trace's readout plan runs through the DAQ's demod servers first, a
+    /// jitter draw and a server decision per measurement with nothing
+    /// queued for delivery, and fixes the stop cycle before the backend
+    /// sees an operation. A shot whose stop the trace cannot tell, or
+    /// that would reach `max_cycles`, hands `qpu` back untouched, to be
+    /// simulated in full. Otherwise the backend receives the whole stream
+    /// through [`QpuBackend::replay`] and is dropped.
     fn replay(
         &mut self,
         trace: &ReplayTrace,
         mut qpu: Box<dyn QpuBackend>,
         rng_seed: u64,
         max_cycles: u64,
-    ) -> Result<(), Box<dyn QpuBackend>> {
+    ) -> Result<QpuCounters, Box<dyn QpuBackend>> {
         let cfg: &QuapeConfig = &self.job.cfg;
         self.daq.reset();
         self.rng = SmallRng::seed_from_u64(rng_seed);
-        let latest = route_readouts(
-            cfg,
-            &self.job.chan,
-            &mut self.rng,
-            &mut self.daq,
-            trace.stream.measures(),
-        );
+        let latest = trace.route(cfg, &mut self.rng, &mut self.daq);
         let Some(stop_cycle) = trace
             .stop_cycle(latest, cfg.clock_ns)
             .filter(|&c| c < max_cycles)
@@ -745,13 +757,11 @@ impl ShotCore<FastProcessor> {
         };
         qpu.set_lean(true);
         self.measurements.clear();
-        self.work = HostWork::default();
-        qpu.replay(&trace.stream, &mut self.measurements);
-        self.qpu = qpu;
+        let counters = qpu.replay(&trace.stream, &mut self.measurements);
         self.cycle = stop_cycle;
         self.late_issues = trace.late_issues;
         self.late_cycles = trace.late_cycles;
-        Ok(())
+        Ok(counters)
     }
 
     /// The lowered run loop — [`StepMode::Lowered`]'s whole-shot entry
@@ -1181,6 +1191,9 @@ pub struct HostWork {
     pub skips: u64,
     /// Cycles jumped by time skips.
     pub skipped_cycles: u64,
+    /// 1 when the shot was replayed rather than simulated (see
+    /// [`LoweredShotRunner`]); its cycle counts are then all zero.
+    pub replayed: u64,
 }
 
 impl HostWork {
@@ -1285,24 +1298,12 @@ impl ShotOutcome<'_> {
 /// stream outgrows this is simulated on every shot instead.
 const MAX_RECORDED_ISSUES: usize = 1 << 18;
 
-/// Sends the recorded `measures` through `daq` in issue order, drawing
-/// jitter from `rng` as the issue path does; returns the latest delivery
-/// time. The outcomes are placeholders: replay never delivers.
-fn route_readouts(
-    cfg: &QuapeConfig,
-    chan: &ChannelMap,
-    rng: &mut SmallRng,
-    daq: &mut Daq,
-    measures: &[IssuedOp],
-) -> Option<u64> {
-    let mut latest = None;
-    for issued in measures {
-        if let QuantumOp::Measure(q) = issued.op {
-            let at = route_readout(cfg, chan, rng, daq, issued.time_ns, q, false);
-            latest = latest.max(Some(at));
-        }
-    }
-    latest
+/// One measurement of a recorded stream as the DAQ sees it: the readout
+/// line it is read out on and when its readout pulse ends.
+#[derive(Debug, Clone, Copy)]
+struct Readout {
+    line: u16,
+    ready_ns: u64,
 }
 
 /// What replaying a feedback-free job needs from one fully simulated
@@ -1322,14 +1323,17 @@ fn route_readouts(
 /// `held_until`, a shot stops at the first loop top from `settled_cycle`
 /// on at which no result is in flight ([`stop_cycle`](Self::stop_cycle)).
 ///
-/// The stream keeps its measurement subsequence, which is all the DAQ
-/// pass of a replayed shot walks, and the occupancy snapshot the
-/// behavioural backend adopts (see [`IssueStream`]); both are computed
-/// once, when the trace is taken.
+/// Everything a replayed shot walks is computed once, when the trace is
+/// taken: the readout plan, all the DAQ pass needs (a jitter draw and a
+/// demod-server decision per measurement); and the stream's measurement
+/// subsequence and the QPU counters it leaves, all the behavioural
+/// backend needs (an outcome draw per measurement; see [`IssueStream`]).
 struct ReplayTrace {
     /// Every operation sent to the QPU, with its issue time, in order;
-    /// the measurements among them; and the occupancy they leave.
+    /// the measurements among them; and the QPU counters they leave.
     stream: IssueStream,
+    /// The measurements' readouts, in issue order.
+    readouts: Vec<Readout>,
     /// First loop top at which the processor side of the stop condition
     /// held.
     settled_cycle: u64,
@@ -1342,6 +1346,17 @@ struct ReplayTrace {
 }
 
 impl ReplayTrace {
+    /// Runs the readout plan through `daq`'s demod servers in issue
+    /// order, drawing each readout's jitter from `rng` as the issue path
+    /// does, and returns the latest delivery time. Nothing is queued:
+    /// replay never delivers.
+    fn route(&self, cfg: &QuapeConfig, rng: &mut SmallRng, daq: &mut Daq) -> Option<u64> {
+        self.readouts
+            .iter()
+            .map(|r| daq.demodulate(r.line, r.ready_ns, draw_demod_ns(cfg, rng)))
+            .max()
+    }
+
     /// The cycle at which a shot whose last readout lands at
     /// `latest_delivery_ns` stops: the settled cycle, or the loop top
     /// after the cycle that delivers the last result
@@ -1381,23 +1396,26 @@ impl ReplayTrace {
 /// `Completed` or `Halted`, and replays every later shot instead of
 /// simulating it:
 ///
-/// 1. the recorded measurements run through the core's own DAQ model,
-///    with this shot's jitter draws, which fixes its DAQ contention and
-///    its last delivery;
+/// 1. the trace's readout plan (each recorded measurement's readout
+///    line and readout-pulse end) runs through the core's own DAQ demod
+///    servers, with this shot's jitter draws, which fixes its DAQ
+///    contention and its last delivery; nothing is queued for delivery;
 /// 2. the stop cycle is the *settled* cycle (the first loop top at which
 ///    the recording saw the processor side of the stop condition hold,
 ///    the same check the run loop breaks on) or the loop top after the
 ///    cycle that delivers the last result (`⌈last delivery / clock⌉ +
 ///    1`), whichever is later;
 /// 3. the recorded stream goes to this shot's backend through
-///    [`QpuBackend::replay`], which yields the outcomes, violations,
-///    issued count and makespan. By default that applies every operation;
-///    a pristine behavioural backend with the job's timings instead adopts
-///    the stream's occupancy snapshot and draws only the outcomes, one per
-///    recorded measurement in stream order, the same draws `apply` makes.
+///    [`QpuBackend::replay`], which yields the outcomes
+///    and its [`QpuCounters`] (violations, issued count, makespan). By
+///    default that applies every operation; a pristine behavioural
+///    backend with the job's timings instead draws only the outcomes, one
+///    per recorded measurement in stream order, the same draws `apply`
+///    makes, and returns the counters recorded with the stream.
 ///
-/// So a replayed shot costs the DAQ pass over its measurements and one
-/// outcome draw each, not one backend call per operation.
+/// So a replayed shot costs, per measurement, one jitter draw, one
+/// demod-server decision and one outcome draw, not one backend call per
+/// operation; its only allocation is the caller's boxed backend.
 ///
 /// Late issues, AWG violations and the stop reason are the recorded
 /// ones. The rule in step 2 is exact only if the processor side kept
@@ -1439,7 +1457,8 @@ impl LoweredShotRunner {
     }
 
     /// How the run loop covered the last shot's cycles (all zero before
-    /// the first shot and after a replayed one, which simulates none).
+    /// the first shot and after a replayed one, which simulates none and
+    /// counts itself [`replayed`](HostWork::replayed)).
     pub fn host_work(&self) -> HostWork {
         self.core
             .as_ref()
@@ -1461,13 +1480,17 @@ impl LoweredShotRunner {
         let replayed = match (&self.trace, &mut self.core) {
             (Some(trace), Some(core)) => core
                 .replay(trace, qpu, rng_seed, max_cycles)
-                .map(|()| (trace.stop, trace.awg_violations)),
+                .map(|counters| (trace.stop, trace.awg_violations, counters)),
             _ => Err(qpu),
         };
         let qpu = match replayed {
-            Ok((stop, awg_violations)) => {
+            Ok((stop, awg_violations, counters)) => {
                 let core = self.core.as_mut().expect("replayed on the arena");
-                return core.finish_outcome(stop, awg_violations);
+                core.work = HostWork {
+                    replayed: 1,
+                    ..HostWork::default()
+                };
+                return core.finish_outcome(stop, awg_violations, counters);
             }
             Err(qpu) => qpu,
         };
@@ -1484,6 +1507,7 @@ impl LoweredShotRunner {
             core.settle = Settle::Watching;
         }
         let stop = core.run_fast_loop(max_cycles);
+        let counters = QpuCounters::of(&*core.qpu);
         if record {
             self.trace = core.take_trace(stop, rng_seed);
             // A shot cut short by the budget (or an error) may be followed
@@ -1491,10 +1515,10 @@ impl LoweredShotRunner {
             // would repeat on every shot.
             self.recordable = self.trace.is_some()
                 || (!matches!(stop, StopReason::Completed | StopReason::Halted)
-                    && core.qpu.log().len() <= MAX_RECORDED_ISSUES);
+                    && counters.issued_ops <= MAX_RECORDED_ISSUES as u64);
         }
-        let awg_violations = core.awg.take_results().1.len() as u64;
-        core.finish_outcome(stop, awg_violations)
+        let awg_violations = core.awg.violations().len() as u64;
+        core.finish_outcome(stop, awg_violations, counters)
     }
 }
 

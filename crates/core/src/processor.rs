@@ -93,10 +93,9 @@ impl Env<'_> {
 
 /// Sends the readout of a measurement issued at `t_ns` through the DAQ
 /// and returns its delivery time. Consumes one `rng` draw when DAQ jitter
-/// is configured, so calls must come in issue order. Shared by the issue
-/// paths and by shot replay, so there is one readout model.
+/// is configured, so calls must come in issue order.
 #[inline]
-pub(crate) fn route_readout(
+fn route_readout(
     cfg: &QuapeConfig,
     chan: &ChannelMap,
     rng: &mut SmallRng,
@@ -105,17 +104,26 @@ pub(crate) fn route_readout(
     q: Qubit,
     value: bool,
 ) -> u64 {
+    // The readout pulse ends at `ready_ns`; the result then runs through
+    // the demod pipeline of the qubit's readout line (bounded
+    // concurrency — contention delays the delivery).
+    let ready_ns = t_ns + cfg.timings.readout_pulse_ns;
+    let demod_ns = draw_demod_ns(cfg, rng);
+    daq.schedule_readout(chan.readout_line(q), q, value, ready_ns, demod_ns)
+}
+
+/// One readout's demodulation + integration + thresholding time: the
+/// DAQ's base latency plus a jitter draw from `rng` (no draw without
+/// jitter). Shared by the issue paths and by shot replay, so the jitter
+/// stream is the same on both.
+#[inline]
+pub(crate) fn draw_demod_ns(cfg: &QuapeConfig, rng: &mut SmallRng) -> u64 {
     let jitter = if cfg.daq_jitter_ns == 0 {
         0
     } else {
         rng.gen_range(0..=cfg.daq_jitter_ns)
     };
-    // The readout pulse ends at `ready_ns`; the result then runs through
-    // the demod pipeline of the qubit's readout channel (bounded
-    // concurrency — contention delays the delivery).
-    let ready_ns = t_ns + cfg.timings.readout_pulse_ns;
-    let demod_ns = cfg.daq_base_ns + jitter;
-    daq.schedule_readout(chan.channels(q).readout, q, value, ready_ns, demod_ns)
+    cfg.daq_base_ns + jitter
 }
 
 /// The per-processor surface the generic scheduler and shot core drive.

@@ -5,14 +5,16 @@
 //! `HALT`) the engine's aggregate must equal, at one and two threads,
 //! both the merge of fresh per-shot `run_shot` accumulators (every
 //! shot fully simulated) and the cycle-stepped oracle's aggregate — on
-//! scalar, superscalar, multiprocessor and demod-starved multiplexed
-//! machines, with and without DAQ jitter, under budgets that truncate
-//! shots as well as ones that do not.
+//! scalar, superscalar, multiprocessor and multiplexed machines (one
+//! demod server per line, so every overlap waits, and two, so some
+//! readouts find a free server beside a busy one), with and without DAQ
+//! jitter, under budgets that truncate shots as well as ones that do
+//! not.
 //!
 //! A replayed shot reaches its backend through one of two lanes: the
-//! behavioural QPU's own `replay`, which adopts the stream's occupancy
-//! snapshot and draws only the outcomes, or the trait's default, which
-//! applies every operation. A wrapper backend that keeps the default
+//! behavioural QPU's own `replay`, which draws only the outcomes and
+//! returns the counters recorded with the stream, or the trait's
+//! default, which applies every operation. A wrapper backend that keeps the default
 //! holds the two lanes to each other, outcome by outcome.
 
 use proptest::prelude::*;
@@ -140,6 +142,14 @@ fn configs() -> Vec<(&'static str, QuapeConfig)> {
             QuapeConfig::superscalar(8)
                 .with_readout_lines(2)
                 .with_demod_slots(1),
+        ),
+        // Two servers per line: some readouts find a free server while
+        // the other is busy, some wait.
+        (
+            "mux2",
+            QuapeConfig::superscalar(8)
+                .with_readout_lines(2)
+                .with_demod_slots(2),
         ),
     ] {
         for jitter in [0, 30] {
@@ -314,9 +324,10 @@ fn key(o: &ShotOutcome<'_>) -> Key {
     )
 }
 
-/// A backend for one shot: the behavioural QPU as is (the snapshot lane)
-/// or wrapped (the per-operation lane), with `warm_up` operations applied
-/// before the shot when the backend should not be pristine.
+/// A backend for one shot: the behavioural QPU as is (the
+/// recorded-counters lane) or wrapped (the per-operation lane), with
+/// `warm_up` operations applied before the shot when the backend should
+/// not be pristine.
 fn backend(
     per_op: bool,
     timings: OpTimings,
@@ -383,11 +394,12 @@ fn per_qubit_model() -> MeasurementModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The snapshot lane and the per-operation lane give every shot the
-    /// same counters and outcomes as full simulation: under a Bernoulli
-    /// and a per-qubit model, with the job's timings and with a factory
-    /// whose timings differ (the snapshot lane must then decline), and
-    /// with backends that were not pristine when the shot began.
+    /// The recorded-counters lane and the per-operation lane give every
+    /// shot the same counters and outcomes as full simulation: under a
+    /// Bernoulli and a per-qubit model, with the job's timings and with a
+    /// factory whose timings differ (the recorded-counters lane must then
+    /// decline), and with backends that were not pristine when the shot
+    /// began.
     #[test]
     fn both_replay_lanes_match_full_simulation(
         blocks in proptest::collection::vec(arb_block(), 1..4),
@@ -417,8 +429,8 @@ proptest! {
             } else {
                 &[]
             };
-            let [snapshot, per_op, fresh] = both_lanes(&job, timings, &model, warm_up);
-            prop_assert_eq!(&snapshot, &fresh, "snapshot lane vs full simulation");
+            let [recorded, per_op, fresh] = both_lanes(&job, timings, &model, warm_up);
+            prop_assert_eq!(&recorded, &fresh, "recorded-counters lane vs full simulation");
             prop_assert_eq!(&per_op, &fresh, "per-operation lane vs full simulation");
         }
     }
@@ -459,12 +471,15 @@ fn replay_lanes_agree_on_a_violating_stream() {
             &warm_up[..],
         ),
     ] {
-        let [snapshot, per_op, fresh] = both_lanes(&job, timings, &model, warm_up);
+        let [recorded, per_op, fresh] = both_lanes(&job, timings, &model, warm_up);
         assert!(
-            snapshot.iter().all(|k| k.5 > 0),
+            recorded.iter().all(|k| k.5 > 0),
             "{case}: the stream violates timing"
         );
-        assert_eq!(snapshot, fresh, "{case}: snapshot lane vs full simulation");
+        assert_eq!(
+            recorded, fresh,
+            "{case}: recorded-counters lane vs full simulation"
+        );
         assert_eq!(
             per_op, fresh,
             "{case}: per-operation lane vs full simulation"

@@ -153,3 +153,66 @@ proptest! {
         prop_assert_eq!(&fold(width, &seeds, true).finish(3), &aggregate);
     }
 }
+
+/// A stream where three values repeat most of the time, as in a replayed
+/// batch, mixed with a couple of hundred distinct ones, as in a feedback
+/// chain. However the stream is split and whichever order the parts
+/// merge in,
+/// the aggregate is the sequential fold's, and its order statistics are
+/// the sort-based ones.
+#[test]
+fn repeated_and_distinct_values_fold_and_merge_exactly() {
+    const HOT: [u64; 3] = [1_200, 1_213, 7_000_000];
+    let mut rng = SmallRng::seed_from_u64(23);
+    let values: Vec<u64> = (0..900u64)
+        .map(|i| {
+            if rng.gen_range(0..3) == 0 {
+                i * 1_000_003 + 17
+            } else {
+                HOT[rng.gen_range(0..HOT.len())]
+            }
+        })
+        .collect();
+    let shot = |v: u64| ShotOutcome {
+        cycles: v,
+        ns: 2 * v,
+        stop: StopReason::Completed,
+        issued_ops: 1,
+        late_issues: 0,
+        late_cycles: v % 7,
+        violations: 0,
+        awg_violations: 0,
+        daq_contended: 0,
+        qpu_makespan_ns: 0,
+        measurements: &[],
+    };
+    let fold = |part: &[u64]| {
+        let mut acc = ShotAccumulator::default();
+        for &v in part {
+            acc.push(1, &shot(v));
+        }
+        acc
+    };
+    let sequential = fold(&values).finish(5);
+    assert_eq!(sequential.cycles, from_values(values.clone()));
+    assert_eq!(
+        sequential.lateness,
+        from_values(values.iter().map(|v| v % 7).collect())
+    );
+    assert_eq!(
+        sequential.execution_time_ns,
+        from_values(values.iter().map(|v| 2 * v).collect())
+    );
+    let parts = [
+        fold(&values[..250]),
+        fold(&values[250..700]),
+        fold(&values[700..]),
+    ];
+    for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0]] {
+        let mut merged = ShotAccumulator::default();
+        for i in order {
+            merged.merge(&parts[i]);
+        }
+        assert_eq!(merged.finish(5), sequential, "merge order {order:?}");
+    }
+}

@@ -90,20 +90,6 @@ impl MeasurementModel {
     }
 }
 
-/// The occupancy state a [`BehavioralQpu`] reached: when each qubit
-/// frees up, the violations seen and the operations counted. A stream
-/// that does not depend on outcomes drives every fresh QPU with the same
-/// timings to the same state, so a caller can compute it once
-/// ([`BehavioralQpu::occupancy`]) and hand it to each later QPU
-/// ([`BehavioralQpu::adopt`]) instead of re-applying the stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Occupancy {
-    timings: OpTimings,
-    busy_until: Vec<u64>,
-    violations: Vec<TimingViolation>,
-    issued_ops: u64,
-}
-
 /// The behavioural QPU: occupancy tracking + PRNG measurement outcomes.
 ///
 /// ```
@@ -200,31 +186,14 @@ impl BehavioralQpu {
         self.rng.gen_bool(p)
     }
 
-    /// The occupancy state reached so far.
-    pub fn occupancy(&self) -> Occupancy {
-        Occupancy {
-            timings: self.timings,
-            busy_until: self.busy_until.clone(),
-            violations: self.violations.clone(),
-            issued_ops: self.issued_ops,
-        }
-    }
-
-    /// Takes on `snapshot` as if the stream that produced it had been
-    /// applied here, and returns true. Only a pristine QPU (nothing
-    /// applied yet) that is not recording its log and runs with the
-    /// snapshot's timings can; any other is left as it was, and the call
-    /// returns false. The PRNG is not touched: the stream's outcomes are
-    /// then drawn with [`draw_outcome`](BehavioralQpu::draw_outcome), in
-    /// stream order.
-    pub fn adopt(&mut self, snapshot: &Occupancy) -> bool {
-        if self.issued_ops != 0 || self.record_log || self.timings != snapshot.timings {
-            return false;
-        }
-        self.busy_until.clone_from(&snapshot.busy_until);
-        self.violations.clone_from(&snapshot.violations);
-        self.issued_ops = snapshot.issued_ops;
-        true
+    /// True while nothing has been applied, the log is not recorded and
+    /// the timings are `timings`. Every such QPU reaches the same
+    /// occupancy counters on a stream that does not depend on outcomes,
+    /// so a caller that already knows them may draw only the stream's
+    /// outcomes, with [`draw_outcome`](BehavioralQpu::draw_outcome) in
+    /// stream order, instead of applying it.
+    pub fn is_pristine(&self, timings: &OpTimings) -> bool {
+        self.issued_ops == 0 && !self.record_log && self.timings == *timings
     }
 
     /// Every operation received, in arrival order.

@@ -40,7 +40,7 @@ mod noise;
 mod rb;
 mod statevector;
 
-pub use behavioral::{BehavioralQpu, IssuedOp, MeasurementModel, Occupancy, TimingViolation};
+pub use behavioral::{BehavioralQpu, IssuedOp, MeasurementModel, TimingViolation};
 pub use clifford::{CliffordGroup, CliffordId, CLIFFORD_COUNT};
 pub use complex::Complex;
 pub use factory::BehavioralQpuFactory;
