@@ -4,6 +4,12 @@
 //! the behavioural/PRNG backend from `quape-qpu` (what the paper used for
 //! its §7 QCP-only benchmarks) and a noisy state-vector backend used to
 //! replay the §8 RB/simRB validation through the full control stack.
+//!
+//! A backend keeps no record of the stream it receives. The control
+//! stack records and counts every operation where it issues it (the
+//! timing controller's release, §5): that record is the report's
+//! `issued` stream and `issued_ops` count, and the stream shot replay
+//! sends to later shots.
 
 use crate::machine::MeasurementRecord;
 use quape_isa::{OpTimings, QuantumOp, Qubit};
@@ -18,8 +24,6 @@ use rand::SeedableRng;
 /// counters a shot outcome takes from its QPU.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QpuCounters {
-    /// Operations received ([`QpuBackend::issued_count`]).
-    pub issued_ops: u64,
     /// Timing violations seen ([`QpuBackend::violations`]).
     pub violations: u64,
     /// When the QPU becomes idle ([`QpuBackend::makespan_ns`]).
@@ -30,7 +34,6 @@ impl QpuCounters {
     /// The counters `qpu` holds now.
     pub(crate) fn of<B: QpuBackend + ?Sized>(qpu: &B) -> Self {
         QpuCounters {
-            issued_ops: qpu.issued_count(),
             violations: qpu.violations().len() as u64,
             makespan_ns: qpu.makespan_ns(),
         }
@@ -39,7 +42,7 @@ impl QpuCounters {
 
 /// A recorded issue stream, as shot replay hands it to a backend: every
 /// operation with its issue time, in order; its measurement subsequence;
-/// and the [`QpuCounters`] a fresh, lean [`BehavioralQpu`] with the job's
+/// and the [`QpuCounters`] a fresh [`BehavioralQpu`] with the job's
 /// timings reaches over the whole stream (computed once, by applying the
 /// stream to such a QPU, so there is one occupancy rule).
 #[derive(Debug)]
@@ -58,7 +61,6 @@ impl IssueStream {
             .copied()
             .collect();
         let mut qpu = BehavioralQpu::new(timings, MeasurementModel::AlwaysZero, 0);
-        qpu.set_record_log(false);
         for issued in &ops {
             qpu.apply(issued.time_ns, issued.op);
         }
@@ -114,6 +116,15 @@ fn apply_stream<B: QpuBackend + ?Sized>(
 }
 
 /// A quantum processing unit as seen by the control stack.
+///
+/// An implementer writes four methods: [`apply`](QpuBackend::apply),
+/// [`violations`](QpuBackend::violations),
+/// [`busy_until`](QpuBackend::busy_until) and
+/// [`makespan_ns`](QpuBackend::makespan_ns). [`replay`](QpuBackend::replay)
+/// has a default that is always correct. The backend keeps no log and no
+/// issue count: the control stack records every operation it issues and
+/// counts it, and shot replay takes its stream from that record, so any
+/// backend replays.
 pub trait QpuBackend {
     /// Applies an operation at `time_ns`; returns `Some(outcome)` for
     /// every measurement and `None` for every other operation. Shot
@@ -121,35 +132,14 @@ pub trait QpuBackend {
     /// the backend sees it, and relies on this.
     fn apply(&mut self, time_ns: u64, op: QuantumOp) -> Option<bool>;
 
-    /// Every operation received so far, in arrival order.
-    fn log(&self) -> &[IssuedOp];
-
     /// Timing violations (operations that arrived while a qubit was busy).
     fn violations(&self) -> &[TimingViolation];
-
-    /// Hands the accumulated log and violations over by value at end of
-    /// shot, leaving the backend's buffers empty — the report takes
-    /// ownership instead of copying.
-    fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>);
-
-    /// Asks the backend to stop (or resume) materialising its
-    /// per-operation log — the [`ReportMode::Lean`](crate::ReportMode)
-    /// hook for batch/serving paths that only read counters. Backends
-    /// that ignore the hint stay correct, just slower; outcomes must be
-    /// identical either way. With `lean` false the log must hold every
-    /// operation: shot replay records a job's issue stream from it (and
-    /// keeps no trace when its length differs from
-    /// [`issued_count`](QpuBackend::issued_count)).
-    fn set_lean(&mut self, lean: bool) {
-        let _ = lean;
-    }
 
     /// Receives a whole recorded stream, as shot replay does for every
     /// shot of a feedback-free job after the first, pushing one
     /// [`MeasurementRecord`] per measurement in stream order, and returns
-    /// the backend's [`QpuCounters`] after the stream. Replay calls it on
-    /// a lean backend (see [`set_lean`](QpuBackend::set_lean)) and drops
-    /// the backend afterwards, so only the returned counters are read.
+    /// the backend's [`QpuCounters`] after the stream. Replay drops the
+    /// backend afterwards, so only the returned counters are read.
     ///
     /// The default applies every operation through
     /// [`apply`](QpuBackend::apply). An override may take a shortcut only
@@ -163,13 +153,6 @@ pub trait QpuBackend {
         measurements: &mut Vec<MeasurementRecord>,
     ) -> QpuCounters {
         apply_stream(self, stream, measurements)
-    }
-
-    /// Number of operations received so far. Must stay accurate even
-    /// when the backend honours [`set_lean`](QpuBackend::set_lean) and
-    /// leaves [`log`](QpuBackend::log) empty.
-    fn issued_count(&self) -> u64 {
-        self.log().len() as u64
     }
 
     /// When `qubit` becomes free under the occupancy model (0 if never
@@ -187,20 +170,8 @@ impl QpuBackend for BehavioralQpu {
         BehavioralQpu::apply(self, time_ns, op)
     }
 
-    fn log(&self) -> &[IssuedOp] {
-        BehavioralQpu::log(self)
-    }
-
     fn violations(&self) -> &[TimingViolation] {
         BehavioralQpu::violations(self)
-    }
-
-    fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>) {
-        BehavioralQpu::take_results(self)
-    }
-
-    fn set_lean(&mut self, lean: bool) {
-        self.set_record_log(!lean);
     }
 
     fn replay(
@@ -221,10 +192,6 @@ impl QpuBackend for BehavioralQpu {
             }
         }
         stream.counters()
-    }
-
-    fn issued_count(&self) -> u64 {
-        BehavioralQpu::issued_count(self)
     }
 
     fn busy_until(&self, qubit: Qubit) -> u64 {
@@ -307,24 +274,8 @@ impl QpuBackend for StateVectorQpu {
         }
     }
 
-    fn log(&self) -> &[IssuedOp] {
-        self.shadow.log()
-    }
-
     fn violations(&self) -> &[TimingViolation] {
         self.shadow.violations()
-    }
-
-    fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>) {
-        self.shadow.take_results()
-    }
-
-    fn set_lean(&mut self, lean: bool) {
-        self.shadow.set_record_log(!lean);
-    }
-
-    fn issued_count(&self) -> u64 {
-        self.shadow.issued_count()
     }
 
     fn busy_until(&self, qubit: Qubit) -> u64 {
@@ -370,7 +321,25 @@ mod tests {
             .expect("measurement outcome");
         assert_eq!(a, b, "Bell pair outcomes must correlate");
         assert!(qpu.violations().is_empty());
-        assert_eq!(qpu.log().len(), 4);
+        assert_eq!(qpu.busy_until(q(0)), qpu.busy_until(q(1)));
+        assert_eq!(qpu.makespan_ns(), qpu.busy_until(q(0)));
+    }
+
+    #[test]
+    fn the_control_stack_counts_what_it_issues_to_a_state_vector_backend() {
+        let program = quape_isa::assemble("0 H q0\n4 CNOT q0, q1\n8 MEAS q0\n0 MEAS q1\nSTOP\n")
+            .expect("assembles");
+        let cfg = crate::QuapeConfig::superscalar(4);
+        let report = crate::Machine::new(cfg, program, Box::new(noiseless(2)))
+            .expect("compiles")
+            .run();
+        assert_eq!(report.issued_ops, 4);
+        assert_eq!(report.issued.len(), 4);
+        assert!(report.violations.is_empty());
+        let [a, b] = report.measurements[..] else {
+            panic!("two measurements");
+        };
+        assert_eq!(a.value, b.value, "Bell pair outcomes must correlate");
     }
 
     #[test]

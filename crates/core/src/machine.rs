@@ -33,6 +33,7 @@ use quape_isa::{
     BlockInfo, BlockInfoTable, Dependency, Instruction, LoweredProgram, Program, ProgramError,
     QuantumOp, SHARED_REG_COUNT,
 };
+use quape_qpu::IssuedOp;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -84,7 +85,8 @@ pub enum ReportMode {
 /// A per-shot event trace: a plain `Vec` in full mode, a no-op sink in
 /// lean mode. Backs the report's `wait_cycles` (pushed from the
 /// processors' stall paths and bulk-filled by the lowered loop's time
-/// skip) and `step_dispatches` (pushed per quantum dispatch) vectors.
+/// skip), `step_dispatches` (pushed per quantum dispatch) and `issued`
+/// (pushed per issue; also the stream shot replay records) vectors.
 #[derive(Debug, Default)]
 pub(crate) struct EventSink<T> {
     events: Vec<T>,
@@ -390,6 +392,8 @@ impl CompiledJob {
             stats,
             step_dispatches: EventSink::new(true),
             wait_cycles: EventSink::new(true),
+            issued: EventSink::new(true),
+            issued_ops: 0,
             settle: Settle::Off,
             late_issues: 0,
             late_cycles: 0,
@@ -406,6 +410,8 @@ impl CompiledJob {
             core: self.core(qpu, rng_seed, self.code.clone(), |id| {
                 Processor::new(id, self.cfg.icache_banks)
             }),
+            rng_seed,
+            mode: ReportMode::default(),
         }
     }
 
@@ -449,6 +455,11 @@ pub(crate) struct ShotCore<P: ProcessorCore> {
     stats: MachineStats,
     step_dispatches: EventSink<StepDispatch>,
     wait_cycles: EventSink<u64>,
+    /// Every operation issued to the QPU, with its time: the report's
+    /// `issued` and a recording shot's replay stream.
+    issued: EventSink<IssuedOp>,
+    /// Operations issued to the QPU, in every report mode.
+    issued_ops: u64,
     /// What a recording lowered run saw of the processor side of the
     /// stop condition (see [`ReplayTrace`]).
     settle: Settle,
@@ -469,8 +480,8 @@ impl<P: ProcessorCore> ShotCore<P> {
         let lean = mode == ReportMode::Lean;
         self.wait_cycles.record = !lean;
         self.step_dispatches.record = !lean;
+        self.issued.record = !lean;
         self.awg.set_record_timeline(!lean);
-        self.qpu.set_lean(lean);
     }
 
     /// One clock cycle, returning a *progress hint*: `false` means no
@@ -510,6 +521,8 @@ impl<P: ProcessorCore> ShotCore<P> {
             shared_regs: &mut self.shared_regs,
             step_dispatches: &mut self.step_dispatches,
             wait_cycles: &mut self.wait_cycles,
+            issued: &mut self.issued,
+            issued_ops: &mut self.issued_ops,
             late_issues: &mut self.late_issues,
             late_cycles: &mut self.late_cycles,
             measurements: &mut self.measurements,
@@ -561,23 +574,19 @@ impl<P: ProcessorCore> ShotCore<P> {
         self.stats.awg_max_concurrent = self.awg.max_concurrent() as u64;
         self.stats.daq_contended_results = self.daq.contended_results();
         self.stats.daq_contention_delay_ns = self.daq.contention_delay_ns();
-        // End-of-shot handover: the QPU, AWG and scheduler give up their
+        // End-of-shot handover: the AWG and scheduler give up their
         // accumulated vectors by value instead of being copied. The
-        // trigger/issue counters come from the devices, not the vector
-        // lengths, so lean runs report the same numbers with the vectors
-        // left empty.
-        let qpu_makespan_ns = self.qpu.makespan_ns();
-        let issued_ops = self.qpu.issued_count();
-        let (issued, violations) = self.qpu.take_results();
+        // trigger/issue counters are kept apart from the vectors, so lean
+        // runs report the same numbers with the vectors left empty.
         let (playback, awg_violations) = self.awg.take_results();
         self.stats.awg_triggers = self.awg.triggers();
         RunReport {
             cycles: self.cycle,
             ns: self.cycle * self.job.cfg.clock_ns,
             stop,
-            issued,
-            issued_ops,
-            violations,
+            issued: self.issued.into_vec(),
+            issued_ops: self.issued_ops,
+            violations: self.qpu.violations().to_vec(),
             playback,
             awg_violations,
             stats: self.stats,
@@ -585,7 +594,7 @@ impl<P: ProcessorCore> ShotCore<P> {
             wait_cycles: self.wait_cycles.into_vec(),
             measurements: self.measurements,
             block_events: std::mem::take(&mut self.scheduler.events),
-            qpu_makespan_ns,
+            qpu_makespan_ns: self.qpu.makespan_ns(),
         }
     }
 }
@@ -621,6 +630,8 @@ impl ShotCore<FastProcessor> {
         self.stats.processors.fill(Default::default());
         self.step_dispatches.clear();
         self.wait_cycles.clear();
+        self.issued.clear();
+        self.issued_ops = 0;
         self.settle = Settle::Off;
         self.late_issues = 0;
         self.late_cycles = 0;
@@ -644,7 +655,7 @@ impl ShotCore<FastProcessor> {
             cycles: self.cycle,
             ns: self.cycle * self.job.cfg.clock_ns,
             stop,
-            issued_ops: qpu.issued_ops,
+            issued_ops: self.issued_ops,
             late_issues: self.late_issues,
             late_cycles: self.late_cycles,
             violations: qpu.violations,
@@ -656,13 +667,14 @@ impl ShotCore<FastProcessor> {
     }
 
     /// Turns a finished recording shot, seeded `rng_seed`, into a
-    /// [`ReplayTrace`] built from the backend's log, which it moves out
-    /// rather than copies. Returns `None` when the shot cannot serve as
-    /// one: it did not stop by the processor side holding unchanged since
-    /// it first held, it issued an operation after that point, its log is
-    /// incomplete or longer than [`MAX_RECORDED_ISSUES`], or running its
-    /// own readouts through a fresh DAQ does not reproduce its stop cycle
-    /// and DAQ contention.
+    /// [`ReplayTrace`] built from the issued stream the core recorded,
+    /// which it moves out rather than copies. Returns `None` when the
+    /// shot cannot serve as one: it did not stop by the processor side
+    /// holding unchanged since it first held, it issued an operation
+    /// after that point or more than [`MAX_RECORDED_ISSUES`], the backend
+    /// did not answer every measurement, or running its own readouts
+    /// through a fresh DAQ does not reproduce its stop cycle and DAQ
+    /// contention.
     fn take_trace(&mut self, stop: StopReason, rng_seed: u64) -> Option<ReplayTrace> {
         let Settle::Held {
             cycle: settled_cycle,
@@ -672,14 +684,14 @@ impl ShotCore<FastProcessor> {
             return None;
         };
         let cfg: &QuapeConfig = &self.job.cfg;
-        let issues = self.qpu.log();
+        debug_assert!(self.issued.record, "a recording shot records its issues");
+        let issues = std::mem::take(&mut self.issued.events);
         let measured = issues
             .iter()
             .filter(|i| matches!(i.op, QuantumOp::Measure(_)))
             .count();
         if reason != stop
             || issues.len() > MAX_RECORDED_ISSUES
-            || issues.len() as u64 != self.qpu.issued_count()
             || measured != self.measurements.len()
             || issues
                 .iter()
@@ -687,7 +699,6 @@ impl ShotCore<FastProcessor> {
         {
             return None;
         }
-        let (issues, _violations) = self.qpu.take_results();
         let stream = IssueStream::new(issues, cfg.timings);
         let readouts = stream
             .measures()
@@ -755,10 +766,10 @@ impl ShotCore<FastProcessor> {
         else {
             return Err(qpu);
         };
-        qpu.set_lean(true);
         self.measurements.clear();
         let counters = qpu.replay(&trace.stream, &mut self.measurements);
         self.cycle = stop_cycle;
+        self.issued_ops = trace.stream.ops().len() as u64;
         self.late_issues = trace.late_issues;
         self.late_cycles = trace.late_cycles;
         Ok(counters)
@@ -840,7 +851,7 @@ impl ShotCore<FastProcessor> {
     /// The host-side cost of a stepped cycle is kept low as well:
     ///
     /// - The [`Env`] is built **once per shot** instead of once per tick
-    ///   (`step_with_progress` re-borrows all seventeen fields on every
+    ///   (`step_with_progress` re-borrows all nineteen fields on every
     ///   stepped cycle).
     /// - A scheduler tick is **elided** when it is provably a no-op: the
     ///   scheduler settled on its last real tick and no processor has a
@@ -899,6 +910,8 @@ impl ShotCore<FastProcessor> {
             shared_regs: &mut self.shared_regs,
             step_dispatches: &mut self.step_dispatches,
             wait_cycles: &mut self.wait_cycles,
+            issued: &mut self.issued,
+            issued_ops: &mut self.issued_ops,
             late_issues: &mut self.late_issues,
             late_cycles: &mut self.late_cycles,
             measurements: &mut self.measurements,
@@ -1266,7 +1279,7 @@ pub struct ShotOutcome<'a> {
     pub ns: u64,
     /// Why the shot stopped.
     pub stop: StopReason,
-    /// Quantum operations issued (counted at the backend).
+    /// Quantum operations issued (counted at issue).
     pub issued_ops: u64,
     /// Operations that reached their timing queue after their deadline.
     pub late_issues: u64,
@@ -1392,9 +1405,9 @@ impl ReplayTrace {
 /// **Shot replay.** A job whose program never reads a measurement value
 /// (no `FMR`, no `MRCE`: [`LoweredProgram::reads_measurements`]) issues
 /// the same timed operation stream on every shot. The runner records
-/// that stream, from the backend's log, on its first shot that stops
-/// `Completed` or `Halted`, and replays every later shot instead of
-/// simulating it:
+/// that stream where the control stack issues it, on its first shot
+/// that stops `Completed` or `Halted`, and replays every later shot
+/// instead of simulating it:
 ///
 /// 1. the trace's readout plan (each recorded measurement's readout
 ///    line and readout-pulse end) runs through the core's own DAQ demod
@@ -1407,7 +1420,7 @@ impl ReplayTrace {
 ///    1`), whichever is later;
 /// 3. the recorded stream goes to this shot's backend through
 ///    [`QpuBackend::replay`], which yields the outcomes
-///    and its [`QpuCounters`] (violations, issued count, makespan). By
+///    and its [`QpuCounters`] (violations, makespan). By
 ///    default that applies every operation; a pristine behavioural
 ///    backend with the job's timings instead draws only the outcomes, one
 ///    per recorded measurement in stream order, the same draws `apply`
@@ -1502,12 +1515,11 @@ impl LoweredShotRunner {
         core.set_report_mode(ReportMode::Lean);
         let record = self.trace.is_none() && self.recordable;
         if record {
-            // The backend's log is the recorded issue stream.
-            core.qpu.set_lean(false);
+            // The core's issue record is the stream later shots replay.
+            core.issued.record = true;
             core.settle = Settle::Watching;
         }
         let stop = core.run_fast_loop(max_cycles);
-        let counters = QpuCounters::of(&*core.qpu);
         if record {
             self.trace = core.take_trace(stop, rng_seed);
             // A shot cut short by the budget (or an error) may be followed
@@ -1515,10 +1527,10 @@ impl LoweredShotRunner {
             // would repeat on every shot.
             self.recordable = self.trace.is_some()
                 || (!matches!(stop, StopReason::Completed | StopReason::Halted)
-                    && counters.issued_ops <= MAX_RECORDED_ISSUES as u64);
+                    && core.issued_ops <= MAX_RECORDED_ISSUES as u64);
         }
         let awg_violations = core.awg.violations().len() as u64;
-        core.finish_outcome(stop, awg_violations, counters)
+        core.finish_outcome(stop, awg_violations, QpuCounters::of(&*core.qpu))
     }
 }
 
@@ -1527,10 +1539,13 @@ impl LoweredShotRunner {
 ///
 /// Internally this wraps the reference `ShotCore<Processor>`, which
 /// [`Shot::step`] and [`StepMode::Cycle`] drive. [`Shot::run_with_mode`]
-/// with [`StepMode::Lowered`] (the default) converts an un-stepped shot
-/// onto the micro-op fast core before running.
+/// with [`StepMode::Lowered`] (the default) runs an un-stepped shot on a
+/// fresh micro-op fast core built from the same job, backend, seed and
+/// report mode.
 pub struct Shot {
     core: ShotCore<Processor>,
+    rng_seed: u64,
+    mode: ReportMode,
 }
 
 impl Shot {
@@ -1549,6 +1564,7 @@ impl Shot {
     /// previous mode was in force are kept as-is.
     pub fn report_mode(mut self, mode: ReportMode) -> Self {
         self.core.set_report_mode(mode);
+        self.mode = mode;
         self
     }
 
@@ -1575,9 +1591,13 @@ impl Shot {
         // The fast core starts from shot-initial state: a shot the caller
         // already stepped manually cannot be transplanted mid-run, so it
         // continues on the reference core instead (the report is
-        // identical either way).
+        // identical either way). An un-stepped core has touched neither
+        // its backend nor its PRNG, so the fast core takes the backend
+        // and the seed as they came.
         if mode == StepMode::Lowered && self.core.cycle == 0 {
-            self.into_fast().run_fast(max_cycles)
+            let mut fast = self.core.job.fast_core(self.core.qpu, self.rng_seed);
+            fast.set_report_mode(self.mode);
+            fast.run_fast(max_cycles)
         } else {
             self.core.run_loop(max_cycles)
         }
@@ -1598,47 +1618,6 @@ impl Shot {
     /// (diagnostic twin of [`AwgBank::qubit_busy_until`]).
     pub fn qpu_busy_until(&self, qubit: quape_isa::Qubit) -> u64 {
         self.core.qpu.busy_until(qubit)
-    }
-
-    /// Converts an un-stepped reference core into the lowered fast core,
-    /// carrying over the QPU, PRNG, and report-mode state. The rebuilt
-    /// scheduler re-records exactly the initial-load block events the
-    /// discarded one held, so reports stay bit-identical.
-    fn into_fast(self) -> ShotCore<FastProcessor> {
-        debug_assert_eq!(self.core.cycle, 0, "fast conversion requires a fresh shot");
-        let core = self.core;
-        let job = core.job;
-        let lowered = job.lowered.clone();
-        let n = job.cfg.num_processors;
-        let mut processors: Vec<FastProcessor> = (0..n)
-            .map(|i| FastProcessor::new(i, lowered.clone(), job.cfg.icache_banks))
-            .collect();
-        let mut scheduler = Scheduler::new(&job.program, job.cfg.dependency_mode);
-        scheduler.initial_load(&mut processors, &*lowered, n);
-        ShotCore {
-            job,
-            code: lowered,
-            processors,
-            scheduler,
-            mrr: core.mrr,
-            daq: core.daq,
-            awg: core.awg,
-            qpu: core.qpu,
-            rng: core.rng,
-            shared_regs: core.shared_regs,
-            cycle: 0,
-            halt: core.halt,
-            error: core.error,
-            stats: core.stats,
-            step_dispatches: core.step_dispatches,
-            wait_cycles: core.wait_cycles,
-            settle: core.settle,
-            late_issues: core.late_issues,
-            late_cycles: core.late_cycles,
-            measurements: core.measurements,
-            skip_scratch: core.skip_scratch,
-            work: HostWork::default(),
-        }
     }
 }
 

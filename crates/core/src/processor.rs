@@ -27,6 +27,7 @@ use crate::{backend::QpuBackend, config::QuapeConfig};
 use quape_isa::{
     BlockId, ClassicalOp, CondOp, Cycles, Instruction, Program, QuantumOp, Qubit, REG_COUNT,
 };
+use quape_qpu::IssuedOp;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -43,6 +44,11 @@ pub(crate) struct Env<'a> {
     pub shared_regs: &'a mut [i32; quape_isa::SHARED_REG_COUNT],
     pub step_dispatches: &'a mut crate::machine::EventSink<StepDispatch>,
     pub wait_cycles: &'a mut crate::machine::EventSink<u64>,
+    /// The issued stream: every operation sent to the QPU, with its issue
+    /// time (recorded in full reports and on a replay-recording shot).
+    pub issued: &'a mut crate::machine::EventSink<IssuedOp>,
+    /// Operations sent to the QPU, counted in every report mode.
+    pub issued_ops: &'a mut u64,
     pub late_issues: &'a mut u64,
     pub late_cycles: &'a mut u64,
     pub measurements: &'a mut Vec<crate::machine::MeasurementRecord>,
@@ -59,35 +65,35 @@ impl Env<'_> {
     fn issue(&mut self, cycle: u64, op: QuantumOp) {
         let t_ns = cycle * self.cfg.clock_ns;
         self.awg.emit(self.chan, t_ns, &op);
-        let outcome = self.qpu.apply(t_ns, op);
-        if let (QuantumOp::Measure(q), Some(value)) = (op, outcome) {
-            self.finish_measure(t_ns, q, value);
-        }
+        self.apply(t_ns, op);
     }
 
     /// [`Env::issue`] with the waveform codeword and nominal duration
     /// pre-resolved at lowering time (micro-op fast path). Observable
-    /// behavior — AWG triggers, QPU application, RNG draw order, DAQ
-    /// scheduling — is identical to [`Env::issue`].
+    /// behavior — AWG triggers, the issue record, QPU application, RNG
+    /// draw order, DAQ scheduling — is identical to [`Env::issue`].
     pub(crate) fn issue_pre(&mut self, cycle: u64, op: QuantumOp, waveform: u16, dur_ns: u64) {
         let t_ns = cycle * self.cfg.clock_ns;
         self.awg.emit_pre(self.chan, t_ns, &op, waveform, dur_ns);
-        let outcome = self.qpu.apply(t_ns, op);
-        if let (QuantumOp::Measure(q), Some(value)) = (op, outcome) {
-            self.finish_measure(t_ns, q, value);
-        }
+        self.apply(t_ns, op);
     }
 
-    /// Measurement epilogue shared by both issue paths. Consumes one RNG
-    /// draw when DAQ jitter is configured, so it must run in issue order.
-    fn finish_measure(&mut self, t_ns: u64, q: Qubit, value: bool) {
-        route_readout(self.cfg, self.chan, self.rng, self.daq, t_ns, q, value);
-        self.readout_scheduled = true;
-        self.measurements.push(crate::machine::MeasurementRecord {
-            time_ns: t_ns,
-            qubit: q,
-            value,
-        });
+    /// The QPU side shared by both issue paths: the one place an issued
+    /// operation is recorded and counted, then the backend call and, for
+    /// a measurement, the readout. Consumes one RNG draw per measurement
+    /// when DAQ jitter is configured, so it must run in issue order.
+    fn apply(&mut self, t_ns: u64, op: QuantumOp) {
+        *self.issued_ops += 1;
+        self.issued.push(IssuedOp { time_ns: t_ns, op });
+        if let (QuantumOp::Measure(q), Some(value)) = (op, self.qpu.apply(t_ns, op)) {
+            route_readout(self.cfg, self.chan, self.rng, self.daq, t_ns, q, value);
+            self.readout_scheduled = true;
+            self.measurements.push(crate::machine::MeasurementRecord {
+                time_ns: t_ns,
+                qubit: q,
+                value,
+            });
+        }
     }
 }
 

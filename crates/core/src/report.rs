@@ -128,13 +128,14 @@ pub struct RunReport {
     pub ns: u64,
     /// Why the run stopped.
     pub stop: StopReason,
-    /// Every quantum operation issued to the QPU, time-stamped. Left
+    /// Every quantum operation issued to the QPU, time-stamped, as the
+    /// control stack recorded it at issue. Left
     /// empty in [`ReportMode::Lean`](crate::ReportMode) runs — use
     /// [`issued_ops`](RunReport::issued_ops) for the count, which is
     /// exact in both modes.
     pub issued: Vec<IssuedOp>,
-    /// Number of quantum operations issued (counted at the backend, so
-    /// it is exact even when `issued` is not materialised).
+    /// Number of quantum operations issued (counted at issue, so it is
+    /// exact even when `issued` is not materialised).
     pub issued_ops: u64,
     /// Timing violations detected by the QPU occupancy model.
     pub violations: Vec<TimingViolation>,

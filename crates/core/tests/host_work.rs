@@ -7,10 +7,15 @@
 //! stepped + run + skipped = cycles. Over a batch, every shot is counted
 //! once, replayed or simulated.
 
-use quape_core::{CompiledJob, HostWork, LoweredShotRunner, QuapeConfig, ReportMode, StepMode};
-use quape_isa::Program;
-use quape_qpu::{BehavioralQpu, MeasurementModel};
+use quape_core::{
+    CompiledJob, HostWork, LoweredShotRunner, QpuBackend, QuapeConfig, ReportMode, ShotAccumulator,
+    StepMode,
+};
+use quape_isa::{Program, QuantumOp, Qubit};
+use quape_qpu::{BehavioralQpu, MeasurementModel, TimingViolation};
 use quape_workloads::feedback::{feedback_chain, mrce_feedback_chain};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 7;
 
@@ -144,4 +149,94 @@ fn replayed_plus_simulated_shots_is_shots() {
     }
     assert_eq!(replayed + simulated, SHOTS);
     assert_eq!(simulated, 1, "only the first shot is simulated");
+}
+
+/// A user backend written against the trait's required methods alone:
+/// fair-coin outcomes and a busy-until time per qubit, every operation
+/// 20 ns long. It keeps no log and counts nothing.
+struct CoinQpu {
+    rng: SmallRng,
+    busy_until: Vec<u64>,
+}
+
+impl CoinQpu {
+    fn boxed(seed: u64) -> Box<Self> {
+        Box::new(CoinQpu {
+            rng: SmallRng::seed_from_u64(seed),
+            busy_until: Vec::new(),
+        })
+    }
+}
+
+impl QpuBackend for CoinQpu {
+    fn apply(&mut self, time_ns: u64, op: QuantumOp) -> Option<bool> {
+        for qubit in op.qubits() {
+            let i = usize::from(qubit.index());
+            if i >= self.busy_until.len() {
+                self.busy_until.resize(i + 1, 0);
+            }
+            self.busy_until[i] = self.busy_until[i].max(time_ns) + 20;
+        }
+        matches!(op, QuantumOp::Measure(_)).then(|| self.rng.gen_bool(0.5))
+    }
+
+    fn violations(&self) -> &[TimingViolation] {
+        &[]
+    }
+
+    fn busy_until(&self, qubit: Qubit) -> u64 {
+        self.busy_until
+            .get(usize::from(qubit.index()))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    fn makespan_ns(&self) -> u64 {
+        self.busy_until.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// Shot replay takes its stream from the control stack, so a backend
+/// that keeps no log of its own replays too: the job records on shot 0,
+/// every later shot replays, and the batch folds exactly as fresh lean
+/// shots do.
+#[test]
+fn a_backend_that_keeps_no_log_replays() {
+    const SHOTS: u64 = 16;
+    let program =
+        quape_isa::assemble("0 H q0\n0 X q1\n2 CNOT q0, q1\n4 MEAS q0\n0 MEAS q1\nSTOP\n")
+            .expect("assembles");
+    let mut cfg = QuapeConfig::superscalar(8);
+    cfg.daq_jitter_ns = 30;
+    let job = CompiledJob::compile(cfg, program).expect("compiles");
+    let width = job.num_qubits();
+    let mut runner = LoweredShotRunner::new(job.clone());
+    let mut replayed = ShotAccumulator::default();
+    let mut fresh = ShotAccumulator::default();
+    for shot in 0..SHOTS {
+        let outcome = runner.run_shot(CoinQpu::boxed(shot), shot, u64::MAX);
+        assert_eq!(outcome.issued_ops, 5, "shot {shot}");
+        replayed.push(width, &outcome);
+        let cycles = outcome.cycles;
+        let work = runner.host_work();
+        if shot == 0 {
+            assert_eq!(work.replayed, 0, "the first shot records");
+            assert_eq!(work.cycles(), cycles, "the first shot simulates");
+        } else {
+            assert_eq!(
+                work,
+                HostWork {
+                    replayed: 1,
+                    ..HostWork::default()
+                },
+                "shot {shot} replays"
+            );
+        }
+        let report = job
+            .shot(CoinQpu::boxed(shot), shot)
+            .report_mode(ReportMode::Lean)
+            .run_with_mode(StepMode::Lowered, u64::MAX);
+        fresh.push(width, &report.outcome());
+    }
+    assert_eq!(replayed.finish(0), fresh.finish(0));
 }

@@ -27,8 +27,8 @@ use quape_isa::{
     ClassicalOp, Cycles, Gate1, Gate2, OpTimings, Program, ProgramBuilder, QuantumOp, Qubit,
 };
 use quape_qpu::{
-    BehavioralQpu, BehavioralQpuFactory, DepolarizingNoise, IssuedOp, MeasurementModel,
-    ReadoutError, TimingViolation,
+    BehavioralQpu, BehavioralQpuFactory, DepolarizingNoise, MeasurementModel, ReadoutError,
+    TimingViolation,
 };
 use std::sync::Arc;
 
@@ -266,24 +266,8 @@ impl QpuBackend for PerOp {
         self.0.apply(time_ns, op)
     }
 
-    fn log(&self) -> &[IssuedOp] {
-        self.0.log()
-    }
-
     fn violations(&self) -> &[TimingViolation] {
         self.0.violations()
-    }
-
-    fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>) {
-        self.0.take_results()
-    }
-
-    fn set_lean(&mut self, lean: bool) {
-        self.0.set_record_log(!lean);
-    }
-
-    fn issued_count(&self) -> u64 {
-        self.0.issued_count()
     }
 
     fn busy_until(&self, qubit: Qubit) -> u64 {

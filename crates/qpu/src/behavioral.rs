@@ -10,6 +10,10 @@
 //! device-side shadow of the same occupancy model (same update rule, same
 //! durations); the step-mode differential suites assert the two views
 //! report identical violations.
+//!
+//! The QPU keeps no record of the operations it receives: the control
+//! stack that issues them records and counts the timed stream (in
+//! `quape-core`, `RunReport::issued` and `issued_ops`).
 
 use quape_isa::{OpTimings, QuantumOp, Qubit};
 use rand::rngs::SmallRng;
@@ -91,6 +95,8 @@ impl MeasurementModel {
 }
 
 /// The behavioural QPU: occupancy tracking + PRNG measurement outcomes.
+/// Its state is per-qubit occupancy, the violations seen, the model and
+/// the PRNG; it keeps no per-operation log.
 ///
 /// ```
 /// use quape_qpu::{BehavioralQpu, MeasurementModel};
@@ -108,10 +114,7 @@ pub struct BehavioralQpu {
     model: MeasurementModel,
     rng: SmallRng,
     busy_until: Vec<u64>,
-    log: Vec<IssuedOp>,
     violations: Vec<TimingViolation>,
-    record_log: bool,
-    issued_ops: u64,
 }
 
 impl BehavioralQpu {
@@ -123,35 +126,14 @@ impl BehavioralQpu {
             model,
             rng: SmallRng::seed_from_u64(seed),
             busy_until: Vec::new(),
-            log: Vec::new(),
             violations: Vec::new(),
-            record_log: true,
-            issued_ops: 0,
         }
-    }
-
-    /// Enables or disables recording of the per-operation [`log`]
-    /// (lean/summary-only mode for batch paths). The occupancy model,
-    /// violation detection, measurement sampling and the
-    /// [`issued_count`](BehavioralQpu::issued_count) counter are
-    /// unaffected, so outcomes stay bit-identical either way.
-    ///
-    /// [`log`]: BehavioralQpu::log
-    pub fn set_record_log(&mut self, record: bool) {
-        self.record_log = record;
-    }
-
-    /// Operations received so far (counted even when the log itself is
-    /// not recorded).
-    pub fn issued_count(&self) -> u64 {
-        self.issued_ops
     }
 
     /// Applies an operation at `time_ns`. For measurements, returns the
     /// sampled outcome (its *delivery* latency is the DAQ's concern, not
     /// the QPU's).
     pub fn apply(&mut self, time_ns: u64, op: QuantumOp) -> Option<bool> {
-        let issued = IssuedOp { time_ns, op };
         let duration = self.timings.duration_of(&op);
         for qubit in op.qubits() {
             let i = qubit.index() as usize;
@@ -161,16 +143,12 @@ impl BehavioralQpu {
             let busy = self.busy_until[i];
             if time_ns < busy {
                 self.violations.push(TimingViolation {
-                    op: issued,
+                    op: IssuedOp { time_ns, op },
                     qubit,
                     busy_until_ns: busy,
                 });
             }
             self.busy_until[i] = time_ns.max(busy) + duration;
-        }
-        self.issued_ops += 1;
-        if self.record_log {
-            self.log.push(issued);
         }
         match op {
             QuantumOp::Measure(q) => Some(self.draw_outcome(q)),
@@ -186,34 +164,19 @@ impl BehavioralQpu {
         self.rng.gen_bool(p)
     }
 
-    /// True while nothing has been applied, the log is not recorded and
-    /// the timings are `timings`. Every such QPU reaches the same
+    /// True while nothing has been applied (no qubit was ever occupied)
+    /// and the timings are `timings`. Every such QPU reaches the same
     /// occupancy counters on a stream that does not depend on outcomes,
     /// so a caller that already knows them may draw only the stream's
     /// outcomes, with [`draw_outcome`](BehavioralQpu::draw_outcome) in
     /// stream order, instead of applying it.
     pub fn is_pristine(&self, timings: &OpTimings) -> bool {
-        self.issued_ops == 0 && !self.record_log && self.timings == *timings
-    }
-
-    /// Every operation received, in arrival order.
-    pub fn log(&self) -> &[IssuedOp] {
-        &self.log
+        self.busy_until.is_empty() && self.timings == *timings
     }
 
     /// All timing violations observed so far.
     pub fn violations(&self) -> &[TimingViolation] {
         &self.violations
-    }
-
-    /// Takes the accumulated log and violations, leaving empty buffers —
-    /// the end-of-shot handover that lets reports own the vectors without
-    /// a copy.
-    pub fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>) {
-        (
-            std::mem::take(&mut self.log),
-            std::mem::take(&mut self.violations),
-        )
     }
 
     /// When `qubit` becomes free (0 if never used).
@@ -276,7 +239,10 @@ mod tests {
         qpu.apply(0, QuantumOp::Gate1(Gate1::X, q(1)));
         qpu.apply(0, QuantumOp::Gate1(Gate1::X, q(2)));
         assert!(qpu.violations().is_empty());
-        assert_eq!(qpu.log().len(), 3);
+        for i in 0..3 {
+            assert_eq!(qpu.busy_until(q(i)), 20, "q{i} occupied once");
+        }
+        assert_eq!(qpu.makespan_ns(), 20);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-shot backend construction.
 //!
 //! Multi-shot experiments need a *fresh* QPU per shot — occupancy
-//! tracking, the issue log, and the outcome PRNG are all per-execution
-//! state. A factory captures the shot-invariant parameters once and
+//! tracking, the violations seen, and the outcome PRNG are all
+//! per-execution state. A factory captures the shot-invariant parameters once and
 //! stamps out seeded backends; `quape-core`'s `ShotEngine` drives one
 //! through its `QpuFactory` trait on every worker thread.
 
@@ -42,14 +42,19 @@ mod tests {
             OpTimings::paper(),
             MeasurementModel::Bernoulli { p_one: 0.5 },
         );
+        let q0 = Qubit::new(0);
         let mut a = factory.create(1);
         let mut b = factory.create(1);
-        a.apply(0, QuantumOp::Gate1(Gate1::X, Qubit::new(0)));
-        assert_eq!(a.log().len(), 1);
-        assert!(b.log().is_empty(), "shots must not share a log");
-        b.apply(0, QuantumOp::Measure(Qubit::new(0)));
+        a.apply(0, QuantumOp::Gate1(Gate1::X, q0));
+        a.apply(5, QuantumOp::Gate1(Gate1::X, q0));
+        assert_eq!(a.busy_until(q0), 40);
+        assert_eq!(a.violations().len(), 1);
+        assert_eq!(b.busy_until(q0), 0, "shots must not share occupancy");
+        assert!(b.violations().is_empty(), "shots must not share violations");
+        b.apply(0, QuantumOp::Measure(q0));
         let c = factory.create(1);
-        assert!(c.log().is_empty());
+        assert_eq!(c.makespan_ns(), 0);
+        assert!(c.violations().is_empty());
     }
 
     #[test]

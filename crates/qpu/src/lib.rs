@@ -6,7 +6,9 @@
 //! * a **behavioural QPU** ([`BehavioralQpu`]) that tracks per-qubit
 //!   occupancy, flags timing violations, and draws measurement outcomes
 //!   from a seeded PRNG — exactly the setup the paper used for its §7
-//!   QCP-only benchmarks;
+//!   QCP-only benchmarks. It keeps no log of what it receives: the
+//!   control stack in `quape-core` records and counts the operations it
+//!   issues;
 //! * a **state-vector QPU** ([`StateVector`]) with depolarizing noise,
 //!   readout error, ZZ coupling and microwave drive crosstalk — enough
 //!   physics to reproduce the §8 randomized-benchmarking validation,
