@@ -9,18 +9,18 @@
 //! with the default 2 the behavior is exactly the classic dual-bank
 //! cache.
 
-use quape_isa::{BlockId, Instruction};
-use std::sync::Arc;
+use quape_isa::{BlockId, Instruction, Program};
+use std::ops::Range;
 
-/// One cache bank: a shared, zero-copy view of a program block's
-/// instruction words. Fills clone an `Arc` instead of copying the words,
-/// so per-shot cache traffic is O(blocks started), not O(instructions),
-/// and a free bank holds no allocation at all.
+/// One cache bank: the address range of a resident block in the one
+/// program every shot shares. Fills copy two integers instead of the
+/// words, so per-shot cache traffic is O(blocks started), not
+/// O(instructions), and a bank holds no allocation at all.
 #[derive(Debug, Clone, Default)]
 pub struct CacheBank {
     block: Option<BlockId>,
-    base: u32,
-    words: Option<Arc<[Instruction]>>,
+    start: u32,
+    end: u32,
 }
 
 impl CacheBank {
@@ -34,37 +34,26 @@ impl CacheBank {
         self.block.is_none()
     }
 
-    /// Installs a fully fetched block (an O(1) handle clone).
-    pub fn install(&mut self, block: BlockId, base: u32, words: Arc<[Instruction]>) {
+    /// Installs a fully fetched block spanning `range`.
+    pub fn install(&mut self, block: BlockId, range: Range<u32>) {
         self.block = Some(block);
-        self.base = base;
-        self.words = Some(words);
+        self.start = range.start;
+        self.end = range.end;
     }
 
     /// Evicts the resident block.
     pub fn clear(&mut self) {
-        self.block = None;
-        self.base = 0;
-        self.words = None;
+        *self = CacheBank::default();
     }
 
-    /// Reads the instruction at absolute address `pc`, if resident.
-    pub fn read(&self, pc: u32) -> Option<&Instruction> {
-        if pc < self.base {
-            return None;
-        }
-        self.words.as_ref()?.get((pc - self.base) as usize)
+    /// True if the instruction at absolute address `pc` is resident.
+    pub fn contains(&self, pc: u32) -> bool {
+        self.block.is_some() && (self.start..self.end).contains(&pc)
     }
 
     /// First address of the resident block.
     pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// One-past-the-end address of the resident block.
-    #[allow(dead_code)] // part of the cache API; exercised by tests
-    pub fn end(&self) -> u32 {
-        self.base + self.words.as_ref().map_or(0, |w| w.len()) as u32
+        self.start
     }
 }
 
@@ -97,22 +86,15 @@ impl PrivateICache {
         (0..self.banks.len()).find(|&i| i != self.active && self.banks[i].is_free())
     }
 
-    /// The first non-active bank (the inactive bank of a dual-bank
-    /// cache).
-    #[allow(dead_code)] // part of the cache API; exercised by tests
-    pub fn inactive(&self) -> &CacheBank {
-        &self.banks[if self.active == 0 { 1 } else { 0 }]
-    }
-
-    /// Installs a block into `bank`.
-    pub fn install(&mut self, bank: usize, block: BlockId, base: u32, words: Arc<[Instruction]>) {
-        self.banks[bank].install(block, base, words);
+    /// Installs a block spanning `range` into `bank`.
+    pub fn install(&mut self, bank: usize, block: BlockId, range: Range<u32>) {
+        self.banks[bank].install(block, range);
     }
 
     /// Installs a block into the active bank (initial pre-task load).
-    pub fn install_active(&mut self, block: BlockId, base: u32, words: Arc<[Instruction]>) {
+    pub fn install_active(&mut self, block: BlockId, range: Range<u32>) {
         let a = self.active;
-        self.banks[a].install(block, base, words);
+        self.banks[a].install(block, range);
     }
 
     /// Finds the bank holding `block`.
@@ -134,9 +116,14 @@ impl PrivateICache {
         self.banks[a].clear();
     }
 
-    /// Fetches the instruction at `pc` from the active bank.
-    pub fn fetch(&self, pc: u32) -> Option<&Instruction> {
-        self.active().read(pc)
+    /// Fetches the instruction at `pc` from the active bank: the word of
+    /// the shared `program`, when the active bank holds that address.
+    pub fn fetch<'p>(&self, pc: u32, program: &'p Program) -> Option<&'p Instruction> {
+        if self.active().contains(pc) {
+            program.get(pc as usize)
+        } else {
+            None
+        }
     }
 
     /// Evicts `block` from whichever bank holds it.
@@ -152,42 +139,29 @@ impl PrivateICache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quape_isa::{ClassicalOp, Gate1, QuantumOp, Qubit};
-
-    fn prog(n: usize) -> Arc<[Instruction]> {
-        (0..n)
-            .map(|i| {
-                if i == n - 1 {
-                    Instruction::Classical(ClassicalOp::Stop)
-                } else {
-                    Instruction::quantum(0, QuantumOp::Gate1(Gate1::H, Qubit::new(i as u16)))
-                }
-            })
-            .collect()
-    }
 
     #[test]
-    fn read_respects_base_offset() {
+    fn residency_respects_the_block_range() {
         let mut c = PrivateICache::new(2);
-        c.install_active(BlockId(0), 100, prog(5));
-        assert!(c.fetch(99).is_none());
-        assert!(c.fetch(100).is_some());
-        assert!(c.fetch(104).is_some());
-        assert!(c.fetch(105).is_none());
-        assert_eq!(c.active().end(), 105);
+        c.install_active(BlockId(0), 100..105);
+        assert!(!c.active().contains(99));
+        assert!(c.active().contains(100));
+        assert!(c.active().contains(104));
+        assert!(!c.active().contains(105));
+        assert_eq!(c.active().base(), 100);
     }
 
     #[test]
     fn prefetch_and_switch() {
         let mut c = PrivateICache::new(2);
-        c.install_active(BlockId(0), 0, prog(3));
+        c.install_active(BlockId(0), 0..3);
         let free = c.free_bank().expect("inactive bank free");
-        c.install(free, BlockId(1), 3, prog(4));
+        c.install(free, BlockId(1), 3..7);
         assert!(c.free_bank().is_none(), "both banks occupied");
         assert_eq!(c.bank_of(BlockId(1)), Some(free));
         c.switch_to(free);
         assert_eq!(c.active().block(), Some(BlockId(1)));
-        assert!(c.fetch(3).is_some());
+        assert!(c.active().contains(3));
         // Old bank was freed by the switch.
         assert!(c.free_bank().is_some());
     }
@@ -195,9 +169,9 @@ mod tests {
     #[test]
     fn retire_frees_active() {
         let mut c = PrivateICache::new(2);
-        c.install_active(BlockId(0), 0, prog(2));
+        c.install_active(BlockId(0), 0..2);
         c.retire_active();
         assert!(c.active().is_free());
-        assert!(c.fetch(0).is_none());
+        assert!(!c.active().contains(0));
     }
 }

@@ -30,8 +30,8 @@ use crate::processor::{draw_demod_ns, Env, Processor, ProcessorCore};
 use crate::report::{MachineStats, RunReport, StepDispatch, StopReason};
 use crate::scheduler::Scheduler;
 use quape_isa::{
-    BlockInfo, BlockInfoTable, Dependency, Instruction, LoweredProgram, Program, ProgramError,
-    QuantumOp, SHARED_REG_COUNT,
+    BlockInfo, BlockInfoTable, Dependency, LoweredProgram, Program, ProgramError, QuantumOp,
+    SHARED_REG_COUNT,
 };
 use quape_qpu::IssuedOp;
 use rand::rngs::SmallRng;
@@ -42,8 +42,9 @@ use std::sync::Arc;
 /// Which executor runs a shot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum StepMode {
-    /// The reference processor decodes [`Instruction`] words itself and
-    /// every component ticks on every clock cycle. Independent of the
+    /// The reference processor decodes
+    /// [`Instruction`](quape_isa::Instruction) words itself and every
+    /// component ticks on every clock cycle. Independent of the
     /// lowering pass, so it is the differential-testing oracle for
     /// [`StepMode::Lowered`].
     Cycle,
@@ -139,17 +140,6 @@ impl EventSink<u64> {
     }
 }
 
-/// One program block's instruction words, pre-cut at job compilation and
-/// shared by every shot: cache fills clone the `Arc` instead of copying
-/// the words, so per-shot fill cost is O(blocks), not O(instructions).
-#[derive(Debug, Clone)]
-pub(crate) struct BlockCode {
-    /// Absolute address of the block's first instruction.
-    pub base: u32,
-    /// The block's instruction words.
-    pub words: Arc<[Instruction]>,
-}
-
 /// Errors from machine construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MachineError {
@@ -188,7 +178,8 @@ pub struct MeasurementRecord {
 }
 
 /// Wraps a block-less program into a single implicit block so the
-/// scheduler always has a table to work from.
+/// scheduler always has a table to work from. The program's vectors
+/// move into the wrapped program; nothing is copied.
 fn ensure_blocks(program: Program) -> Result<Program, ProgramError> {
     if !program.blocks().is_empty() {
         return Ok(program);
@@ -196,11 +187,7 @@ fn ensure_blocks(program: Program) -> Result<Program, ProgramError> {
     let len = program.len() as u32;
     let mut table = BlockInfoTable::new();
     table.push(BlockInfo::new("main", 0..len, Dependency::none()))?;
-    Program::with_parts(
-        program.instructions().to_vec(),
-        table,
-        program.step_map().to_vec(),
-    )
+    program.with_blocks(table)
 }
 
 /// The immutable, shareable half of a run: validated configuration,
@@ -226,18 +213,19 @@ fn ensure_blocks(program: Program) -> Result<Program, ProgramError> {
 #[derive(Debug, Clone)]
 pub struct CompiledJob {
     cfg: Arc<QuapeConfig>,
+    /// The block-wrapped program. The reference core's icache banks
+    /// address block ranges of this one shared copy.
     program: Arc<Program>,
-    code: Arc<[BlockCode]>,
     /// Micro-op artifact for [`StepMode::Lowered`], lowered once here and
     /// `Arc`-shared by every shot (and the server's compile cache).
     lowered: Arc<LoweredProgram>,
     chan: Arc<ChannelMap>,
     num_qubits: u16,
-    /// Content digest, frozen at compile time — the one program digest a
-    /// compile computes. It walks the whole program, so hot paths that
-    /// key caches on job identity — e.g. the engine's per-worker
-    /// scratch — must not recompute it per shot.
-    digest: u64,
+    /// [`Program::num_qubits`] of the program itself, recorded by the
+    /// one span pass a compile makes.
+    qubit_span: u16,
+    /// Whether any block carries a [`Dependency::Priority`].
+    priority_blocks: bool,
 }
 
 impl CompiledJob {
@@ -254,7 +242,8 @@ impl CompiledJob {
     pub fn compile(cfg: QuapeConfig, program: Program) -> Result<Self, MachineError> {
         cfg.validate().map_err(MachineError::Config)?;
         let program = ensure_blocks(program)?;
-        let scanned = program.num_qubits().max(1);
+        let qubit_span = program.num_qubits();
+        let scanned = qubit_span.max(1);
         // Channel arithmetic is u16: an unbounded span would wrap.
         if usize::from(scanned) > quape_isa::MAX_QUBITS {
             return Err(MachineError::Config(format!(
@@ -275,28 +264,19 @@ impl CompiledJob {
             None => ChannelMap::linear(num_qubits),
             Some(lines) => ChannelMap::multiplexed(num_qubits, lines),
         };
-        let code: Arc<[BlockCode]> = program
+        let priority_blocks = program
             .blocks()
             .iter()
-            .map(|(_, info)| BlockCode {
-                base: info.range.start,
-                words: program.instructions()[info.range.start as usize..info.range.end as usize]
-                    .into(),
-            })
-            .collect();
+            .any(|(_, info)| matches!(info.dependency, Dependency::Priority(_)));
         let lowered = Arc::new(LoweredProgram::lower(&program, &cfg.timings));
-        let mut h = quape_isa::Fnv64::new();
-        h.write_u64(program.digest().0)
-            .write_u64(cfg.content_digest());
-        let digest = h.finish();
         Ok(CompiledJob {
             cfg: Arc::new(cfg),
             program: Arc::new(program),
-            code,
             lowered,
             chan: Arc::new(chan),
             num_qubits,
-            digest,
+            qubit_span,
+            priority_blocks,
         })
     }
 
@@ -316,10 +296,14 @@ impl CompiledJob {
     /// parameter (batch runs override it per request), not part of the
     /// compiled artifact.
     ///
-    /// Computed once at [`compile`](Self::compile) time; this accessor is
-    /// a plain field read, cheap enough for per-shot identity checks.
+    /// Computed on each call: it walks the whole program, so nothing on a
+    /// per-shot or per-submit path reads it. Per-worker state is keyed
+    /// on the shared artifact instead (see `is_same_artifact`).
     pub fn digest(&self) -> u64 {
-        self.digest
+        let mut h = quape_isa::Fnv64::new();
+        h.write_u64(self.program.digest().0)
+            .write_u64(self.cfg.content_digest());
+        h.finish()
     }
 
     /// True when `other` is this compiled artifact or a clone of it (the
@@ -350,6 +334,20 @@ impl CompiledJob {
     /// Number of qubits the setup is sized for.
     pub fn num_qubits(&self) -> u16 {
         self.num_qubits
+    }
+
+    /// Number of qubits the program itself touches: its
+    /// [`Program::num_qubits`], recorded at compile time. Unlike
+    /// [`num_qubits`](Self::num_qubits) it is 0 for a program without
+    /// qubit references and ignores the configuration's override.
+    pub fn qubit_span(&self) -> u16 {
+        self.qubit_span
+    }
+
+    /// True when some block of the program has a
+    /// [`Dependency::Priority`] dependency, recorded at compile time.
+    pub fn has_priority_blocks(&self) -> bool {
+        self.priority_blocks
     }
 
     /// The pre-decoded micro-op artifact backing [`StepMode::Lowered`].
@@ -407,7 +405,7 @@ impl CompiledJob {
     /// and seeding the shot's PRNG (DAQ jitter) with `rng_seed`.
     pub fn shot(&self, qpu: Box<dyn QpuBackend>, rng_seed: u64) -> Shot {
         Shot {
-            core: self.core(qpu, rng_seed, self.code.clone(), |id| {
+            core: self.core(qpu, rng_seed, self.program.clone(), |id| {
                 Processor::new(id, self.cfg.icache_banks)
             }),
             rng_seed,
@@ -437,9 +435,9 @@ impl CompiledJob {
 /// `ShotCore<FastProcessor>` over the job's [`LoweredProgram`].
 pub(crate) struct ShotCore<P: ProcessorCore> {
     job: CompiledJob,
-    /// The compiled artifact cache fills read, shared with the job
-    /// (`[BlockCode]` for the reference core, the micro-op program for
-    /// the fast one).
+    /// The compiled artifact cache fills read, shared with the job (the
+    /// program for the reference core, the micro-op program for the fast
+    /// one).
     code: Arc<P::Code>,
     processors: Vec<P>,
     scheduler: Scheduler,

@@ -30,6 +30,7 @@ use quape_isa::{
 use quape_qpu::IssuedOp;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::ops::Range;
 
 /// Mutable machine state a processor touches during its tick.
 pub(crate) struct Env<'a> {
@@ -139,7 +140,7 @@ pub(crate) fn draw_demod_ns(cfg: &QuapeConfig, rng: &mut SmallRng) -> u64 {
 /// path's [`FastProcessor`](crate::fast::FastProcessor), which walks the
 /// pre-decoded micro-ops of a
 /// [`LoweredProgram`](quape_isa::LoweredProgram). `Code` is the compiled
-/// artifact cache fills read from: the `[BlockCode]` table for the
+/// artifact cache fills read block ranges from: the [`Program`] for the
 /// reference core, the `LoweredProgram` for the fast one.
 pub(crate) trait ProcessorCore {
     /// Compiled artifact the instruction-cache fill engine reads.
@@ -173,8 +174,18 @@ pub(crate) trait ProcessorCore {
     fn stats(&self) -> &ProcessorStats;
 }
 
+/// The address range of `block` in `program`'s block table.
+fn block_range(program: &Program, block: BlockId) -> Range<u32> {
+    program
+        .blocks()
+        .get(block)
+        .expect("the scheduler only loads blocks of its own table")
+        .range
+        .clone()
+}
+
 impl ProcessorCore for Processor {
-    type Code = [crate::machine::BlockCode];
+    type Code = Program;
 
     fn tick(&mut self, cycle: u64, env: &mut Env<'_>) -> bool {
         Processor::tick(self, cycle, env)
@@ -205,18 +216,15 @@ impl ProcessorCore for Processor {
     }
 
     fn install_initial(&mut self, block: BlockId, code: &Self::Code) {
-        let bc = &code[block.index()];
-        self.icache.install_active(block, bc.base, bc.words.clone());
+        self.icache.install_active(block, block_range(code, block));
     }
 
     fn load_and_run(&mut self, block: BlockId, code: &Self::Code, now: u64) {
-        let bc = &code[block.index()];
-        Processor::load_and_run(self, block, bc.base, bc.words.clone(), now);
+        Processor::load_and_run(self, block, block_range(code, block), now);
     }
 
     fn prefetch_block(&mut self, block: BlockId, code: &Self::Code) -> bool {
-        let bc = &code[block.index()];
-        Processor::prefetch_block(self, block, bc.base, bc.words.clone())
+        Processor::prefetch_block(self, block, block_range(code, block))
     }
 
     fn start_prefetched(&mut self, block: BlockId, switch_cycles: u64, now: u64) -> bool {
@@ -391,30 +399,19 @@ impl Processor {
     /// Installs a block into the active bank and runs it (on-demand
     /// allocation path; the fill latency was modeled by the scheduler's
     /// busy period).
-    pub(crate) fn load_and_run(
-        &mut self,
-        block: BlockId,
-        base: u32,
-        words: std::sync::Arc<[quape_isa::Instruction]>,
-        now: u64,
-    ) {
+    pub(crate) fn load_and_run(&mut self, block: BlockId, range: Range<u32>, now: u64) {
         self.icache.retire_active();
-        self.icache.install_active(block, base, words);
+        self.icache.install_active(block, range);
         let active = self.icache.bank_of(block).expect("just installed");
         self.start_block(block, active, 0, now);
     }
 
     /// Installs a block into the free cache bank (prefetch). Returns
     /// false when no bank is free.
-    pub(crate) fn prefetch_block(
-        &mut self,
-        block: BlockId,
-        base: u32,
-        words: std::sync::Arc<[quape_isa::Instruction]>,
-    ) -> bool {
+    pub(crate) fn prefetch_block(&mut self, block: BlockId, range: Range<u32>) -> bool {
         match self.icache.free_bank() {
             Some(bank) => {
-                self.icache.install(bank, block, base, words);
+                self.icache.install(bank, block, range);
                 true
             }
             None => false,
@@ -908,7 +905,7 @@ impl Processor {
         // was blocked, so the buffer holds only *older* instructions.
         self.pc = target;
         self.fetch_blocked = false;
-        if self.icache.active().read(target).is_none() {
+        if !self.icache.active().contains(target) {
             // Transfer outside the resident block: unsupported (the
             // compiler keeps control flow block-local).
             self.fail(env);
@@ -923,7 +920,7 @@ impl Processor {
         let free = env.cfg.predecode_buffer.saturating_sub(self.buffer.len());
         let n = free.min(env.cfg.fetch_width);
         for _ in 0..n {
-            match self.icache.fetch(self.pc) {
+            match self.icache.fetch(self.pc, env.program) {
                 Some(&instr) => {
                     self.buffer.push_back(Slot {
                         addr: self.pc,

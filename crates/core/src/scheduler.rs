@@ -25,9 +25,9 @@
 //! applies whatever [`Scheduler::pick_action`] selects, and the
 //! lowered run loop reuses the same picker read-only (via
 //! [`Scheduler::would_act`]) to prove that skipped cycles are no-ops.
-//! Cache fills hand out `Arc` slices from the job's pre-cut
-//! [`BlockCode`](crate::machine::BlockCode) table instead of copying
-//! instruction words per fill. The scheduler itself is generic over
+//! Cache fills hand a block's address range into the job's one shared
+//! program (or micro-op array) instead of copying instruction words per
+//! fill. The scheduler itself is generic over
 //! [`ProcessorCore`], so the same allocation/prefetch state machine
 //! drives both the reference processors and the lowered fast path.
 

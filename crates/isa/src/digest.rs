@@ -135,11 +135,19 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 const ALT_OFFSET: u64 = 0x6C62_272E_07BB_0142;
 const ALT_PRIME: u64 = 0x9E37_79B9_7F4A_7C15 | 1;
 
-fn hash_words(bytes: &[u8], mut h: u64, prime: u64) -> u64 {
+/// Word-chunked FNV over `bytes`, one accumulator per `(offset, prime)`
+/// stream, all advanced in the same pass over the payload.
+fn hash_words<const N: usize>(bytes: &[u8], streams: [(u64, u64); N]) -> [u64; N] {
+    let mut h = streams.map(|(offset, _)| offset);
+    let absorb = |h: &mut [u64; N], w: u64| {
+        for (h, &(_, prime)) in h.iter_mut().zip(&streams) {
+            *h = (*h ^ w).wrapping_mul(prime);
+        }
+    };
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let w = u64::from_le_bytes(c.try_into().expect("exact chunk"));
-        h = (h ^ w).wrapping_mul(prime);
+        absorb(&mut h, w);
     }
     let mut tail = 0u64;
     let mut shift = 0u32;
@@ -147,10 +155,11 @@ fn hash_words(bytes: &[u8], mut h: u64, prime: u64) -> u64 {
         tail |= u64::from(b) << shift;
         shift += 8;
     }
-    h = (h ^ tail).wrapping_mul(prime);
+    absorb(&mut h, tail);
     // Mix in the length so payloads differing only in trailing zero
     // bytes (absorbed into `tail`) cannot collide.
-    (h ^ bytes.len() as u64).wrapping_mul(prime)
+    absorb(&mut h, bytes.len() as u64);
+    h
 }
 
 /// Fast stable 64-bit content hash for large payloads: FNV-1a over
@@ -163,7 +172,8 @@ fn hash_words(bytes: &[u8], mut h: u64, prime: u64) -> u64 {
 /// [`content_hash_128`] when a collision would silently alias two
 /// different payloads (e.g. compile-cache keys over wire-format text).
 pub fn content_hash_64(bytes: &[u8]) -> u64 {
-    hash_words(bytes, FNV_OFFSET, FNV_PRIME)
+    let [h] = hash_words(bytes, [(FNV_OFFSET, FNV_PRIME)]);
+    h
 }
 
 /// Stable 128-bit content hash: two independent word-chunked streams
@@ -173,8 +183,7 @@ pub fn content_hash_64(bytes: &[u8]) -> u64 {
 /// staying far cheaper than parsing the payload. Still not a
 /// cryptographic guarantee.
 pub fn content_hash_128(bytes: &[u8]) -> u128 {
-    let hi = hash_words(bytes, FNV_OFFSET, FNV_PRIME);
-    let lo = hash_words(bytes, ALT_OFFSET, ALT_PRIME);
+    let [hi, lo] = hash_words(bytes, [(FNV_OFFSET, FNV_PRIME), (ALT_OFFSET, ALT_PRIME)]);
     (u128::from(hi) << 64) | u128::from(lo)
 }
 
@@ -298,6 +307,31 @@ mod tests {
         assert_ne!((h >> 64) as u64, h as u64);
         assert_ne!(content_hash_128(b"abc"), content_hash_128(b"abd"));
         assert_ne!(content_hash_128(b"abc"), content_hash_128(b"abc\0"));
+    }
+
+    /// A deterministic byte pattern that is not periodic in 8-byte words.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i * 31 + 7) as u8 ^ (i >> 8) as u8)
+            .collect()
+    }
+
+    /// Compile-cache keys are `content_hash_128` values: these pins keep
+    /// a rewrite of the hash loop from silently changing them (empty,
+    /// tail-only, one word, word plus tail, and KiB-scale inputs).
+    #[test]
+    fn content_hash_128_pins_its_keys() {
+        let pins: [(usize, u128); 6] = [
+            (0, 0x08328807b4eb6fed3b4ebd531023dab2),
+            (7, 0x93cc626c5450eff30ff13deeac2dca46),
+            (8, 0x954c37134596374e83ddbfab7e39de79),
+            (9, 0x936cf81343fefcd6befa971c1c0f4393),
+            (3000, 0x03961f65d833419361ba0a866f45e146),
+            (4103, 0x8115efd2cdf62b83aefebaf701f443d6),
+        ];
+        for (len, key) in pins {
+            assert_eq!(content_hash_128(&pattern(len)), key, "length {len}");
+        }
     }
 
     #[test]

@@ -452,15 +452,20 @@ impl Instruction {
     /// [`Program::num_qubits`](crate::Program::num_qubits) (and, via
     /// [`qubit_span`], the same counting rule
     /// [`scan_qubit_count`](crate::scan_qubit_count) applies lexically).
-    pub fn referenced_qubits(&self) -> Vec<Qubit> {
-        match self {
-            Instruction::Quantum(q) => q.op.qubits().collect(),
-            Instruction::Classical(ClassicalOp::Fmr { qubit, .. }) => vec![*qubit],
+    /// At most two qubits, yielded without allocating.
+    pub fn referenced_qubits(&self) -> impl Iterator<Item = Qubit> {
+        let (a, b) = match *self {
+            Instruction::Quantum(QuantumInstruction { op, .. }) => match op {
+                QuantumOp::Gate1(_, q) | QuantumOp::Measure(q) => (Some(q), None),
+                QuantumOp::Gate2(_, c, t) => (Some(c), Some(t)),
+            },
+            Instruction::Classical(ClassicalOp::Fmr { qubit, .. }) => (Some(qubit), None),
             Instruction::Classical(ClassicalOp::Mrce { qubit, target, .. }) => {
-                vec![*qubit, *target]
+                (Some(qubit), Some(target))
             }
-            Instruction::Classical(_) => Vec::new(),
-        }
+            Instruction::Classical(_) => (None, None),
+        };
+        a.into_iter().chain(b)
     }
 
     /// The classical payload, if any.
@@ -625,16 +630,8 @@ mod tests {
         ];
         for instr in cases {
             let shifted = instr.relocated(10, 0);
-            let want: Vec<u16> = instr
-                .referenced_qubits()
-                .iter()
-                .map(|q| q.index() + 10)
-                .collect();
-            let got: Vec<u16> = shifted
-                .referenced_qubits()
-                .iter()
-                .map(|q| q.index())
-                .collect();
+            let want: Vec<u16> = instr.referenced_qubits().map(|q| q.index() + 10).collect();
+            let got: Vec<u16> = shifted.referenced_qubits().map(|q| q.index()).collect();
             assert_eq!(got, want, "{instr}");
         }
     }
@@ -645,19 +642,18 @@ mod tests {
             Instruction::quantum(0, QuantumOp::Gate1(Gate1::H, Qubit::new(1))),
             Instruction::quantum(0, QuantumOp::Measure(Qubit::new(3))),
         ];
-        let base = qubit_span(instrs.iter().flat_map(|i| {
-            i.referenced_qubits()
-                .into_iter()
-                .map(|q| q.index())
-                .collect::<Vec<_>>()
-        }));
-        let shifted = qubit_span(instrs.iter().flat_map(|i| {
-            i.relocated(5, 0)
-                .referenced_qubits()
-                .into_iter()
-                .map(|q| q.index())
-                .collect::<Vec<_>>()
-        }));
+        let base = qubit_span(
+            instrs
+                .iter()
+                .flat_map(Instruction::referenced_qubits)
+                .map(|q| q.index()),
+        );
+        let shifted = qubit_span(
+            instrs
+                .iter()
+                .flat_map(|i| i.relocated(5, 0).referenced_qubits())
+                .map(|q| q.index()),
+        );
         assert_eq!(base, 4);
         assert_eq!(shifted, base + 5);
     }

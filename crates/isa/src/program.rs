@@ -162,6 +162,20 @@ impl Program {
         Ok(p)
     }
 
+    /// This program with its block table replaced by `blocks`. The
+    /// instruction and step vectors move into the result and are not
+    /// re-validated: only the new table is checked.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a block range escapes the program or the table is
+    /// inconsistent.
+    pub fn with_blocks(mut self, blocks: BlockInfoTable) -> Result<Self, ProgramError> {
+        self.blocks = blocks;
+        self.validate_blocks()?;
+        Ok(self)
+    }
+
     fn validate(&self) -> Result<(), ProgramError> {
         let len = self.instructions.len() as u32;
         for (at, instr) in self.instructions.iter().enumerate() {
@@ -173,6 +187,11 @@ impl Program {
                 }
             }
         }
+        self.validate_blocks()
+    }
+
+    fn validate_blocks(&self) -> Result<(), ProgramError> {
+        let len = self.instructions.len() as u32;
         for (_, b) in self.blocks.iter() {
             if b.range.end > len || b.range.start > b.range.end {
                 return Err(ProgramError::BlockOutOfBounds {

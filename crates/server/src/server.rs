@@ -75,7 +75,7 @@ use quape_core::{
     BatchAggregate, CompiledJob, DescriptionError, EngineObs, MachineDescription, MachineError,
     QpuFactory, QuapeConfig, ShotAccumulator, ShotEngine, WorkerScratch,
 };
-use quape_isa::{AsmError, Dependency, Fnv64, Program};
+use quape_isa::{AsmError, Fnv64, Program};
 use quape_obs::{ObsScope, TraceKind};
 use quape_workloads::multiprogramming;
 use std::collections::BTreeMap;
@@ -1278,15 +1278,10 @@ impl JobServer {
             return None;
         }
         let job = engine.job();
-        let program = job.program();
-        if program
-            .blocks()
-            .iter()
-            .any(|(_, info)| matches!(info.dependency, Dependency::Priority(_)))
-        {
+        if job.has_priority_blocks() {
             return None;
         }
-        let span = program.num_qubits();
+        let span = job.qubit_span();
         if span > Self::pack_span_cap(pc, job.cfg()) {
             return None;
         }

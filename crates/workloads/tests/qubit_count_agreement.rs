@@ -110,6 +110,6 @@ fn num_qubits_covers_classical_readout_references() {
     assert!(program
         .instructions()
         .iter()
-        .any(|i| matches!(i, Instruction::Classical(_) if !i.referenced_qubits().is_empty())));
+        .any(|i| matches!(i, Instruction::Classical(_) if i.referenced_qubits().next().is_some())));
     assert_eq!(program.num_qubits(), 6);
 }
