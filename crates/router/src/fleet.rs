@@ -9,9 +9,11 @@
 //! non-terminal jobs are re-submitted from their snapshots to a
 //! surviving capable shard — re-running from shot 0, which by the
 //! engine's determinism yields an aggregate **bit-identical** to the
-//! zero-failure run. Re-routing retries are bounded
-//! ([`RetryPolicy`], exponential backoff); a job only turns terminal
-//! [`JobError::ShardLost`] when no capable shard remains.
+//! zero-failure run. First placement, re-routing and stealing land a
+//! job through one path with a fixed retry budget (`MAX_ATTEMPTS`
+//! submits, a `BACKOFF` that doubles between them); a moved job turns
+//! terminal [`JobError::ShardLost`] when no capable shard remains or its
+//! budget runs out.
 //!
 //! Lock order: `fleet` (shard table) → `jobs` (registry); per-shard
 //! server locks are strictly below both and are never held while either
@@ -23,8 +25,8 @@ use crate::snapshot::{FleetSnapshot, ShardSnapshot, TenantStatsRow};
 use quape_core::{BatchAggregate, MachineDescription, ShotAccumulator};
 use quape_obs::{ObsScope, Recorder, TraceKind};
 use quape_server::{
-    CacheStats, JobError, JobHandle, JobProgress, JobRequest, JobResult, JobServer, ServerConfig,
-    ServingServer,
+    CacheStats, JobError, JobHandle, JobProgress, JobRequest, JobResult, JobServer, KeyedRequest,
+    ServerConfig, ServingServer,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,24 +53,15 @@ pub enum Placement {
     StickyByDigest,
 }
 
-/// Bounded re-routing policy for jobs displaced by a dead or draining
-/// shard (and for submissions that race a shard's phase flip).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Attempts per job before giving up with [`JobError::ShardLost`].
-    pub max_attempts: u32,
-    /// Base backoff between attempts; doubles per attempt.
-    pub backoff: Duration,
-}
+/// Shard submits a job gets: a new job's retries after a shard refused
+/// it ([`JobError::NotAccepting`], returned to the submitter once spent),
+/// and a moved job's re-routes over its whole life (so a job bouncing
+/// between dying shards ends [`JobError::ShardLost`]).
+const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: Duration::from_millis(1),
-        }
-    }
-}
+/// Base backoff after a refused submit; the wait after attempt `n` is
+/// `BACKOFF << n`.
+const BACKOFF: Duration = Duration::from_millis(1);
 
 /// Background work-stealing configuration (see [`Router::steal_once`]).
 #[derive(Debug, Clone, Copy)]
@@ -112,8 +105,6 @@ pub struct RouterConfig {
     /// [`ShardProfile::from_machine`]; missing entries fall back to the
     /// shared [`ServerConfig::machine`], then to unconstrained.
     pub machines: Vec<MachineDescription>,
-    /// Re-routing retry policy for displaced jobs.
-    pub retry: RetryPolicy,
     /// When set, a background thread steals whole queued jobs from the
     /// hottest backlog onto idle shards.
     pub steal: Option<StealConfig>,
@@ -133,7 +124,6 @@ impl Default for RouterConfig {
             shard: ServerConfig::default(),
             profiles: Vec::new(),
             machines: Vec::new(),
-            retry: RetryPolicy::default(),
             steal: None,
             obs: Recorder::off(),
         }
@@ -264,16 +254,18 @@ enum JobPhase {
 
 /// What a live job needs to be re-routed, stolen or cancelled.
 struct LiveJob {
-    /// The request as submitted: the re-route source of truth.
-    snapshot: JobRequest,
+    /// The request as submitted, with its cache key: the re-route
+    /// source of truth.
+    snapshot: KeyedRequest,
     requirements: JobRequirements,
     server_id: u64,
     handle: Option<JobHandle>,
+    /// Re-route attempts over the job's life (see [`MAX_ATTEMPTS`]).
     attempts: u32,
     user_cancelled: bool,
-    /// True while a recovery/steal path owns the job's resubmission —
-    /// at most one mover at a time.
-    in_recovery: bool,
+    /// True while [`RouterInner::move_onto_shard`] owns the job — at
+    /// most one mover at a time.
+    moving: bool,
 }
 
 impl JobState {
@@ -298,10 +290,10 @@ impl JobState {
         }
     }
 
-    /// True while no recovery or steal owns the job and it is not
-    /// terminal: the state in which one may start moving it.
+    /// True while no move owns the job and it is not terminal: the state
+    /// in which one may start moving it.
     fn movable(&self) -> bool {
-        self.live().is_some_and(|live| !live.in_recovery)
+        self.live().is_some_and(|live| !live.moving)
     }
 }
 
@@ -317,20 +309,62 @@ struct JobTable {
 
 impl JobTable {
     /// The live state of job `fleet_id`; `None` once it is terminal (a
-    /// fleet stop may finish a job a recovery or steal is moving).
+    /// fleet stop may finish a job that is being moved).
     fn live_mut(&mut self, fleet_id: u64) -> Option<&mut LiveJob> {
         self.jobs.get_mut(&fleet_id).and_then(JobState::live_mut)
     }
 
-    /// Lands a moved job on `shard` as server job `server_id`: maps it and
-    /// ends the move. Returns whether the user cancelled it meanwhile, or
-    /// `None` when it turned terminal during the move (nothing lands).
+    /// Registers a new job that just reached `shard`, as a job being
+    /// moved there; [`land`](JobTable::land) then maps it. Returns its
+    /// fleet id.
+    fn register(&mut self, req: KeyedRequest, requirements: JobRequirements, shard: usize) -> u64 {
+        let fleet_id = self.next_id;
+        self.next_id += 1;
+        let r = req.request();
+        let job = JobState {
+            name: r.name.clone(),
+            shots: r.shots,
+            base_seed: r.base_seed,
+            shard,
+            phase: JobPhase::Live(LiveJob {
+                snapshot: req,
+                requirements,
+                server_id: 0,
+                handle: None,
+                attempts: 0,
+                user_cancelled: false,
+                moving: true,
+            }),
+        };
+        self.jobs.insert(fleet_id, job);
+        fleet_id
+    }
+
+    /// Starts moving job `fleet_id` off its shard: marks it moving, drops
+    /// its handle and unmaps it. Returns its request, requirements and
+    /// the shard it leaves, or `None` when it is terminal or another move
+    /// already owns it.
+    fn begin_move(&mut self, fleet_id: u64) -> Option<(KeyedRequest, JobRequirements, usize)> {
+        let job = self.jobs.get_mut(&fleet_id).expect("registered job");
+        let from = job.shard;
+        let live = job.live_mut().filter(|live| !live.moving)?;
+        live.moving = true;
+        live.handle = None;
+        let server_id = live.server_id;
+        let moved = (live.snapshot.clone(), live.requirements, from);
+        self.by_server.remove(&(from, server_id));
+        Some(moved)
+    }
+
+    /// Lands a moving job on `shard` as server job `handle.id()`: maps it
+    /// and ends the move. Returns whether the user cancelled it meanwhile,
+    /// or `None` when it turned terminal during the move (nothing lands).
     fn land(&mut self, fleet_id: u64, shard: usize, handle: &JobHandle) -> Option<bool> {
         let job = self.jobs.get_mut(&fleet_id).expect("registered job");
         let live = job.live_mut()?;
         live.server_id = handle.id();
         live.handle = Some(handle.clone());
-        live.in_recovery = false;
+        live.moving = false;
         let user_cancelled = live.user_cancelled;
         job.shard = shard;
         self.by_server.insert((shard, handle.id()), fleet_id);
@@ -388,7 +422,6 @@ impl FleetObs {
 
 pub(crate) struct RouterInner {
     placement: Placement,
-    retry: RetryPolicy,
     rr: AtomicUsize,
     pub(crate) obs: FleetObs,
     /// Per-shard servers, immutable after construction (cheap `Arc`
@@ -450,7 +483,6 @@ impl Router {
         }
         let inner = Arc::new(RouterInner {
             placement: cfg.placement,
-            retry: cfg.retry,
             rr: AtomicUsize::new(0),
             obs: FleetObs::new(cfg.obs),
             servers,
@@ -892,12 +924,31 @@ impl FleetHandle {
     }
 }
 
+/// How a job comes onto a shard (see [`RouterInner::move_onto_shard`]).
+#[derive(Clone, Copy)]
+enum Move {
+    /// A new request's first placement. It is registered once it lands;
+    /// until then a failure goes back to its submitter.
+    Place,
+    /// Job `id`, displaced from shard `from` (killed or retiring, or a
+    /// steal's thief that went away), goes to any capable shard.
+    Reroute { id: u64, from: usize },
+    /// Job `id`, revoked from the `victim`'s queue, goes to the `thief`.
+    Steal {
+        id: u64,
+        victim: usize,
+        thief: usize,
+    },
+}
+
 impl RouterInner {
     /// Places, registers and submits a brand-new job, returning the
     /// fleet-level routed handle. `Router::submit` and the admission
     /// layer's dispatcher both land here.
     pub(crate) fn submit_routed(self: &Arc<Self>, req: JobRequest) -> Result<RoutedJob, JobError> {
-        let (id, shard) = self.submit_new(req)?;
+        let requirements = JobRequirements::of(&req);
+        let (id, shard) =
+            self.move_onto_shard(Move::Place, KeyedRequest::from(req), requirements)?;
         Ok(RoutedJob {
             shard,
             handle: FleetHandle {
@@ -915,9 +966,9 @@ impl RouterInner {
         self.jobs.lock().expect("jobs lock poisoned")
     }
 
-    /// Picks a capable shard. `candidates` are `(shard index, backlog)`
-    /// pairs, non-empty.
-    fn place(&self, candidates: &[(usize, u64)], req: &mut JobRequest) -> usize {
+    /// Picks a capable shard for a request with compile-cache key `key`.
+    /// `candidates` are `(shard index, backlog)` pairs, non-empty.
+    fn place(&self, candidates: &[(usize, u64)], key: u128) -> usize {
         match self.placement {
             Placement::RoundRobin => {
                 candidates[self.rr.fetch_add(1, Ordering::Relaxed) % candidates.len()].0
@@ -930,10 +981,6 @@ impl RouterInner {
                     .0
             }
             Placement::StickyByDigest => {
-                let key = req
-                    .precomputed_key
-                    .unwrap_or_else(|| req.source.cache_key(&req.cfg));
-                req.precomputed_key = Some(key);
                 candidates[((key >> 64) as u64 % candidates.len() as u64) as usize].0
             }
         }
@@ -964,77 +1011,126 @@ impl RouterInner {
         Ok(capable)
     }
 
-    /// Places, registers and submits a brand-new job. Returns
-    /// `(fleet id, shard)`.
-    fn submit_new(&self, mut req: JobRequest) -> Result<(u64, usize), JobError> {
-        let requirements = JobRequirements::of(&req);
-        let mut attempt = 0u32;
-        loop {
-            let candidates = self.candidates(&requirements)?;
-            let shard = self.place(&candidates, &mut req);
-            // Snapshot before the shard mutates the request (it does
-            // not today, but the snapshot is the re-route source of
-            // truth and must stay submit-equivalent).
-            let snapshot = req.clone();
-            match self.servers[shard].submit(req) {
-                Ok(handle) => {
-                    self.obs.placed.inc();
-                    let fleet_id = {
-                        let mut table = self.lock_jobs();
-                        let fleet_id = table.next_id;
-                        table.next_id += 1;
-                        table.by_server.insert((shard, handle.id()), fleet_id);
-                        table.jobs.insert(
-                            fleet_id,
-                            JobState {
-                                name: snapshot.name.clone(),
-                                shots: snapshot.shots,
-                                base_seed: snapshot.base_seed,
-                                shard,
-                                phase: JobPhase::Live(LiveJob {
-                                    snapshot,
-                                    requirements,
-                                    server_id: handle.id(),
-                                    handle: Some(handle.clone()),
-                                    attempts: 0,
-                                    user_cancelled: false,
-                                    in_recovery: false,
-                                }),
-                            },
-                        );
-                        fleet_id
+    /// The one way onto a shard. Picks the shard (placement over the
+    /// capable candidates, or a steal's thief), submits within the retry
+    /// budget, registers the handle, emits `Placed` and the move's own
+    /// event, honours a cancel that arrived mid-move, and closes the two
+    /// landing races. Returns the job's fleet id and shard. A new job
+    /// that cannot land gets the error back; a moved one turns terminal
+    /// with it ([`JobError::ShardLost`] when no shard would take it).
+    fn move_onto_shard(
+        &self,
+        mut mv: Move,
+        req: KeyedRequest,
+        requirements: JobRequirements,
+    ) -> Result<(u64, usize), JobError> {
+        let mut attempts = 0u32;
+        let (shard, handle) = loop {
+            let attempt = match mv {
+                Move::Reroute { id, .. } => {
+                    let Some(attempt) = self.lock_jobs().live_mut(id).map(|live| {
+                        live.attempts += 1;
+                        live.attempts
+                    }) else {
+                        return Err(JobError::ShardLost); // Finished by a fleet stop.
                     };
-                    self.obs
-                        .scope
-                        .event(TraceKind::Placed, 0, fleet_id, shard as u64, handle.id());
-                    // Close the hook-before-mapping race: a job so fast
-                    // it finished before the mapping landed is folded in
-                    // here (idempotent — the terminal check wins ties).
-                    if handle.is_finished() {
-                        self.on_shard_result(shard, &handle.wait());
-                    }
-                    // Close the submit-vs-kill race: a kill sweep that
-                    // ran between our submit and the registration above
-                    // never saw this job.
-                    if self.lock_fleet().shards[shard].status == ShardStatus::Down {
-                        self.resubmit_elsewhere(fleet_id);
-                    }
-                    return Ok((fleet_id, shard));
+                    attempt
                 }
+                Move::Place | Move::Steal { .. } => {
+                    attempts += 1;
+                    attempts
+                }
+            };
+            let target = match mv {
+                Move::Steal { thief, .. } => Ok(thief),
+                _ if attempt > MAX_ATTEMPTS => Err(JobError::ShardLost),
+                _ => self
+                    .candidates(&requirements)
+                    .map(|c| self.place(&c, req.key())),
+            };
+            let err = match target.map(|shard| (shard, self.servers[shard].submit(req.clone()))) {
+                Ok((shard, Ok(handle))) => break (shard, handle),
                 // The shard flipped to draining between the candidate
-                // scan and the submit (a concurrent retire/kill):
-                // bounded retry against the refreshed candidate set.
-                Err(JobError::NotAccepting) => {
-                    attempt += 1;
-                    if attempt >= self.retry.max_attempts {
-                        return Err(JobError::NotAccepting);
-                    }
-                    thread::sleep(self.retry.backoff * (1 << attempt.min(8)));
-                    req = snapshot;
+                // scan and the submit (a concurrent retire or kill): back
+                // off, then retry against the refreshed candidates.
+                Ok((_, Err(JobError::NotAccepting)))
+                    if attempt < MAX_ATTEMPTS && !matches!(mv, Move::Steal { .. }) =>
+                {
+                    thread::sleep(BACKOFF * (1 << attempt));
+                    continue;
                 }
-                Err(e) => return Err(e),
+                Ok((_, Err(e))) | Err(e) => e,
+            };
+            match mv {
+                Move::Place => return Err(err),
+                // The thief went away mid-steal: re-place the revoked job
+                // like any displaced one.
+                Move::Steal { id, victim, .. } => {
+                    self.obs.recoveries.inc();
+                    mv = Move::Reroute { id, from: victim };
+                }
+                // No capable shard remains, the fleet is stopping or the
+                // budget ran out: the job is lost, as documented.
+                Move::Reroute { id, .. } => {
+                    let err = match err {
+                        JobError::NotAccepting | JobError::NoCapableShard => JobError::ShardLost,
+                        err => err,
+                    };
+                    self.obs.recoveries_failed.inc();
+                    self.set_terminal(id, Err(err.clone()));
+                    return Err(err);
+                }
+            }
+        };
+        match mv {
+            Move::Place => self.obs.placed.inc(),
+            Move::Reroute { .. } => self.obs.rerouted.inc(),
+            Move::Steal { .. } => self.obs.stolen.inc(),
+        }
+        let landed = {
+            let mut table = self.lock_jobs();
+            let id = match mv {
+                Move::Place => table.register(req, requirements, shard),
+                Move::Reroute { id, .. } | Move::Steal { id, .. } => id,
+            };
+            table
+                .land(id, shard, &handle)
+                .map(|cancelled| (id, cancelled))
+        };
+        let Some((id, user_cancelled)) = landed else {
+            // Finished by a fleet stop meanwhile: nothing would ever read
+            // or cancel the new request.
+            handle.cancel();
+            return Err(JobError::ShardLost);
+        };
+        let scope = &self.obs.scope;
+        scope.event(TraceKind::Placed, 0, id, shard as u64, handle.id());
+        match mv {
+            Move::Place => {}
+            Move::Reroute { from, .. } => {
+                scope.event(TraceKind::ReRouted, 0, id, from as u64, shard as u64);
+            }
+            Move::Steal { victim, .. } => {
+                scope.event(TraceKind::Stolen, 0, id, victim as u64, shard as u64);
             }
         }
+        if user_cancelled {
+            // A cancel arrived mid-move; honour it on the new shard
+            // (finalizes a cancelled partial).
+            handle.cancel();
+        }
+        // The job finished before it was mapped, so its shard's finish
+        // hook found nothing: fold it in here (idempotent — the terminal
+        // check wins ties).
+        if handle.is_finished() {
+            self.on_shard_result(shard, &handle.wait());
+        }
+        // The shard died while the job was landing, and its kill sweep
+        // skipped the moving job: go round again.
+        if self.lock_fleet().shards[shard].status == ShardStatus::Down {
+            self.reroute(id);
+        }
+        Ok((id, shard))
     }
 
     /// Routes one shard's finished result back to the fleet registry.
@@ -1117,7 +1213,7 @@ impl RouterInner {
             ids
         };
         for fleet_id in stranded {
-            self.resubmit_elsewhere(fleet_id);
+            self.reroute(fleet_id);
         }
     }
 
@@ -1152,7 +1248,7 @@ impl RouterInner {
                 let table = self.lock_jobs();
                 let job = &table.jobs[&fleet_id];
                 match job.live() {
-                    Some(live) if !live.in_recovery => {
+                    Some(live) if !live.moving => {
                         let server_id = live.server_id;
                         drop(table);
                         self.servers[index].revoke_unstarted(server_id)
@@ -1161,118 +1257,20 @@ impl RouterInner {
                 }
             };
             if revoked {
-                self.resubmit_elsewhere(fleet_id);
+                self.reroute(fleet_id);
             }
         }
     }
 
-    /// Re-submits a displaced job's snapshot to a surviving capable
-    /// shard, with bounded retry + exponential backoff. Terminal
-    /// [`JobError::ShardLost`] when no capable shard remains or the
-    /// retries run out.
-    fn resubmit_elsewhere(&self, fleet_id: u64) {
-        let (mut req, requirements, old_shard) = {
-            let mut table = self.lock_jobs();
-            let job = table.jobs.get_mut(&fleet_id).expect("registered job");
-            if !job.movable() {
-                return;
-            }
-            let shard = job.shard;
-            let live = job.live_mut().expect("movable jobs are live");
-            live.in_recovery = true;
-            live.handle = None;
-            let old_key = (shard, live.server_id);
-            let snapshot = (live.snapshot.clone(), live.requirements, shard);
-            table.by_server.remove(&old_key);
-            snapshot
+    /// Re-places a displaced job on a surviving capable shard (see
+    /// [`move_onto_shard`](RouterInner::move_onto_shard)), unless it is
+    /// terminal or already being moved.
+    fn reroute(&self, fleet_id: u64) {
+        let Some((req, requirements, from)) = self.lock_jobs().begin_move(fleet_id) else {
+            return;
         };
         self.obs.recoveries.inc();
-        loop {
-            let Some(attempts) = self.lock_jobs().live_mut(fleet_id).map(|live| {
-                live.attempts += 1;
-                live.attempts
-            }) else {
-                return; // Finished by a fleet stop meanwhile.
-            };
-            if attempts > self.retry.max_attempts {
-                self.finish_recovery(fleet_id, Some(Err(JobError::ShardLost)));
-                return;
-            }
-            let candidates = match self.candidates(&requirements) {
-                Ok(c) => c,
-                // No capable shard remains (or the fleet is stopping):
-                // the job is lost, as documented.
-                Err(_) => {
-                    self.finish_recovery(fleet_id, Some(Err(JobError::ShardLost)));
-                    return;
-                }
-            };
-            let shard = self.place(&candidates, &mut req);
-            match self.servers[shard].submit(req.clone()) {
-                Ok(handle) => {
-                    self.obs.rerouted.inc();
-                    let Some(user_cancelled) = self.lock_jobs().land(fleet_id, shard, &handle)
-                    else {
-                        // Finished by a fleet stop meanwhile: nothing
-                        // would ever read or cancel the new request.
-                        handle.cancel();
-                        return;
-                    };
-                    self.obs
-                        .scope
-                        .event(TraceKind::Placed, 0, fleet_id, shard as u64, handle.id());
-                    self.obs.scope.event(
-                        TraceKind::ReRouted,
-                        0,
-                        fleet_id,
-                        old_shard as u64,
-                        shard as u64,
-                    );
-                    if user_cancelled {
-                        // A cancel landed mid-re-route; honor it on the
-                        // new shard (finalizes a cancelled partial).
-                        handle.cancel();
-                    }
-                    if handle.is_finished() {
-                        self.on_shard_result(shard, &handle.wait());
-                    }
-                    if self.lock_fleet().shards[shard].status == ShardStatus::Down {
-                        // The new shard died while we were landing: go
-                        // around again (the kill sweep skips us while
-                        // in_recovery was set; it is clear now, so
-                        // re-guard).
-                        self.resubmit_elsewhere(fleet_id);
-                    }
-                    return;
-                }
-                Err(JobError::NotAccepting) => {
-                    thread::sleep(self.retry.backoff * (1 << attempts.min(8)));
-                }
-                Err(e) => {
-                    self.finish_recovery(fleet_id, Some(Err(e)));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Ends a recovery: clears the guard and (optionally) sets the
-    /// terminal outcome (an error is a lost job).
-    fn finish_recovery(&self, fleet_id: u64, outcome: Option<Result<JobResult, JobError>>) {
-        if let Some(live) = self
-            .lock_jobs()
-            .jobs
-            .get_mut(&fleet_id)
-            .and_then(JobState::live_mut)
-        {
-            live.in_recovery = false;
-        }
-        if let Some(outcome) = outcome {
-            if outcome.is_err() {
-                self.obs.recoveries_failed.inc();
-            }
-            self.set_terminal(fleet_id, outcome);
-        }
+        let _ = self.move_onto_shard(Move::Reroute { id: fleet_id, from }, req, requirements);
     }
 
     /// One stealing scan; see [`Router::steal_once`].
@@ -1314,7 +1312,7 @@ impl RouterInner {
                 let id = table.by_server.get(&(victim, *server_id)).copied();
                 id.filter(|id| {
                     table.jobs[id].live().is_some_and(|live| {
-                        !live.in_recovery
+                        !live.moving
                             && !live.user_cancelled
                             && thief_profile.can_run(&live.requirements)
                     })
@@ -1328,55 +1326,17 @@ impl RouterInner {
             if !self.servers[victim].revoke_unstarted(*server_id) {
                 continue;
             }
-            let req = {
-                let mut table = self.lock_jobs();
-                table.by_server.remove(&(victim, *server_id));
-                let Some(live) = table.live_mut(fleet_id) else {
-                    return false; // Finished by a fleet stop meanwhile.
-                };
-                live.in_recovery = true;
-                live.snapshot.clone()
+            // None: a fleet stop finished the job, or a kill sweep of the
+            // victim took it over, since the check above.
+            let Some((req, requirements, _)) = self.lock_jobs().begin_move(fleet_id) else {
+                return false;
             };
-            match self.servers[thief].submit(req) {
-                Ok(handle) => {
-                    self.obs.stolen.inc();
-                    let Some(user_cancelled) = self.lock_jobs().land(fleet_id, thief, &handle)
-                    else {
-                        // Finished by a fleet stop meanwhile: the move
-                        // did not land, and nothing would ever read or
-                        // cancel the new request.
-                        handle.cancel();
-                        return false;
-                    };
-                    self.obs
-                        .scope
-                        .event(TraceKind::Placed, 0, fleet_id, thief as u64, handle.id());
-                    self.obs.scope.event(
-                        TraceKind::Stolen,
-                        0,
-                        fleet_id,
-                        victim as u64,
-                        thief as u64,
-                    );
-                    if user_cancelled {
-                        handle.cancel();
-                    }
-                    if handle.is_finished() {
-                        self.on_shard_result(thief, &handle.wait());
-                    }
-                    if self.lock_fleet().shards[thief].status == ShardStatus::Down {
-                        self.resubmit_elsewhere(fleet_id);
-                    }
-                    return true;
-                }
-                Err(_) => {
-                    // The thief went away mid-steal; the standard
-                    // recovery path re-places the revoked job.
-                    self.finish_recovery(fleet_id, None);
-                    self.resubmit_elsewhere(fleet_id);
-                    return true;
-                }
-            }
+            let steal = Move::Steal {
+                id: fleet_id,
+                victim,
+                thief,
+            };
+            return self.move_onto_shard(steal, req, requirements).is_ok();
         }
         false
     }
@@ -1396,6 +1356,176 @@ mod tests {
             text.push_str("# padding the request text like a long tenant upload\n");
         }
         text
+    }
+
+    const COIN_TEXT: &str = "0 H q0\n2 MEAS q0\nFMR r0, q0\nSTOP\n";
+
+    fn coin_cfg() -> QuapeConfig {
+        QuapeConfig::superscalar(4)
+    }
+
+    fn coin_factory() -> BehavioralQpuFactory {
+        BehavioralQpuFactory::new(
+            coin_cfg().timings,
+            MeasurementModel::Bernoulli { p_one: 0.5 },
+        )
+    }
+
+    /// A one-qubit feedback job of `shots` shots.
+    fn coin_job(name: &str, shots: u64, seed: u64) -> JobRequest {
+        JobRequest::new(
+            name,
+            JobSource::Text(COIN_TEXT.into()),
+            coin_cfg(),
+            coin_factory(),
+            shots,
+        )
+        .base_seed(seed)
+    }
+
+    /// A solo run of the first `shots` shots of [`coin_job`].
+    fn coin_solo(shots: u64, seed: u64) -> BatchAggregate {
+        let program = quape_isa::assemble(COIN_TEXT).expect("assembles");
+        let job = CompiledJob::compile(coin_cfg(), program).expect("compiles");
+        ShotEngine::new(job, coin_factory())
+            .base_seed(seed)
+            .threads(1)
+            .run(shots)
+            .aggregate
+    }
+
+    /// A round-robin fleet of one-worker shards.
+    fn small_fleet(shards: usize) -> Router {
+        Router::new(RouterConfig {
+            shards,
+            shard: ServerConfig {
+                threads: 1,
+                shot_quantum: 2,
+                ..ServerConfig::default()
+            },
+            ..RouterConfig::default()
+        })
+    }
+
+    /// Strands job `id` mid-move: starts moving it off its shard, then
+    /// kills that shard, whose sweep skips the moving job. Returns what
+    /// the move carries.
+    fn strand_mid_move(router: &Router, id: u64) -> (KeyedRequest, JobRequirements, usize) {
+        let moved = router.inner.lock_jobs().begin_move(id).expect("movable");
+        router.kill_shard(moved.2);
+        moved
+    }
+
+    fn assert_laws(router: &Router) {
+        if let Err(violations) = router.fleet_snapshot().check() {
+            panic!("conservation laws broken: {violations:?}");
+        }
+    }
+
+    #[test]
+    fn a_cancel_during_a_move_finalizes_on_the_new_shard() {
+        let router = small_fleet(2);
+        let handle = router
+            .submit(coin_job("moved", 1_000_000, 11))
+            .expect("submits")
+            .handle;
+        let id = handle.id();
+        assert_eq!(handle.shard(), 0);
+        let (req, requirements, from) = strand_mid_move(&router, id);
+        // What `reroute` counts when it starts a move.
+        router.inner.obs.recoveries.inc();
+        // The cancel arrives while the job has no shard: only the flag.
+        handle.cancel();
+        let landed = router
+            .inner
+            .move_onto_shard(Move::Reroute { id, from }, req, requirements);
+        assert_eq!(landed, Ok((id, 1)));
+        let result = handle.wait().expect("a cancelled partial, not a lost job");
+        assert!(result.cancelled);
+        assert!(result.shots < result.shots_requested);
+        assert_eq!(result.aggregate, coin_solo(result.shots, 11));
+        assert_eq!(handle.shard(), 1);
+
+        // Not re-routed afterwards: losing its new shard leaves the
+        // outcome where it is.
+        router.kill_shard(1);
+        let again = handle.wait().expect("still the partial");
+        assert!(again.cancelled);
+        assert_eq!(again.aggregate, result.aggregate);
+        assert_eq!(handle.shard(), 1);
+        assert_eq!(router.recovered_jobs(), 1);
+        assert_eq!(router.inner.obs.rerouted.get(), 1);
+        assert_laws(&router);
+        let results = router.drain().expect("drains");
+        assert!(results[0].result.as_ref().expect("partial").cancelled);
+    }
+
+    /// Shots of the job the landing tests move: enough that its copy on
+    /// the dead shard cannot finish in the moment before the landing
+    /// check looks at the shard.
+    const BOUNCED_SHOTS: u64 = 4096;
+
+    /// Lands a moving job on shard 1 after a kill of shard 1 swept the
+    /// fleet without finding it: the status is Down, the submit that
+    /// raced the kill was still accepted, and no later sweep will come.
+    /// Only a steal names its target without the capability filter, so
+    /// a steal onto shard 1 reaches that landing deterministically.
+    fn land_on_a_swept_shard(shards: usize, seed: u64) -> (Router, FleetHandle) {
+        let router = small_fleet(shards);
+        let handle = router
+            .submit(coin_job("bounced", BOUNCED_SHOTS, seed))
+            .expect("submits")
+            .handle;
+        let id = handle.id();
+        assert_eq!(handle.shard(), 0);
+        let (req, requirements, victim) = strand_mid_move(&router, id);
+        router.inner.lock_fleet().shards[1].status = ShardStatus::Down;
+        let steal = Move::Steal {
+            id,
+            victim,
+            thief: 1,
+        };
+        let landed = router.inner.move_onto_shard(steal, req, requirements);
+        assert_eq!(landed, Ok((id, 1)), "the submit itself landed");
+        assert_eq!(router.stolen_jobs(), 1);
+        // The rest of the kill: the join, with no sweep after it.
+        let serving = router.inner.lock_fleet().shards[1].serving.take();
+        serving
+            .expect("shard 1 still serving")
+            .shutdown()
+            .expect("joins");
+        (router, handle)
+    }
+
+    #[test]
+    fn a_landing_on_a_down_shard_goes_round_to_a_survivor() {
+        let (router, handle) = land_on_a_swept_shard(3, 12);
+        let result = handle
+            .wait_timeout(Duration::from_secs(60))
+            .expect("not stranded on the dead shard")
+            .expect("completes");
+        assert!(!result.cancelled);
+        assert_eq!(result.aggregate, coin_solo(BOUNCED_SHOTS, 12));
+        assert_laws(&router);
+        router.drain().expect("drains");
+    }
+
+    #[test]
+    fn a_landing_on_a_down_shard_with_no_survivor_is_lost() {
+        let (router, handle) = land_on_a_swept_shard(2, 13);
+        match handle
+            .wait_timeout(Duration::from_secs(60))
+            .expect("not stranded on the dead shard")
+        {
+            Err(e) => {
+                assert_eq!(e, JobError::ShardLost);
+                assert_eq!(router.inner.obs.recoveries_failed.get(), 1);
+            }
+            // It finished on shard 1 before the landing check looked.
+            Ok(result) => assert_eq!(result.aggregate, coin_solo(BOUNCED_SHOTS, 13)),
+        }
+        assert_laws(&router);
+        router.drain().expect("drains");
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!   [`FaultPlan`], [`Router::retire_shard`]): a fleet-level job
 //!   registry keeps a re-submittable snapshot of every accepted job;
 //!   jobs stranded by a dead shard are re-submitted to a surviving
-//!   capable shard with bounded retry + exponential backoff
-//!   ([`RetryPolicy`]), turning terminal
-//!   [`JobError::ShardLost`] only when no capable shard remains.
+//!   capable shard within a fixed retry budget (4 attempts over the
+//!   job's life, 1 ms backoff that doubles), turning terminal
+//!   [`JobError::ShardLost`] when no capable shard remains or the
+//!   budget runs out. First placement, re-routing and stealing all
+//!   land a job through one path.
 //!   Re-runs start from shot 0, so by the engine's determinism the
 //!   re-routed job's aggregate is **bit-identical** to the zero-failure
 //!   run (differential-tested, including under a proptest over random
@@ -93,7 +95,7 @@ mod snapshot;
 
 pub use admission::{AdmissionConfig, AdmittedJob, DispatchRecord, FrontDoor};
 pub use fleet::{
-    FaultPlan, FleetHandle, Placement, RetryPolicy, RoutedJob, RoutedResult, Router, RouterConfig,
+    FaultPlan, FleetHandle, Placement, RoutedJob, RoutedResult, Router, RouterConfig,
     RouterFinishHook, ShardStatus, StealConfig,
 };
 pub use profile::{JobRequirements, ShardProfile};

@@ -77,5 +77,5 @@ mod server;
 pub use cache::{CacheOutcome, CacheStats, CompileCache};
 pub use server::{
     FinishHook, JobError, JobHandle, JobProgress, JobRequest, JobResult, JobServer, JobSource,
-    MachineSpec, PackerConfig, PackerStats, Priority, ServerConfig, ServingServer, ShotPolicy,
+    KeyedRequest, MachineSpec, PackerConfig, PackerStats, Priority, ServerConfig, ServingServer,
 };

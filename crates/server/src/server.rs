@@ -17,8 +17,9 @@
 //! ## Two serving modes
 //!
 //! * **Batch** ([`JobServer::run`]): queue jobs with
-//!   [`submit`](JobServer::submit), then drain them to completion on a
-//!   scoped worker pool. The original PR 4 interface, still what the
+//!   [`submit`](JobServer::submit), then run them to completion on a
+//!   scoped worker pool; `run` returns the results of the jobs that
+//!   were queued when it was called, ordered by id. What the
 //!   mixed-traffic benchmark drives.
 //! * **Streaming** ([`JobServer::serve`] → [`ServingServer`]): a
 //!   long-lived worker pool that parks on a condvar when idle. Jobs
@@ -28,7 +29,9 @@
 //!   blocking/timeout [`wait`](JobHandle::wait), and cooperative
 //!   [`cancel`](JobHandle::cancel). [`ServingServer::drain`] finishes
 //!   everything accepted so far; [`ServingServer::shutdown`] stops
-//!   claiming new quanta and finalizes the partial aggregates.
+//!   claiming new quanta and finalizes the partial aggregates. Both
+//!   return only whether the workers joined cleanly: a shard keeps
+//!   only live jobs, and each result is read from its handle.
 //!
 //! ## Determinism
 //!
@@ -114,7 +117,7 @@ pub enum JobError {
         retry_after_shots: u64,
     },
     /// A serving worker thread panicked (a server bug, not a job
-    /// failure); the drain's results are incomplete.
+    /// failure); the jobs it was running may never finish.
     WorkerPanicked,
     /// The request's machine description (inline or by builtin name)
     /// could not be resolved into a valid configuration.
@@ -330,11 +333,6 @@ pub struct JobRequest {
     pub tenant: Option<String>,
     /// The program source.
     pub source: JobSource,
-    /// Precomputed compile-cache key (`source.cache_key(&cfg)`), set by
-    /// a front-end that already hashed the request — e.g. for sticky
-    /// placement — so `submit` does not hash the source text twice.
-    /// Must match the source/config pair; leave `None` otherwise.
-    pub precomputed_key: Option<u128>,
     /// Machine configuration to compile against.
     pub cfg: QuapeConfig,
     /// Per-shot QPU backend factory.
@@ -364,7 +362,6 @@ impl JobRequest {
             name: name.into(),
             tenant: None,
             source,
-            precomputed_key: None,
             cfg,
             factory: Arc::new(factory),
             shots,
@@ -413,20 +410,36 @@ impl JobRequest {
     }
 }
 
-/// How the packer decides that member shot counts are compatible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShotPolicy {
-    /// Only jobs with **identical** shot counts pack together: every
-    /// member finishes on the same packed shot index.
-    #[default]
-    Exact,
-    /// Jobs whose shot counts round up to the same number of
-    /// priority-weighted shot quanta pack together — the ragged tails
-    /// run inside the pack's final quantum. Looser than [`Exact`]
-    /// (more packs form) at the cost of a partially-idle last quantum.
-    ///
-    /// [`Exact`]: ShotPolicy::Exact
-    QuantumAligned,
+/// A [`JobRequest`] with its compile-cache key, computed once from the
+/// request itself ([`JobSource::cache_key`]). A front end that needs the
+/// key before submitting (sticky placement) builds one with
+/// `KeyedRequest::from(req)` and hands it to [`JobServer::submit`],
+/// which then does not hash the source again. The fields are private,
+/// so the key always belongs to the request it travels with.
+#[derive(Clone)]
+pub struct KeyedRequest {
+    req: JobRequest,
+    key: u128,
+}
+
+impl KeyedRequest {
+    /// The request.
+    pub fn request(&self) -> &JobRequest {
+        &self.req
+    }
+
+    /// The request's compile-cache key.
+    pub fn key(&self) -> u128 {
+        self.key
+    }
+}
+
+/// Keys a request by its source and configuration.
+impl From<JobRequest> for KeyedRequest {
+    fn from(req: JobRequest) -> Self {
+        let key = req.source.cache_key(&req.cfg);
+        KeyedRequest { req, key }
+    }
 }
 
 /// The packer stage's knobs (see the crate docs — packing is off
@@ -445,8 +458,6 @@ pub struct PackerConfig {
     /// packing exists to amortize per-job scheduling overhead across
     /// *small* jobs; big jobs amortize it themselves.
     pub max_member_shots: u64,
-    /// The shot-count compatibility rule.
-    pub shot_policy: ShotPolicy,
 }
 
 impl Default for PackerConfig {
@@ -455,7 +466,6 @@ impl Default for PackerConfig {
             max_members: 8,
             max_pack_qubits: quape_isa::MAX_QUBITS as u16,
             max_member_shots: 256,
-            shot_policy: ShotPolicy::default(),
         }
     }
 }
@@ -711,8 +721,8 @@ impl JobHandle {
     /// Cooperatively cancels the job: the scheduler stops claiming new
     /// shot quanta; quanta already being executed complete normally.
     /// The job then finalizes with a prefix-consistent partial
-    /// aggregate, delivered through [`wait`](JobHandle::wait) and the
-    /// server's drain exactly like a completed job (with
+    /// aggregate, delivered through [`wait`](JobHandle::wait) exactly
+    /// like a completed job (with
     /// [`JobResult::cancelled`] set). Cancelling a finished job is a
     /// no-op.
     pub fn cancel(&self) {
@@ -721,9 +731,13 @@ impl JobHandle {
 
     /// Blocks until the job's result is available.
     ///
-    /// On a server that is not currently serving (batch mode), the
-    /// result only materialises during [`JobServer::run`] — call `wait`
-    /// from another thread or after `run`.
+    /// The handle is where a served job's result lives: the server keeps
+    /// no copy, and [`ServingServer::drain`] and
+    /// [`ServingServer::shutdown`] return none. On a server that is not
+    /// currently serving (batch mode), the result only materialises
+    /// during [`JobServer::run`], which also returns the results of the
+    /// jobs queued when it was called — call `wait` from another thread
+    /// or after `run`.
     pub fn wait(&self) -> JobResult {
         let inner = self.cell.inner.lock().expect("job cell lock poisoned");
         let inner = self
@@ -791,7 +805,7 @@ impl MemberJob {
 /// The packing-compatibility class of a queued solo entry, computed at
 /// submit. Two entries may pack together only when their classes agree:
 /// the `key` hashes the config's content digest, cycle limit,
-/// priority, and the shot-policy bucket; `cfg_digest` is
+/// priority, and shot count; `cfg_digest` is
 /// compared outright so a key collision cannot merge incompatible
 /// configs; `span` is the member program's qubit width — the region it
 /// will occupy after relocation.
@@ -874,7 +888,6 @@ struct SchedState {
     cursor: usize,
     completed: u64,
     next_id: u64,
-    finished: Vec<JobResult>,
     /// Pack formations in flight: their entries are out of `jobs` while
     /// a worker combines and compiles off-lock; drains wait for this to
     /// reach zero so the members are not missed.
@@ -1148,6 +1161,8 @@ impl JobServer {
     /// (compiling on this thread on a miss — concurrent submissions of
     /// the same program share one compilation) and queues its shots.
     /// Returns a [`JobHandle`] for progress, waiting and cancellation.
+    /// Takes a plain [`JobRequest`], or a [`KeyedRequest`] whose cache
+    /// key a front end already computed.
     ///
     /// On a serving pool ([`JobServer::serve`]) the job starts
     /// executing immediately; in batch mode it waits for the next
@@ -1158,7 +1173,12 @@ impl JobServer {
     /// Rejects zero-shot requests ([`JobError::EmptyJob`]), submissions
     /// to a draining/shut-down server ([`JobError::NotAccepting`]), and
     /// propagates parse/compile failures.
-    pub fn submit(&self, req: JobRequest) -> Result<JobHandle, JobError> {
+    pub fn submit(&self, req: impl Into<KeyedRequest>) -> Result<JobHandle, JobError> {
+        // The job "arrives" when submit is called: its latency includes
+        // its own key hash and compile (or compile-cache wait), not just
+        // the queue and execution time after it.
+        let submitted_at = Instant::now();
+        let KeyedRequest { req, key } = req.into();
         if req.shots == 0 {
             return Err(JobError::EmptyJob);
         }
@@ -1171,18 +1191,6 @@ impl JobServer {
         ) {
             return Err(JobError::NotAccepting);
         }
-        // The job "arrives" when submit is called: its latency includes
-        // its own compile (or compile-cache wait), not just the queue
-        // and execution time after it.
-        let submitted_at = Instant::now();
-        let key = req
-            .precomputed_key
-            .unwrap_or_else(|| req.source.cache_key(&req.cfg));
-        debug_assert_eq!(
-            key,
-            req.source.cache_key(&req.cfg),
-            "precomputed_key does not match the request's source/config"
-        );
         let outcome = self
             .inner
             .cache
@@ -1263,9 +1271,9 @@ impl JobServer {
     /// the pack cap, or priority-dependent blocks — which
     /// [`multiprogramming::pack`] would flatten). The class key hashes
     /// everything the compatibility predicate requires: digest-equal
-    /// configs, equal cycle limits and priorities, and the
-    /// [`ShotPolicy`] shot bucket. Base seeds and factories may differ
-    /// freely — each member runs through its own engine.
+    /// configs, equal cycle limits and priorities, and equal shot
+    /// counts. Base seeds and factories may differ freely — each member
+    /// runs through its own engine.
     fn pack_class(
         &self,
         engine: &ShotEngine,
@@ -1291,18 +1299,11 @@ impl JobServer {
             Priority::Normal => 1,
             Priority::High => 2,
         };
-        let bucket = match pc.shot_policy {
-            ShotPolicy::Exact => shots,
-            ShotPolicy::QuantumAligned => {
-                let quantum = self.inner.cfg.shot_quantum.max(1) * priority.weight();
-                shots.div_ceil(quantum)
-            }
-        };
         let mut h = Fnv64::new();
         h.write_u64(cfg_digest)
             .write_u64(cycle_limit)
             .write_u32(priority_code)
-            .write_u64(bucket);
+            .write_u64(shots);
         Some(PackClass {
             key: h.finish(),
             cfg_digest,
@@ -1323,8 +1324,8 @@ impl JobServer {
     /// Finalizes one member (no claimed quantum of its still executing):
     /// finishes the fold of its *contiguous completed prefix*, publishes
     /// the [`JobResult`] to the cell and wakes waiters. Caller has
-    /// removed the member from its entry; the returned result also goes
-    /// to the server's finished list.
+    /// removed the member from its entry; the returned result goes on
+    /// to the finish hook.
     ///
     /// Uncancelled members always land a gapless `0..shots`; a panicked
     /// quantum leaves a gap (and cancels the member), so the fold stops
@@ -1422,9 +1423,8 @@ impl JobServer {
         let rank = st.completed;
         st.completed += 1;
         let member = Self::remove_member(st, entry_index, member_index);
-        let result = Self::finalize_member(obs, &member, rank);
-        st.hook_pending.push(result.clone());
-        st.finished.push(result);
+        st.hook_pending
+            .push(Self::finalize_member(obs, &member, rank));
     }
 
     /// Reaps quiescent cancelled members, then claims the next shot
@@ -1882,17 +1882,26 @@ impl JobServer {
         self.flush_finish_hooks();
     }
 
-    /// Runs queued jobs to completion on a scoped worker pool and drains
-    /// the *finished* results, ordered by job id.
+    /// Runs queued jobs to completion on a scoped worker pool and
+    /// returns the results of the jobs that were queued when it was
+    /// called, ordered by job id. A job that finished before the call
+    /// (one cancelled while queued, say) is not among them; its handle
+    /// holds its result.
     ///
     /// The server stays usable afterwards: the compile cache persists
     /// (later identical submissions are cache-warm) and new jobs may be
-    /// submitted and run again. A job submitted concurrently with the
-    /// tail of a `run()` may miss this drain — it stays queued, is never
-    /// lost, and completes on the next `run()`. For continuous serving
-    /// use [`JobServer::serve`] instead.
-    #[must_use = "the drained results are the only copy of each job's outcome"]
+    /// submitted and run again. A job submitted concurrently with a
+    /// `run()` may be missed by it — it stays queued, is never lost, and
+    /// completes on the next `run()`. For continuous serving use
+    /// [`JobServer::serve`] instead.
+    #[must_use = "without the returned results, read each job's outcome from its handle"]
     pub fn run(&self) -> Vec<JobResult> {
+        let queued: Vec<Arc<JobCell>> = self
+            .lock_state()
+            .jobs
+            .iter()
+            .flat_map(|e| e.members.iter().map(|m| Arc::clone(&m.cell)))
+            .collect();
         let threads = self.effective_threads();
         if threads == 1 {
             // Batch mode on the caller thread doubles as the control
@@ -1907,11 +1916,17 @@ impl JobServer {
         }
         let mut st = self.lock_state();
         st.cursor = 0;
-        let mut results = std::mem::take(&mut st.finished);
         if st.jobs.is_empty() {
             st.completed = 0;
         }
         drop(st);
+        let mut results: Vec<JobResult> = queued
+            .iter()
+            .filter_map(|cell| {
+                let inner = cell.inner.lock().expect("job cell lock poisoned");
+                inner.result.clone()
+            })
+            .collect();
         results.sort_unstable_by_key(|r| r.id);
         results
     }
@@ -1947,30 +1962,30 @@ impl ServingServer {
     }
 
     /// Stops accepting new jobs, runs everything accepted so far to
-    /// completion, joins the workers, and returns all results ordered
-    /// by job id. Cancelled jobs appear with their prefix-consistent
-    /// partial aggregates. The underlying server is terminal afterwards:
-    /// later submissions fail with [`JobError::NotAccepting`].
+    /// completion and joins the workers. Every job's result is then in
+    /// its [`JobHandle`] (cancelled jobs with their prefix-consistent
+    /// partial aggregates); the server keeps no copy. The underlying
+    /// server is terminal afterwards: later submissions fail with
+    /// [`JobError::NotAccepting`].
     ///
     /// # Errors
     ///
     /// [`JobError::WorkerPanicked`] when a serving worker thread
     /// panicked (a server bug, not a job failure — panicking *jobs* are
-    /// isolated per quantum and reported as cancelled partials): the
-    /// drained results would be incomplete, so none are returned.
-    pub fn drain(mut self) -> Result<Vec<JobResult>, JobError> {
+    /// isolated per quantum and reported as cancelled partials).
+    pub fn drain(mut self) -> Result<(), JobError> {
         self.stop(ServePhase::Draining)
     }
 
     /// Stops accepting new jobs *and* claiming new shot quanta:
     /// in-flight quanta finish, the workers exit, and every unfinished
-    /// job finalizes as a cancelled partial (prefix-consistent). Returns
-    /// all results ordered by job id.
+    /// job finalizes as a cancelled partial (prefix-consistent), read
+    /// from its [`JobHandle`].
     ///
     /// # Errors
     ///
     /// [`JobError::WorkerPanicked`], as [`drain`](ServingServer::drain).
-    pub fn shutdown(mut self) -> Result<Vec<JobResult>, JobError> {
+    pub fn shutdown(mut self) -> Result<(), JobError> {
         self.stop(ServePhase::Shutdown)
     }
 
@@ -2003,7 +2018,7 @@ impl ServingServer {
         self.server.inner.work.notify_all();
     }
 
-    fn stop(&mut self, phase: ServePhase) -> Result<Vec<JobResult>, JobError> {
+    fn stop(&mut self, phase: ServePhase) -> Result<(), JobError> {
         self.stopped = true;
         self.signal(phase);
         let mut worker_panicked = false;
@@ -2037,7 +2052,6 @@ impl ServingServer {
         // terminal, later submissions get `NotAccepting` deterministically.
         st.cursor = 0;
         st.completed = 0;
-        let mut results = std::mem::take(&mut st.finished);
         drop(st);
         self.server.flush_finish_hooks();
         // Surface worker panics as an error-carrying result instead of
@@ -2047,8 +2061,7 @@ impl ServingServer {
         if worker_panicked {
             return Err(JobError::WorkerPanicked);
         }
-        results.sort_unstable_by_key(|r| r.id);
-        Ok(results)
+        Ok(())
     }
 }
 

@@ -10,9 +10,7 @@ use quape_isa::{
     ProgramError, QuantumOp, Qubit, BLOCK_TABLE_CAPACITY,
 };
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
-use quape_server::{
-    JobRequest, JobServer, JobSource, PackerConfig, Priority, ServerConfig, ShotPolicy,
-};
+use quape_server::{JobRequest, JobServer, JobSource, PackerConfig, Priority, ServerConfig};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
 use quape_workloads::multiprogramming::{combine, CombineError};
 
@@ -96,42 +94,6 @@ fn packed_batch_is_bit_identical_to_solo_runs() {
         assert_eq!(r.shots, *shots);
         assert!(!r.cancelled);
         assert_eq!(r.aggregate, solo(p, *shots, *seed), "j{i} diverged");
-    }
-}
-
-/// The quantum-aligned shot policy packs ragged shot counts into one
-/// claim stream; members with fewer shots retire early and every
-/// aggregate still matches its solo run exactly.
-#[test]
-fn quantum_aligned_policy_packs_ragged_shot_counts() {
-    let srv = packing_server(
-        1,
-        8,
-        PackerConfig {
-            shot_policy: ShotPolicy::QuantumAligned,
-            ..PackerConfig::default()
-        },
-    );
-    // Normal priority weight 2 × quantum 8 = bucket width 16: shot
-    // counts 17..=32 share a bucket; 40 does not.
-    let jobs: Vec<(Program, u64, u64)> = [(0u8, 17u64), (1, 25), (2, 32), (3, 40)]
-        .iter()
-        .enumerate()
-        .map(|(i, &(c, shots))| (program(c), shots, 900 + i as u64))
-        .collect();
-    for (i, (p, shots, seed)) in jobs.iter().enumerate() {
-        let _ = srv
-            .submit(request(&format!("r{i}"), p.clone(), *shots, *seed))
-            .unwrap();
-    }
-    let results = srv.run();
-    let stats = srv.packer_stats();
-    assert_eq!(stats.packs_formed, 1, "{stats:?}");
-    assert_eq!(stats.jobs_packed, 3, "only the shared bucket packs");
-    for (i, (p, shots, seed)) in jobs.iter().enumerate() {
-        let r = results.iter().find(|r| r.name == format!("r{i}")).unwrap();
-        assert_eq!(r.shots, *shots, "r{i}");
-        assert_eq!(r.aggregate, solo(p, *shots, *seed), "r{i} diverged");
     }
 }
 

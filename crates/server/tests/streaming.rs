@@ -64,11 +64,11 @@ fn submit_while_serving_is_live() {
     assert!(!r1.cancelled);
     assert_eq!(r1.aggregate, solo_aggregate(40, 1));
     assert_eq!(r2.aggregate, solo_aggregate(24, 2));
-    // Handles are done, nothing queued; drain returns the same results.
-    let drained = serving.drain().unwrap();
-    assert_eq!(drained.len(), 2);
-    assert_eq!(drained[0].aggregate, r1.aggregate);
-    assert_eq!(drained[1].aggregate, r2.aggregate);
+    // Handles are done, nothing queued; after the drain the handles
+    // still hold the same results (the server keeps no copy).
+    serving.drain().unwrap();
+    assert_eq!(first.wait().aggregate, r1.aggregate);
+    assert_eq!(second.wait().aggregate, r2.aggregate);
 }
 
 /// Progress and mid-flight partial aggregates are prefix-consistent:
@@ -132,9 +132,8 @@ fn cancel_mid_job_returns_prefix_consistent_partial() {
     let p = handle.progress();
     assert!(p.finished && p.cancelled);
     assert_eq!(p.shots_done, result.shots);
-    let results = serving.drain().unwrap();
-    assert_eq!(results.len(), 1);
-    assert!(results[0].cancelled);
+    serving.drain().unwrap();
+    assert!(handle.wait().cancelled);
 }
 
 /// Cancelling a queued job that never ran yields an empty (0-shot)
@@ -174,15 +173,25 @@ fn drain_completes_all_accepted_jobs() {
     });
     let server = serving.server().clone();
     let mut expected = Vec::new();
+    let mut handles = Vec::new();
     for i in 0..5u64 {
         let shots = 20 + 4 * i;
-        let _ = serving
-            .submit(request(&format!("job{i}"), shots, 10 + i))
-            .unwrap();
+        handles.push(
+            serving
+                .submit(request(&format!("job{i}"), shots, 10 + i))
+                .unwrap(),
+        );
         expected.push((shots, 10 + i));
     }
-    let results = serving.drain().unwrap();
-    assert_eq!(results.len(), 5);
+    serving.drain().unwrap();
+    // Every job finished by the time the drain returned.
+    let results: Vec<_> = handles
+        .iter()
+        .map(|h| {
+            h.wait_timeout(Duration::ZERO)
+                .expect("drained job finished")
+        })
+        .collect();
     for (r, (shots, seed)) in results.iter().zip(&expected) {
         assert!(!r.cancelled);
         assert_eq!(r.shots, *shots);
@@ -215,8 +224,7 @@ fn shutdown_finalizes_unfinished_jobs_as_cancelled_partials() {
     while big.progress().shots_done == 0 {
         std::thread::yield_now();
     }
-    let results = serving.shutdown().unwrap();
-    assert_eq!(results.len(), 2);
+    serving.shutdown().unwrap();
     assert!(!small_result.cancelled);
     assert_eq!(small_result.shots, 8);
     let big_result = big.wait_timeout(Duration::from_secs(1)).unwrap();
@@ -224,9 +232,9 @@ fn shutdown_finalizes_unfinished_jobs_as_cancelled_partials() {
     assert!(big_result.shots > 0);
     assert!(big_result.shots < 1_000_000);
     assert_eq!(big_result.aggregate, solo_aggregate(big_result.shots, 6));
-    // The drained list carries the same results, ordered by id.
-    assert_eq!(results[0].aggregate, small_result.aggregate);
-    assert_eq!(results[1].aggregate, big_result.aggregate);
+    // The handles keep their results after the shutdown.
+    assert_eq!(small.wait().aggregate, small_result.aggregate);
+    assert_eq!(big.wait().aggregate, big_result.aggregate);
 }
 
 /// A QPU factory that panics after its first `allow` backend builds —
@@ -285,9 +293,8 @@ fn panicking_quantum_fails_the_job_not_the_server() {
     let healthy_result = healthy.wait();
     assert!(!healthy_result.cancelled);
     assert_eq!(healthy_result.shots, 24);
-    // The pool survived: drain returns both results without hanging.
-    let results = serving.drain().unwrap();
-    assert_eq!(results.len(), 2);
+    // The pool survived: the drain returns cleanly without hanging.
+    serving.drain().unwrap();
 }
 
 /// Cancelling after completion is a true no-op: neither the result nor
@@ -311,8 +318,8 @@ fn cancel_after_completion_is_a_noop() {
     assert!(p.finished);
     assert!(!p.cancelled, "cancel after completion must not relabel");
     assert!(!handle.wait().cancelled);
-    let drained = serving.drain().unwrap();
-    assert!(!drained[0].cancelled);
+    serving.drain().unwrap();
+    assert!(!handle.wait().cancelled);
 }
 
 /// `wait_timeout` on a job that cannot finish yet returns `None`

@@ -85,13 +85,13 @@ pub mod prelude {
         MeasurementModel, RbConfig, StateVector,
     };
     pub use quape_router::{
-        AdmissionConfig, FaultPlan, FleetHandle, FleetSnapshot, FrontDoor, Placement, RetryPolicy,
-        RoutedJob, RoutedResult, Router, RouterConfig, ShardProfile, ShardSnapshot, ShardStatus,
-        StealConfig, TenantStatsRow,
+        AdmissionConfig, FaultPlan, FleetHandle, FleetSnapshot, FrontDoor, Placement, RoutedJob,
+        RoutedResult, Router, RouterConfig, ShardProfile, ShardSnapshot, ShardStatus, StealConfig,
+        TenantStatsRow,
     };
     pub use quape_server::{
         JobError, JobHandle, JobProgress, JobRequest, JobServer, JobSource, MachineSpec,
-        PackerConfig, PackerStats, Priority, ServerConfig, ServingServer, ShotPolicy,
+        PackerConfig, PackerStats, Priority, ServerConfig, ServingServer,
     };
     pub use quape_workloads::{benchmark_suite, ShorSyndrome, ShorSyndromeConfig};
 }
