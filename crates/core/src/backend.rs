@@ -55,11 +55,12 @@ pub struct IssueStream {
 
 impl IssueStream {
     pub(crate) fn new(ops: Vec<IssuedOp>, timings: OpTimings) -> Self {
-        let measures = ops
+        let mut measures: Vec<IssuedOp> = ops
             .iter()
             .filter(|i| matches!(i.op, QuantumOp::Measure(_)))
             .copied()
             .collect();
+        measures.shrink_to_fit();
         let mut qpu = BehavioralQpu::new(timings, MeasurementModel::AlwaysZero, 0);
         for issued in &ops {
             qpu.apply(issued.time_ns, issued.op);

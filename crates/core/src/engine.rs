@@ -5,12 +5,17 @@
 //! seeds, and a control processor in production replays the same compiled
 //! job thousands of times (the process-level parallelism axis that
 //! HiMA-style architectures scale along). The [`ShotEngine`] runs `n`
-//! shots of one [`CompiledJob`] across a configurable pool of OS threads:
+//! shots of one [`CompiledJob`] on the calling thread and on helper
+//! threads from a process-wide pool:
 //!
 //! * each shot gets its own QPU backend from a [`QpuFactory`] and its own
 //!   deterministic RNG stream (SplitMix64 of `base_seed ^ shot_index`), so
 //!   the batch is **schedule-independent** — the same `base_seed` yields a
 //!   bit-identical [`BatchAggregate`] whether it ran on 1 thread or 16;
+//! * the helpers park between batches, as the paper's processing units
+//!   wait on the block scheduler, so a batch pays per shot, not per
+//!   thread: it spawns nothing once the pool has grown, and shots are
+//!   claimed in guided chunks (large first, single shots last);
 //! * each worker pushes its shots straight into its own
 //!   [`ShotAccumulator`] (totals, per-qubit histograms and per-value
 //!   counts), and the accumulators merge at the join; no per-shot record
@@ -18,20 +23,22 @@
 //! * the [`BatchReport`] carries per-qubit outcome histograms and survival
 //!   estimates, cycle/lateness distributions (p50/p95/max), stop-reason
 //!   counts, and the measured wall time / shots-per-second;
-//! * each worker runs its shots on one reused [`LoweredShotRunner`]. For
-//!   a job without feedback (no `FMR`/`MRCE`) the runner simulates the
-//!   control stack once, then replays the recorded issue stream into each
-//!   later shot's backend and DAQ; a shot whose stop would reach the
-//!   cycle budget is simulated in full (see [`LoweredShotRunner`]).
-//!   Aggregates are bit-identical to simulating every shot.
+//! * each worker runs its shots on one reused [`LoweredShotRunner`]. A
+//!   job without feedback (no `FMR`/`MRCE`) is simulated once per
+//!   compiled artifact: the recorded issue stream lives on the
+//!   [`CompiledJob`], and every later shot, on any worker of any batch,
+//!   replays it into the shot's backend and DAQ; a shot whose stop would
+//!   reach the cycle budget is simulated in full (see
+//!   [`LoweredShotRunner`]). Aggregates are bit-identical to simulating
+//!   every shot.
 
 use crate::backend::{QpuBackend, StateVectorQpu};
 use crate::machine::{CompiledJob, LoweredShotRunner, ReportMode, Shot, ShotOutcome, StepMode};
-use crate::report::StopReason;
+use crate::report::{RunReport, StopReason};
 use quape_isa::OpTimings;
 use quape_qpu::{BehavioralQpuFactory, DepolarizingNoise, ReadoutError};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One SplitMix64 scramble (stateless form of the standard stream mixer).
@@ -60,8 +67,9 @@ pub fn shot_seed(base_seed: u64, shot_index: u64) -> u64 {
 
 /// Builds one QPU backend per shot.
 ///
-/// The engine calls `create` once per shot, on the worker thread that
-/// runs the shot, with that shot's deterministic seed.
+/// The engine calls `create` once per shot, on the thread that runs the
+/// shot, with that shot's deterministic seed. A factory may itself run
+/// [`ShotEngine::run`]; nested batches share the helper pool.
 pub trait QpuFactory: Send + Sync {
     /// Creates the backend for the shot seeded with `seed`.
     fn create(&self, seed: u64) -> Box<dyn QpuBackend>;
@@ -70,7 +78,7 @@ pub trait QpuFactory: Send + Sync {
 /// A shared factory handle is itself a factory, so one factory can serve
 /// many concurrently scheduled jobs (the job-service layer hands each
 /// job's engine an `Arc` clone of the request's factory).
-impl QpuFactory for std::sync::Arc<dyn QpuFactory> {
+impl QpuFactory for Arc<dyn QpuFactory> {
     fn create(&self, seed: u64) -> Box<dyn QpuBackend> {
         self.as_ref().create(seed)
     }
@@ -391,7 +399,8 @@ impl ShotAccumulator {
 pub struct BatchReport {
     /// The schedule-independent aggregate.
     pub aggregate: BatchAggregate,
-    /// Worker threads used.
+    /// Threads the batch could use: the caller plus the helpers it asked
+    /// the pool for.
     pub threads: usize,
     /// Host wall time for the whole batch.
     pub wall_time: Duration,
@@ -443,14 +452,16 @@ impl EngineObs {
 /// Per-worker reusable machine state for
 /// [`ShotEngine::run_shot_reusing`].
 ///
-/// One scratch per worker thread; the engine's own `run` loops keep one
-/// per worker automatically. The scratch lazily holds a
+/// One scratch per worker thread; every thread of a [`ShotEngine::run`]
+/// keeps one for its part of the batch. The scratch lazily holds a
 /// [`LoweredShotRunner`] keyed by job identity: shots of the same
-/// compiled job (or a clone of it) reuse its arena and its replay trace,
-/// and any other job rebuilds it, so external pools (e.g. the job
-/// service's workers) may hold one scratch across jobs. Identity is the
-/// shared artifact itself, not the content digest: a digest collision
-/// must never replay one job's issue stream for another.
+/// compiled job (or a clone of it) reuse its arenas, and any other job
+/// rebuilds it, so external pools may hold one scratch across jobs (the
+/// job service's workers each keep one for their whole life). The replay
+/// trace is not the scratch's: it lives on the compiled artifact, so a
+/// rebuilt runner replays from its first shot. Identity is the shared
+/// artifact itself, not the content digest: a digest collision must
+/// never put one job's arena to work for another.
 #[derive(Default)]
 pub struct WorkerScratch {
     runner: Option<LoweredShotRunner>,
@@ -476,7 +487,8 @@ impl WorkerScratch {
     }
 }
 
-/// Runs `n` shots of one [`CompiledJob`] across a thread pool.
+/// Runs `n` shots of one [`CompiledJob`] on the calling thread and
+/// pooled helper threads.
 ///
 /// ```
 /// use quape_core::{CompiledJob, QuapeConfig, ShotEngine};
@@ -494,9 +506,10 @@ impl WorkerScratch {
 /// assert_eq!(h.shots_measured, 64);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+#[derive(Clone)]
 pub struct ShotEngine {
     job: CompiledJob,
-    factory: Box<dyn QpuFactory>,
+    factory: Arc<dyn QpuFactory>,
     threads: usize,
     base_seed: u64,
     cycle_limit: u64,
@@ -514,7 +527,7 @@ impl ShotEngine {
         let base_seed = job.cfg().seed;
         ShotEngine {
             job,
-            factory: Box::new(factory),
+            factory: Arc::new(factory),
             threads: 0,
             base_seed,
             cycle_limit: 10_000_000,
@@ -523,7 +536,10 @@ impl ShotEngine {
         }
     }
 
-    /// Sets the worker thread count (`0` = `available_parallelism`).
+    /// Sets how many threads run a batch (`0` = `available_parallelism`):
+    /// the calling thread plus up to `threads - 1` helpers from the
+    /// process-wide pool (see [`run`](Self::run)). A batch of fewer shots
+    /// uses at most one thread per shot.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -563,6 +579,14 @@ impl ShotEngine {
         &self.job
     }
 
+    /// Helper threads the process-wide shot pool holds, parked or
+    /// running: the largest `min(threads, shots) - 1` any
+    /// [`run`](Self::run) has asked for so far (fewer only if a spawn
+    /// failed).
+    pub fn pooled_helpers() -> usize {
+        crate::pool::helpers()
+    }
+
     fn effective_threads(&self, shots: u64) -> usize {
         let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let t = if self.threads == 0 {
@@ -597,15 +621,31 @@ impl ShotEngine {
     /// callers may run any subset of a batch's shots, in any order, on
     /// any thread, and merge the accumulators into the batch aggregate.
     ///
-    /// Each call builds the per-shot machine state from scratch and
-    /// simulates the whole shot, so a merge of `run_shot` accumulators
-    /// is the full-simulation oracle for replayed batches. A worker
-    /// running many shots should hold a [`WorkerScratch`] and call
+    /// This is the full-simulation oracle: each call runs a fresh lean
+    /// [`Shot`] on the engine's executor, with no runner and no replay
+    /// trace, even when the job's artifact holds one. So a merge of
+    /// `run_shot` accumulators checks replayed batches against
+    /// simulation. A worker running many shots should hold a
+    /// [`WorkerScratch`] and call
     /// [`run_shot_reusing`](ShotEngine::run_shot_reusing) instead.
     pub fn run_shot(&self, shot: u64) -> ShotAccumulator {
         let mut acc = ShotAccumulator::default();
-        self.run_shot_reusing(shot, &mut WorkerScratch::default(), &mut acc);
+        let report = self.simulate(shot);
+        self.fold(&report.outcome(), &mut acc);
         acc
+    }
+
+    /// Shot `shot` as a fresh lean [`Shot`], run on the engine's executor.
+    fn simulate(&self, shot: u64) -> RunReport {
+        self.shot(shot)
+            .report_mode(ReportMode::Lean)
+            .run_with_mode(self.step_mode, self.cycle_limit)
+    }
+
+    /// Records a finished shot and pushes it into `acc`.
+    fn fold(&self, outcome: &ShotOutcome<'_>, acc: &mut ShotAccumulator) {
+        self.obs.shot_cycles.record(outcome.cycles);
+        acc.push(self.job.num_qubits(), outcome);
     }
 
     /// Runs shot `shot` and pushes it into `acc` — the *shot quantum*
@@ -615,8 +655,8 @@ impl ShotEngine {
     /// With the lowered executor (the default) the shot runs on
     /// `scratch`'s [`LoweredShotRunner`], so machine state is reset in
     /// place instead of reallocated per shot, and a feedback-free job's
-    /// later shots replay the first one's issue stream. The cycle oracle
-    /// runs a fresh lean [`Shot`] instead. The pushed shot is
+    /// shots replay the issue stream its artifact recorded once. The
+    /// cycle oracle runs a fresh lean [`Shot`] instead. The pushed shot is
     /// bit-identical either way: `scratch` affects host cost only, and
     /// it revalidates itself against the engine's job, so one scratch
     /// may serve engines of different jobs sequentially.
@@ -626,56 +666,39 @@ impl ShotEngine {
         scratch: &mut WorkerScratch,
         acc: &mut ShotAccumulator,
     ) {
-        let report;
-        let outcome = if self.step_mode == StepMode::Lowered {
+        if self.step_mode == StepMode::Lowered {
             let (qpu, machine_seed) = self.shot_inputs(shot);
-            scratch
-                .runner_for(&self.job)
-                .run_shot(qpu, machine_seed, self.cycle_limit)
+            let outcome =
+                scratch
+                    .runner_for(&self.job)
+                    .run_shot(qpu, machine_seed, self.cycle_limit);
+            self.fold(&outcome, acc);
         } else {
-            report = self
-                .shot(shot)
-                .report_mode(ReportMode::Lean)
-                .run_with_mode(self.step_mode, self.cycle_limit);
-            report.outcome()
-        };
-        self.obs.shot_cycles.record(outcome.cycles);
-        acc.push(self.job.num_qubits(), &outcome);
+            self.fold(&self.simulate(shot).outcome(), acc);
+        }
     }
 
     /// Runs `shots` shots and aggregates them.
     ///
-    /// Work is distributed dynamically (an atomic shot counter); each
-    /// worker folds its shots into its own [`ShotAccumulator`], and the
-    /// accumulators merge at the join. The fold is independent of shot
-    /// order, so the result is bit-identical for any thread count.
+    /// The calling thread runs shots itself and posts help requests for
+    /// up to `threads - 1` helpers to a process-wide pool of parked
+    /// threads. The pool grows lazily to the most helpers any batch has
+    /// asked for, never beyond, so a warmed engine spawns no thread. A
+    /// helper joins only while shots are left; the caller waits for the
+    /// helpers that joined and for no other, so a helper busy elsewhere
+    /// costs it nothing, and nested (a factory that runs a batch) and
+    /// concurrent batches cannot deadlock. Shots are claimed in guided
+    /// chunks, large at the start and single shots at the end.
+    ///
+    /// Each thread folds its shots into its own [`ShotAccumulator`], and
+    /// the accumulators merge at the end. The fold is independent of shot
+    /// order, so the result is bit-identical for any thread count. A
+    /// panic in a helper's shot resumes on the caller, once every joined
+    /// helper has finished; the helper thread survives it.
     pub fn run(&self, shots: u64) -> BatchReport {
         let start = Instant::now();
         let threads = self.effective_threads(shots);
-        let next = AtomicU64::new(0);
-        let worker = || {
-            let mut acc = ShotAccumulator::default();
-            let mut scratch = WorkerScratch::new();
-            loop {
-                let shot = next.fetch_add(1, Ordering::Relaxed);
-                if shot >= shots {
-                    return acc;
-                }
-                self.run_shot_reusing(shot, &mut scratch, &mut acc);
-            }
-        };
-        let acc = if threads <= 1 {
-            worker()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-                let mut acc = ShotAccumulator::default();
-                for h in handles {
-                    acc.merge(&h.join().expect("shot worker panicked"));
-                }
-                acc
-            })
-        };
+        let acc = crate::pool::run(self, shots, threads);
         BatchReport {
             aggregate: acc.finish(self.base_seed),
             threads,
@@ -777,9 +800,10 @@ mod tests {
 
     #[test]
     fn one_scratch_serves_alternating_jobs_exactly() {
-        // Two feedback-free jobs (each scratch runner records and replays
-        // an issue stream) and two clones of one of them: however the
-        // scratch alternates, every shot equals a fresh shot.
+        // Two feedback-free jobs (each artifact records an issue stream
+        // once, and every runner on it replays it) and two clones of one
+        // of them: however the scratch alternates, every shot equals a
+        // fresh shot.
         let other = CompiledJob::compile(
             QuapeConfig::superscalar(4),
             quape_isa::assemble("0 X q1\n3 MEAS q1\n0 H q0\n5 MEAS q0\nSTOP\n")
@@ -797,7 +821,7 @@ mod tests {
         for _round in 0..4 {
             for (i, engine) in engines.iter().enumerate() {
                 // A few back-to-back shots, so the runner replays; the
-                // clone (engine 2) keeps engine 0's runner and trace.
+                // clone (engine 2) keeps engine 0's runner.
                 for _ in 0..3 {
                     let mut reused = ShotAccumulator::default();
                     engine.run_shot_reusing(shot, &mut scratch, &mut reused);

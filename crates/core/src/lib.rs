@@ -52,6 +52,7 @@ mod icache;
 pub mod machdesc;
 mod machine;
 mod metrics;
+mod pool;
 mod processor;
 mod report;
 mod scheduler;

@@ -37,7 +37,7 @@ use quape_qpu::IssuedOp;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which executor runs a shot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -196,6 +196,15 @@ fn ensure_blocks(program: Program) -> Result<Program, ProgramError> {
 /// Compile once, then build any number of [`Shot`]s (possibly from many
 /// threads — a job is `Send + Sync` and clones in O(1)).
 ///
+/// The artifact also owns its **replay slot**, shared by every clone and
+/// set at most once: the issue stream the first successful recording
+/// shot of a feedback-free job took (see [`LoweredShotRunner`]), or the
+/// verdict that the job never replays (it reads measurements, or its
+/// recording failed for a reason that repeats on every shot). Every
+/// runner on the artifact — on any thread, in any batch, in any server
+/// worker — replays from the one trace, so a job is recorded once for as
+/// long as it is cached.
+///
 /// ```
 /// use quape_core::{CompiledJob, QuapeConfig};
 /// use quape_qpu::{BehavioralQpu, MeasurementModel};
@@ -226,6 +235,8 @@ pub struct CompiledJob {
     qubit_span: u16,
     /// Whether any block carries a [`Dependency::Priority`].
     priority_blocks: bool,
+    /// The replay slot, set once by the first recording that decides it.
+    replay: Arc<OnceLock<Replay>>,
 }
 
 impl CompiledJob {
@@ -269,6 +280,11 @@ impl CompiledJob {
             .iter()
             .any(|(_, info)| matches!(info.dependency, Dependency::Priority(_)));
         let lowered = Arc::new(LoweredProgram::lower(&program, &cfg.timings));
+        let replay = if lowered.reads_measurements() {
+            OnceLock::from(Replay::Never)
+        } else {
+            OnceLock::new()
+        };
         Ok(CompiledJob {
             cfg: Arc::new(cfg),
             program: Arc::new(program),
@@ -277,6 +293,7 @@ impl CompiledJob {
             num_qubits,
             qubit_span,
             priority_blocks,
+            replay: Arc::new(replay),
         })
     }
 
@@ -309,9 +326,9 @@ impl CompiledJob {
     /// True when `other` is this compiled artifact or a clone of it (the
     /// same `Arc`-shared lowering and configuration), not merely a job
     /// with an equal [`digest`](Self::digest). Per-worker state derived
-    /// from a job, such as an arena and its replay trace, is keyed on
-    /// this: the 64-bit digest is not collision-resistant, and tenants
-    /// choose the program text.
+    /// from a job, such as a simulation arena, is keyed on this: the
+    /// 64-bit digest is not collision-resistant, and tenants choose the
+    /// program text.
     pub(crate) fn is_same_artifact(&self, other: &CompiledJob) -> bool {
         Arc::ptr_eq(&self.lowered, &other.lowered) && Arc::ptr_eq(&self.cfg, &other.cfg)
     }
@@ -640,15 +657,9 @@ impl ShotCore<FastProcessor> {
 
     /// Reduces the finished shot to a borrowed [`ShotOutcome`]: the exact
     /// counters [`into_report`](ShotCore::into_report) would surface,
-    /// without materialising an owned [`RunReport`]. The QPU and AWG
-    /// counters come from the caller: a replayed shot drives neither the
-    /// core's backend nor its AWG.
-    fn finish_outcome(
-        &self,
-        stop: StopReason,
-        awg_violations: u64,
-        qpu: QpuCounters,
-    ) -> ShotOutcome<'_> {
+    /// without materialising an owned [`RunReport`].
+    fn finish_outcome(&self, stop: StopReason) -> ShotOutcome<'_> {
+        let qpu = QpuCounters::of(&*self.qpu);
         ShotOutcome {
             cycles: self.cycle,
             ns: self.cycle * self.job.cfg.clock_ns,
@@ -657,7 +668,7 @@ impl ShotCore<FastProcessor> {
             late_issues: self.late_issues,
             late_cycles: self.late_cycles,
             violations: qpu.violations,
-            awg_violations,
+            awg_violations: self.awg.violations().len() as u64,
             daq_contended: self.daq.contended_results(),
             qpu_makespan_ns: qpu.makespan_ns,
             measurements: &self.measurements,
@@ -683,7 +694,7 @@ impl ShotCore<FastProcessor> {
         };
         let cfg: &QuapeConfig = &self.job.cfg;
         debug_assert!(self.issued.record, "a recording shot records its issues");
-        let issues = std::mem::take(&mut self.issued.events);
+        let mut issues = std::mem::take(&mut self.issued.events);
         let measured = issues
             .iter()
             .filter(|i| matches!(i.op, QuantumOp::Measure(_)))
@@ -697,8 +708,10 @@ impl ShotCore<FastProcessor> {
         {
             return None;
         }
+        // The artifact keeps the trace as long as it is cached.
+        issues.shrink_to_fit();
         let stream = IssueStream::new(issues, cfg.timings);
-        let readouts = stream
+        let mut readouts: Vec<Readout> = stream
             .measures()
             .iter()
             .filter_map(|issued| match issued.op {
@@ -709,6 +722,7 @@ impl ShotCore<FastProcessor> {
                 _ => None,
             })
             .collect();
+        readouts.shrink_to_fit();
         let trace = ReplayTrace {
             stream,
             readouts,
@@ -731,46 +745,6 @@ impl ShotCore<FastProcessor> {
             && daq.contended_results() == self.daq.contended_results();
         debug_assert!(reproduced, "replay missed a recorded shot's stop");
         reproduced.then_some(trace)
-    }
-
-    /// Replays `trace` as the shot that drives `qpu` with the machine
-    /// PRNG seeded `rng_seed`, leaving the result in the core's counters
-    /// and returning the backend's, for
-    /// [`finish_outcome`](Self::finish_outcome).
-    ///
-    /// Readout timing depends on when and on which line each measurement
-    /// was read out and on the jitter draws, never on outcomes. So the
-    /// trace's readout plan runs through the DAQ's demod servers first, a
-    /// jitter draw and a server decision per measurement with nothing
-    /// queued for delivery, and fixes the stop cycle before the backend
-    /// sees an operation. A shot whose stop the trace cannot tell, or
-    /// that would reach `max_cycles`, hands `qpu` back untouched, to be
-    /// simulated in full. Otherwise the backend receives the whole stream
-    /// through [`QpuBackend::replay`] and is dropped.
-    fn replay(
-        &mut self,
-        trace: &ReplayTrace,
-        mut qpu: Box<dyn QpuBackend>,
-        rng_seed: u64,
-        max_cycles: u64,
-    ) -> Result<QpuCounters, Box<dyn QpuBackend>> {
-        let cfg: &QuapeConfig = &self.job.cfg;
-        self.daq.reset();
-        self.rng = SmallRng::seed_from_u64(rng_seed);
-        let latest = trace.route(cfg, &mut self.rng, &mut self.daq);
-        let Some(stop_cycle) = trace
-            .stop_cycle(latest, cfg.clock_ns)
-            .filter(|&c| c < max_cycles)
-        else {
-            return Err(qpu);
-        };
-        self.measurements.clear();
-        let counters = qpu.replay(&trace.stream, &mut self.measurements);
-        self.cycle = stop_cycle;
-        self.issued_ops = trace.stream.ops().len() as u64;
-        self.late_issues = trace.late_issues;
-        self.late_cycles = trace.late_cycles;
-        Ok(counters)
     }
 
     /// The lowered run loop — [`StepMode::Lowered`]'s whole-shot entry
@@ -1303,11 +1277,19 @@ impl ShotOutcome<'_> {
     }
 }
 
-/// Longest issue stream a [`LoweredShotRunner`] keeps for replay (4 MiB
-/// of operations). Tenants choose the program, and a feedback-free loop
-/// can issue millions of operations within its cycle budget; a job whose
-/// stream outgrows this is simulated on every shot instead.
-const MAX_RECORDED_ISSUES: usize = 1 << 18;
+/// Longest issue stream a compiled artifact keeps for replay. Tenants
+/// choose the program, and a feedback-free loop can issue millions of
+/// operations within its cycle budget; a job whose stream outgrows this
+/// is simulated on every shot instead.
+///
+/// The cap bounds what a cached artifact holds: a trace stores its
+/// operations (16 bytes each, kept without growth slack), their
+/// measurement subsequence and one readout (16 bytes each) per
+/// measurement, so at most 48 bytes × 2^14 = 768 KiB, and a compile cache
+/// of 64 artifacts at most 48 MiB of traces. The largest stream of the
+/// benchmark workloads is about 9,100 operations (a 100 KB pulse train);
+/// the paper's kernels issue at most a few hundred.
+const MAX_RECORDED_ISSUES: usize = 1 << 14;
 
 /// One measurement of a recorded stream as the DAQ sees it: the readout
 /// line it is read out on and when its readout pulse ends.
@@ -1339,6 +1321,7 @@ struct Readout {
 /// demod-server decision per measurement); and the stream's measurement
 /// subsequence and the QPU counters it leaves, all the behavioural
 /// backend needs (an outcome draw per measurement; see [`IssueStream`]).
+#[derive(Debug)]
 struct ReplayTrace {
     /// Every operation sent to the QPU, with its issue time, in order;
     /// the measurements among them; and the QPU counters they leave.
@@ -1380,6 +1363,84 @@ impl ReplayTrace {
     }
 }
 
+/// A compiled artifact's replay verdict (see [`CompiledJob`]).
+#[derive(Debug)]
+enum Replay {
+    /// Shots replay this trace.
+    Trace(ReplayTrace),
+    /// Every shot is simulated.
+    Never,
+}
+
+/// What a replayed shot writes: the DAQ's demod servers, the machine
+/// PRNG and the measurement log. A runner builds it on its first replayed
+/// shot, apart from the simulation arena, which a runner that only
+/// replays never builds.
+struct ReplayArena {
+    daq: Daq,
+    rng: SmallRng,
+    measurements: Vec<MeasurementRecord>,
+}
+
+impl ReplayArena {
+    /// An arena sized for `trace`, so that no replay grows it.
+    fn new(job: &CompiledJob, trace: &ReplayTrace) -> Self {
+        ReplayArena {
+            daq: Daq::new(job.cfg.daq_demod_slots, job.chan.readout_lines()),
+            rng: SmallRng::seed_from_u64(0),
+            measurements: Vec::with_capacity(trace.stream.measures().len()),
+        }
+    }
+
+    /// Replays `trace` as the shot that drives `qpu` with the machine
+    /// PRNG seeded `rng_seed`. The outcome has the recorded issue count,
+    /// lateness, AWG violations and stop reason, and this shot's stop
+    /// cycle, DAQ contention, outcomes and backend counters.
+    ///
+    /// Readout timing depends on when and on which line each measurement
+    /// was read out and on the jitter draws, never on outcomes. So the
+    /// trace's readout plan runs through the DAQ's demod servers first, a
+    /// jitter draw and a server decision per measurement with nothing
+    /// queued for delivery, and fixes the stop cycle before the backend
+    /// sees an operation. A shot whose stop the trace cannot tell, or
+    /// that would reach `max_cycles`, hands `qpu` back untouched, to be
+    /// simulated in full. Otherwise the backend receives the whole stream
+    /// through [`QpuBackend::replay`] and is dropped.
+    fn replay(
+        &mut self,
+        cfg: &QuapeConfig,
+        trace: &ReplayTrace,
+        mut qpu: Box<dyn QpuBackend>,
+        rng_seed: u64,
+        max_cycles: u64,
+    ) -> Result<ShotOutcome<'_>, Box<dyn QpuBackend>> {
+        self.daq.reset();
+        self.rng = SmallRng::seed_from_u64(rng_seed);
+        let latest = trace.route(cfg, &mut self.rng, &mut self.daq);
+        let Some(stop_cycle) = trace
+            .stop_cycle(latest, cfg.clock_ns)
+            .filter(|&c| c < max_cycles)
+        else {
+            return Err(qpu);
+        };
+        self.measurements.clear();
+        let qpu = qpu.replay(&trace.stream, &mut self.measurements);
+        Ok(ShotOutcome {
+            cycles: stop_cycle,
+            ns: stop_cycle * cfg.clock_ns,
+            stop: trace.stop,
+            issued_ops: trace.stream.ops().len() as u64,
+            late_issues: trace.late_issues,
+            late_cycles: trace.late_cycles,
+            violations: qpu.violations,
+            awg_violations: trace.awg_violations,
+            daq_contended: self.daq.contended_results(),
+            qpu_makespan_ns: qpu.makespan_ns,
+            measurements: &self.measurements,
+        })
+    }
+}
+
 /// A reusable [`StepMode::Lowered`] shot arena.
 ///
 /// [`CompiledJob::shot`] rebuilds the whole per-shot state — processors,
@@ -1388,8 +1449,8 @@ impl ReplayTrace {
 /// shapes are identical from shot to shot because they derive from the
 /// job, not from the outcomes. A worker thread keeps one
 /// `LoweredShotRunner` instead and pumps shots through it; the first
-/// shot builds the state, every later one resets it **in place**
-/// (buffers cleared, tables refilled, counters zeroed) so the
+/// simulated shot builds the state, every later one resets it **in
+/// place** (buffers cleared, tables refilled, counters zeroed) so the
 /// steady-state per-shot allocation count does not depend on the
 /// program — only the backend construction and the caller's digest
 /// remain (see the `engine_heap` integration test, which pins this with
@@ -1402,14 +1463,17 @@ impl ReplayTrace {
 ///
 /// **Shot replay.** A job whose program never reads a measurement value
 /// (no `FMR`, no `MRCE`: [`LoweredProgram::reads_measurements`]) issues
-/// the same timed operation stream on every shot. The runner records
-/// that stream where the control stack issues it, on its first shot
-/// that stops `Completed` or `Halted`, and replays every later shot
-/// instead of simulating it:
+/// the same timed operation stream on every shot. While the job's
+/// artifact holds no trace, a runner records that stream where the
+/// control stack issues it, on a shot that stops `Completed` or
+/// `Halted`, and publishes it in the artifact's replay slot (see
+/// [`CompiledJob`]); the first trace published stays. From then on every
+/// runner on the artifact, a fresh runner's first shot included, replays
+/// instead of simulating, without building the simulation arena:
 ///
 /// 1. the trace's readout plan (each recorded measurement's readout
-///    line and readout-pulse end) runs through the core's own DAQ demod
-///    servers, with this shot's jitter draws, which fixes its DAQ
+///    line and readout-pulse end) runs through the runner's own DAQ
+///    demod servers, with this shot's jitter draws, which fixes its DAQ
 ///    contention and its last delivery; nothing is queued for delivery;
 /// 2. the stop cycle is the *settled* cycle (the first loop top at which
 ///    the recording saw the processor side of the stop condition hold,
@@ -1436,29 +1500,28 @@ impl ReplayTrace {
 /// `HALT` the other processors may still run, so there the rule is
 /// trusted only up to the recorded stop. These run in full instead:
 /// every shot of a job that reads measurements, whose recording fails a
-/// check, or that issues more than `MAX_RECORDED_ISSUES` (2^18)
-/// operations in a shot; shots before a trace exists; and any shot whose
-/// stop the trace cannot tell or that would reach the cycle budget.
+/// check, or that issues more than `MAX_RECORDED_ISSUES` operations in a
+/// shot; shots before a trace exists; and any shot whose stop the trace
+/// cannot tell or that would reach the cycle budget.
 pub struct LoweredShotRunner {
     job: CompiledJob,
+    /// The simulation arena, built by the first simulated shot.
     core: Option<ShotCore<FastProcessor>>,
-    trace: Option<ReplayTrace>,
-    /// False for jobs that read measurements and for jobs whose
-    /// recording failed for a reason that repeats on every shot: those
-    /// never replay.
-    recordable: bool,
+    /// The replay arena, built by the first replayed shot.
+    replay: Option<ReplayArena>,
+    /// How the last shot was covered.
+    work: HostWork,
 }
 
 impl LoweredShotRunner {
-    /// Creates an empty runner for `job` (the arena is built lazily by
-    /// the first [`run_shot`](LoweredShotRunner::run_shot)).
+    /// Creates an empty runner for `job` (each arena is built lazily by
+    /// the first [`run_shot`](LoweredShotRunner::run_shot) that needs it).
     pub fn new(job: CompiledJob) -> Self {
-        let recordable = !job.lowered.reads_measurements();
         LoweredShotRunner {
             job,
             core: None,
-            trace: None,
-            recordable,
+            replay: None,
+            work: HostWork::default(),
         }
     }
 
@@ -1471,14 +1534,12 @@ impl LoweredShotRunner {
     /// the first shot and after a replayed one, which simulates none and
     /// counts itself [`replayed`](HostWork::replayed)).
     pub fn host_work(&self) -> HostWork {
-        self.core
-            .as_ref()
-            .map_or_else(HostWork::default, |core| core.work)
+        self.work
     }
 
-    /// Runs one lean shot on the arena, driving `qpu` and seeding the
-    /// machine PRNG with `rng_seed`, and returns the borrowed outcome
-    /// digest. Equivalent to
+    /// Runs one lean shot, driving `qpu` and seeding the machine PRNG
+    /// with `rng_seed`, and returns the borrowed outcome digest.
+    /// Equivalent to
     /// `job.shot(qpu, rng_seed).report_mode(ReportMode::Lean)
     /// .run_with_mode(StepMode::Lowered, max_cycles)` reduced to its
     /// summary counters, whether the shot is simulated or replayed.
@@ -1488,22 +1549,24 @@ impl LoweredShotRunner {
         rng_seed: u64,
         max_cycles: u64,
     ) -> ShotOutcome<'_> {
-        let replayed = match (&self.trace, &mut self.core) {
-            (Some(trace), Some(core)) => core
-                .replay(trace, qpu, rng_seed, max_cycles)
-                .map(|counters| (trace.stop, trace.awg_violations, counters)),
-            _ => Err(qpu),
-        };
-        let qpu = match replayed {
-            Ok((stop, awg_violations, counters)) => {
-                let core = self.core.as_mut().expect("replayed on the arena");
-                core.work = HostWork {
-                    replayed: 1,
-                    ..HostWork::default()
-                };
-                return core.finish_outcome(stop, awg_violations, counters);
+        let cfg: &QuapeConfig = &self.job.cfg;
+        let qpu = match self.job.replay.get() {
+            Some(Replay::Trace(trace)) => {
+                let arena = self
+                    .replay
+                    .get_or_insert_with(|| ReplayArena::new(&self.job, trace));
+                match arena.replay(cfg, trace, qpu, rng_seed, max_cycles) {
+                    Ok(outcome) => {
+                        self.work = HostWork {
+                            replayed: 1,
+                            ..HostWork::default()
+                        };
+                        return outcome;
+                    }
+                    Err(qpu) => qpu,
+                }
             }
-            Err(qpu) => qpu,
+            _ => qpu,
         };
         match &mut self.core {
             Some(core) => core.reset_for_shot(qpu, rng_seed),
@@ -1511,7 +1574,7 @@ impl LoweredShotRunner {
         }
         let core = self.core.as_mut().expect("core just ensured");
         core.set_report_mode(ReportMode::Lean);
-        let record = self.trace.is_none() && self.recordable;
+        let record = self.job.replay.get().is_none();
         if record {
             // The core's issue record is the stream later shots replay.
             core.issued.record = true;
@@ -1519,16 +1582,25 @@ impl LoweredShotRunner {
         }
         let stop = core.run_fast_loop(max_cycles);
         if record {
-            self.trace = core.take_trace(stop, rng_seed);
             // A shot cut short by the budget (or an error) may be followed
             // by one that completes; any other reason to keep no trace
-            // would repeat on every shot.
-            self.recordable = self.trace.is_some()
-                || (!matches!(stop, StopReason::Completed | StopReason::Halted)
-                    && core.issued_ops <= MAX_RECORDED_ISSUES as u64);
+            // would repeat on every shot. A runner that loses the race to
+            // publish drops its own trace: any published one is exact.
+            let verdict = match core.take_trace(stop, rng_seed) {
+                Some(trace) => Some(Replay::Trace(trace)),
+                None if matches!(stop, StopReason::Completed | StopReason::Halted)
+                    || core.issued_ops > MAX_RECORDED_ISSUES as u64 =>
+                {
+                    Some(Replay::Never)
+                }
+                None => None,
+            };
+            if let Some(verdict) = verdict {
+                let _ = self.job.replay.set(verdict);
+            }
         }
-        let awg_violations = core.awg.violations().len() as u64;
-        core.finish_outcome(stop, awg_violations, QpuCounters::of(&*core.qpu))
+        self.work = core.work;
+        core.finish_outcome(stop)
     }
 }
 
@@ -1896,12 +1968,16 @@ mod tests {
                     .cycles;
                 assert_eq!(replayed, fresh, "shot {shot}");
             }
-            (runner.trace.is_some(), runner.recordable)
+            match job.replay.get() {
+                Some(Replay::Trace(_)) => "trace",
+                Some(Replay::Never) => "never",
+                None => "undecided",
+            }
         };
-        assert_eq!(run(gate_loop(4, 8), 2), (true, true));
-        let (outer, inner) = (40, 1000);
+        assert_eq!(run(gate_loop(4, 8), 2), "trace");
+        let (outer, inner) = (4, 1000);
         assert!(outer as usize * inner as usize * 8 > MAX_RECORDED_ISSUES);
-        assert_eq!(run(gate_loop(outer, inner), 2), (false, false));
+        assert_eq!(run(gate_loop(outer, inner), 2), "never");
     }
 
     #[test]

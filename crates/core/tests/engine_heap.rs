@@ -8,6 +8,10 @@
 //! ones (a feedback-free program, whose later shots replay the first
 //! one's issue stream).
 //!
+//! A whole warmed batch pays per shot too: `ShotEngine::run` on the
+//! caller and a pooled helper allocates once per replayed shot plus a
+//! constant that does not grow with the program.
+//!
 //! The whole file is one test on purpose: the counting allocator is
 //! global, and concurrently running tests' allocations would pollute
 //! the counts.
@@ -83,6 +87,42 @@ fn measure_train(rounds: usize) -> Program {
 fn reused_scratch_reaches_an_allocation_fixed_point() {
     assert_fixed_point("fmr chain", fmr_chain(64), 8);
     assert_fixed_point("replayed measure train", measure_train(64), 1);
+    assert_batch_pays_per_shot();
+}
+
+/// Allocations a warmed batch may make beyond one per shot: the shared
+/// batch state, and per thread an accumulator and a replay arena. It
+/// measured 20 for both programs here; with a thread spawned per batch,
+/// and each thread building an arena and recording its own trace, it was
+/// 137 and 177.
+const BATCH_OVERHEAD: u64 = 32;
+
+/// A warmed `ShotEngine::run` of a replayed job on two threads allocates
+/// at most once per shot (the boxed backend) plus [`BATCH_OVERHEAD`],
+/// for a small and a 16x larger program alike.
+fn assert_batch_pays_per_shot() {
+    const N: u64 = 256;
+    let overhead = |program: Program| {
+        let cfg = QuapeConfig::uniprocessor().with_seed(7);
+        let job = CompiledJob::compile(cfg.clone(), program).expect("job compiles");
+        let factory =
+            BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
+        let engine = ShotEngine::new(job, factory).base_seed(7).threads(2);
+        // Warm-up: grows the helper pool and records the artifact's trace.
+        let warm = engine.run(N);
+        let before = allocs();
+        let report = engine.run(N);
+        let spent = allocs() - before;
+        assert_eq!(report.aggregate, warm.aggregate);
+        spent.checked_sub(N).expect("a shot allocates its backend")
+    };
+    for rounds in [64, 1024] {
+        let extra = overhead(measure_train(rounds));
+        assert!(
+            extra <= BATCH_OVERHEAD,
+            "a warmed 2-thread batch of measure_train({rounds}) allocated {extra} times beyond one per shot (bound {BATCH_OVERHEAD})"
+        );
+    }
 }
 
 /// Checks the fixed point of `program`'s shots and that a warmed shot

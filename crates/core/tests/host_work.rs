@@ -5,13 +5,14 @@
 //! seed, so a change in how the loop pays for a feedback round shows up
 //! here as a changed number, and every shot obeys the law
 //! stepped + run + skipped = cycles. Over a batch, every shot is counted
-//! once, replayed or simulated.
+//! once, replayed or simulated, and a job is simulated once per compiled
+//! artifact, whichever runner takes its shots.
 
 use quape_core::{
     CompiledJob, HostWork, LoweredShotRunner, QpuBackend, QuapeConfig, ReportMode, ShotAccumulator,
     StepMode,
 };
-use quape_isa::{Program, QuantumOp, Qubit};
+use quape_isa::{ClassicalOp, Cond, Gate1, Program, ProgramBuilder, QuantumOp, Qubit, Reg};
 use quape_qpu::{BehavioralQpu, MeasurementModel, TimingViolation};
 use quape_workloads::feedback::{feedback_chain, mrce_feedback_chain};
 use rand::rngs::SmallRng;
@@ -149,6 +150,117 @@ fn replayed_plus_simulated_shots_is_shots() {
     }
     assert_eq!(replayed + simulated, SHOTS);
     assert_eq!(simulated, 1, "only the first shot is simulated");
+}
+
+/// The trace belongs to the compiled artifact: a second runner on a
+/// clone of the job replays its very first shot, without simulating a
+/// cycle.
+#[test]
+fn a_second_runner_on_the_artifact_replays_its_first_shot() {
+    let program =
+        quape_isa::assemble("0 H q0\n2 MEAS q0\n0 X q1\n3 MEAS q1\nSTOP\n").expect("assembles");
+    let cfg = QuapeConfig::uniprocessor();
+    let job = CompiledJob::compile(cfg.clone(), program).expect("compiles");
+    let mut first = LoweredShotRunner::new(job.clone());
+    first.run_shot(coin(&cfg, 1), 1, u64::MAX);
+    assert_eq!(first.host_work().replayed, 0, "the first runner records");
+    let mut second = LoweredShotRunner::new(job.clone());
+    let replayed = second.run_shot(coin(&cfg, 2), 2, u64::MAX).cycles;
+    assert_eq!(
+        second.host_work(),
+        HostWork {
+            replayed: 1,
+            ..HostWork::default()
+        }
+    );
+    assert_eq!(second.host_work().cycles(), 0);
+    let oracle = job
+        .shot(coin(&cfg, 2), 2)
+        .report_mode(ReportMode::Lean)
+        .run_with_mode(StepMode::Cycle, u64::MAX);
+    assert_eq!(replayed, oracle.cycles);
+}
+
+/// The ledger law across two runners taking a batch's shots in turn:
+/// replayed + simulated = shots, and once the first shot has recorded,
+/// no runner simulates again.
+#[test]
+fn two_runners_simulate_one_shot_between_them() {
+    const SHOTS: u64 = 24;
+    let program =
+        quape_isa::assemble("0 H q0\n0 X q1\n2 MEAS q0\n0 MEAS q1\n0 MEAS q2\n4 MEAS q0\nSTOP\n")
+            .expect("assembles");
+    let mut cfg = QuapeConfig::superscalar(8)
+        .with_readout_lines(1)
+        .with_demod_slots(2);
+    cfg.daq_jitter_ns = 30;
+    let job = CompiledJob::compile(cfg.clone(), program).expect("compiles");
+    let mut runners = [
+        LoweredShotRunner::new(job.clone()),
+        LoweredShotRunner::new(job),
+    ];
+    let (mut replayed, mut simulated) = (0, 0);
+    for shot in 0..SHOTS {
+        let runner = &mut runners[(shot % 2) as usize];
+        let cycles = runner.run_shot(coin(&cfg, shot), shot, u64::MAX).cycles;
+        let work = runner.host_work();
+        replayed += work.replayed;
+        simulated += u64::from(cycles > 0 && work.cycles() == cycles);
+    }
+    assert_eq!(replayed + simulated, SHOTS);
+    assert_eq!(simulated, 1, "only the artifact's first shot is simulated");
+}
+
+/// `outer × inner × 8` single-qubit gates in two counted loops, no
+/// feedback.
+fn gate_loop(outer: i16, inner: i16) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.push(ClassicalOp::Ldi {
+        rd: Reg::new(2),
+        imm: outer,
+    });
+    b.label("outer");
+    b.push(ClassicalOp::Ldi {
+        rd: Reg::new(1),
+        imm: inner,
+    });
+    b.label("inner");
+    for q in 0..8 {
+        b.quantum(1, QuantumOp::Gate1(Gate1::X, Qubit::new(q % 4)));
+    }
+    for (reg, label) in [(1, "inner"), (2, "outer")] {
+        b.push(ClassicalOp::Addi {
+            rd: Reg::new(reg),
+            rs: Reg::new(reg),
+            imm: -1,
+        });
+        b.cmpi(reg, 0);
+        b.br_to(Cond::Ne, label);
+    }
+    b.push(ClassicalOp::Stop);
+    b.finish().expect("valid loop program")
+}
+
+/// A feedback-free job whose stream is longer than a trace may be (32,000
+/// operations, past the 2^14 cap) is simulated on every shot, and its
+/// artifact keeps no trace: a fresh runner on a clone simulates too.
+#[test]
+fn a_stream_past_the_cap_is_simulated_on_every_shot() {
+    let cfg = QuapeConfig::superscalar(4);
+    let job = CompiledJob::compile(cfg.clone(), gate_loop(4, 1000)).expect("compiles");
+    let mut runner = LoweredShotRunner::new(job.clone());
+    for shot in 0..3 {
+        let outcome = runner.run_shot(coin(&cfg, shot), shot, u64::MAX);
+        assert_eq!(outcome.issued_ops, 32_000);
+        let cycles = outcome.cycles;
+        let work = runner.host_work();
+        assert_eq!(work.replayed, 0, "shot {shot}");
+        assert_eq!(work.cycles(), cycles, "shot {shot} is simulated");
+    }
+    let mut fresh = LoweredShotRunner::new(job);
+    let cycles = fresh.run_shot(coin(&cfg, 3), 3, u64::MAX).cycles;
+    assert_eq!(fresh.host_work().replayed, 0);
+    assert_eq!(fresh.host_work().cycles(), cycles, "no trace to replay");
 }
 
 /// A user backend written against the trait's required methods alone:

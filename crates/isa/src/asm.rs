@@ -75,7 +75,7 @@ impl From<ProgramError> for AsmError {
 /// # Ok::<(), quape_isa::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
-    let mut b = ProgramBuilder::new();
+    let mut b = ProgramBuilder::with_capacity(instruction_bound(source));
     for (idx, code) in code_lines(source).enumerate() {
         let line_no = idx + 1;
         let line = trim(code);
@@ -85,6 +85,27 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         parse_line(&mut b, line, line_no)?;
     }
     b.finish().map_err(AsmError::from)
+}
+
+/// The shortest text that holds an instruction: `NOP` and its line end.
+const MIN_INSTRUCTION_BYTES: usize = 4;
+
+/// How many instructions `source` can assemble to, for sizing the
+/// builder: no line pushes more than one, and no instruction is shorter
+/// than [`MIN_INSTRUCTION_BYTES`]. The second bound keeps text of blank
+/// or comment lines from reserving more than 8 bytes of instruction and
+/// step-map slots (32 bytes per instruction) per byte of text.
+fn instruction_bound(source: &str) -> usize {
+    // Counted in 128-byte chunks, whose byte-wide sums cannot overflow
+    // and which the compiler vectorizes (a plain `filter().count()` runs
+    // byte by byte, about 20 times slower).
+    let ends: usize = source
+        .as_bytes()
+        .chunks(128)
+        .map(|chunk| usize::from(chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+        .sum();
+    let lines = ends + usize::from(!source.ends_with('\n'));
+    lines.min(source.len() / MIN_INSTRUCTION_BYTES + 1)
 }
 
 /// The lines of `source` (split as [`str::lines`] splits them; a `\r`
@@ -802,6 +823,29 @@ fn parse_classical(
 mod tests {
     use super::*;
     use crate::block::Dependency;
+
+    #[test]
+    fn the_builder_is_sized_from_the_text() {
+        // One instruction per line: the program keeps no growth slack.
+        let text = "0 H q0\n2 MEAS q0\n".repeat(500) + "STOP\n";
+        let p = assemble(&text).unwrap();
+        assert_eq!(p.len(), 1001);
+        let lines = text.lines().count();
+        assert_eq!(p.capacity(), (lines, lines));
+        // A megabyte of blank and comment lines around one instruction
+        // reserves at most a quarter slot per byte of text (8 bytes of
+        // instruction and step-map slots), not a slot per line.
+        let hostile = "\n".repeat(1 << 19) + &"#\n".repeat(1 << 18) + "STOP";
+        let p = assemble(&hostile).unwrap();
+        assert_eq!(p.len(), 1);
+        let (instructions, steps) = p.capacity();
+        assert_eq!(instructions, steps);
+        assert!(
+            instructions <= hostile.len() / 4 + 1 && instructions < hostile.lines().count() / 2,
+            "{instructions} slots for {} bytes",
+            hostile.len()
+        );
+    }
 
     #[test]
     fn paper_listing_parses() {

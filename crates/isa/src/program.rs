@@ -119,6 +119,12 @@ pub struct Program {
 }
 
 impl Program {
+    /// Slots allocated for the instruction vector and the step map.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> (usize, usize) {
+        (self.instructions.capacity(), self.step_map.capacity())
+    }
+
     /// Creates a block-less program (a single implicit block).
     ///
     /// # Errors
@@ -428,6 +434,17 @@ impl ProgramBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty builder with room for `instructions`
+    /// instructions, so that a program of at most that many is built
+    /// without growing the builder's vectors.
+    pub(crate) fn with_capacity(instructions: usize) -> Self {
+        ProgramBuilder {
+            instructions: Vec::with_capacity(instructions),
+            step_map: Vec::with_capacity(instructions),
+            ..Self::default()
+        }
     }
 
     /// Current instruction address (where the next `push` will land).

@@ -434,6 +434,20 @@ pub(crate) struct RouterInner {
     finish_hook: Mutex<Option<RouterFinishHook>>,
     steal_stop: Mutex<bool>,
     steal_cond: Condvar,
+    #[cfg(test)]
+    landing_hold: LandingHold,
+}
+
+/// A test hold point before a landing maps its job: while armed, the
+/// landing waits until the shard has finalized the job and the shard's
+/// finish hook has found no mapping for it, so a test reaches the
+/// finished-before-mapped branch of `move_onto_shard` deterministically.
+#[cfg(test)]
+#[derive(Default)]
+struct LandingHold {
+    armed: std::sync::atomic::AtomicBool,
+    /// Shard results whose finish hook found no mapped job.
+    unmapped: AtomicUsize,
 }
 
 /// The fault-tolerant sharded front router. See the
@@ -495,6 +509,8 @@ impl Router {
             finish_hook: Mutex::new(None),
             steal_stop: Mutex::new(false),
             steal_cond: Condvar::new(),
+            #[cfg(test)]
+            landing_hold: LandingHold::default(),
         });
         // Each shard reports completions straight into the registry.
         // The hook holds a Weak so a leaked handle cannot keep the
@@ -1087,6 +1103,14 @@ impl RouterInner {
             Move::Reroute { .. } => self.obs.rerouted.inc(),
             Move::Steal { .. } => self.obs.stolen.inc(),
         }
+        #[cfg(test)]
+        if self.landing_hold.armed.load(Ordering::SeqCst) {
+            let unmapped = self.landing_hold.unmapped.load(Ordering::SeqCst);
+            let _ = handle.wait();
+            while self.landing_hold.unmapped.load(Ordering::SeqCst) == unmapped {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
         let landed = {
             let mut table = self.lock_jobs();
             let id = match mv {
@@ -1143,6 +1167,8 @@ impl RouterInner {
         };
         let mut table = self.lock_jobs();
         let Some(&fleet_id) = table.by_server.get(&(shard, result.id)) else {
+            #[cfg(test)]
+            self.landing_hold.unmapped.fetch_add(1, Ordering::SeqCst);
             return; // Revoked (stolen/re-routed) or not yet mapped.
         };
         let Some(user_cancelled) = table.live_mut(fleet_id).map(|live| live.user_cancelled) else {
@@ -1526,6 +1552,42 @@ mod tests {
         }
         assert_laws(&router);
         router.drain().expect("drains");
+    }
+
+    /// A job that finishes on its shard before the landing maps it: the
+    /// shard's finish hook finds no mapping, so only the landing's own
+    /// finished check can fold the result in.
+    #[test]
+    fn a_job_finished_before_it_is_mapped_turns_terminal() {
+        let router = small_fleet(2);
+        router
+            .inner
+            .landing_hold
+            .armed
+            .store(true, Ordering::SeqCst);
+        let handle = router
+            .submit(coin_job("early", 6, 21))
+            .expect("submits")
+            .handle;
+        router
+            .inner
+            .landing_hold
+            .armed
+            .store(false, Ordering::SeqCst);
+        assert!(router.inner.landing_hold.unmapped.load(Ordering::SeqCst) >= 1);
+        let result = handle
+            .wait_timeout(Duration::from_secs(10))
+            .expect("terminal once landed")
+            .expect("completes");
+        assert!(!result.cancelled);
+        assert_eq!(result.aggregate, coin_solo(6, 21));
+        assert!(handle.is_finished());
+        assert_laws(&router);
+        let results = router.drain().expect("drains");
+        assert_eq!(
+            results[0].result.as_ref().expect("ok").aggregate,
+            result.aggregate
+        );
     }
 
     #[test]

@@ -1570,11 +1570,14 @@ impl JobServer {
     /// panics from user-supplied factories/backends per member: a
     /// panicking range fails its member (cancelled, prefix-consistent
     /// partial) without touching the other members of the pack or
-    /// hanging the drain. One [`WorkerScratch`] spans the whole claim,
-    /// so members running the same compiled job (one compile-cache
-    /// entry) share a prepared lowered runner and its replay trace.
-    fn execute_claim(&self, worker: u32, claim: Claim) {
-        let mut scratch = WorkerScratch::default();
+    /// hanging the drain. The claim runs on the worker's own
+    /// [`WorkerScratch`], which the worker keeps for its whole life: the
+    /// next claim of the same compiled job (one compile-cache entry)
+    /// reuses its prepared lowered runner. A feedback-free job's replay
+    /// trace lives on the cached artifact itself, so a cache hit replays
+    /// from its first shot on any worker. After an unwind the scratch
+    /// is reset, since it may hold mid-shot state.
+    fn execute_claim(&self, worker: u32, claim: Claim, scratch: &mut WorkerScratch) {
         let mut batches = Vec::with_capacity(claim.units.len());
         for unit in claim.units {
             let shots = unit.range.end - unit.range.start;
@@ -1582,7 +1585,7 @@ impl JobServer {
             let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut acc = ShotAccumulator::default();
                 for shot in unit.range.clone() {
-                    unit.engine.run_shot_reusing(shot, &mut scratch, &mut acc);
+                    unit.engine.run_shot_reusing(shot, scratch, &mut acc);
                 }
                 acc
             }));
@@ -1604,7 +1607,7 @@ impl JobServer {
                 Err(_) => {
                     // The scratch may hold arbitrary mid-shot state
                     // after an unwind; start the next member fresh.
-                    scratch = WorkerScratch::default();
+                    *scratch = WorkerScratch::default();
                     self.fail_member(claim.entry, unit.member, shots);
                 }
             }
@@ -1814,6 +1817,7 @@ impl JobServer {
     fn try_pack_then_claim<'a>(
         &self,
         worker: u32,
+        scratch: &mut WorkerScratch,
         mut guard: MutexGuard<'a, SchedState>,
     ) -> Result<(), MutexGuard<'a, SchedState>> {
         if let Some(group) = self.scan_pack_group(&mut guard) {
@@ -1829,15 +1833,16 @@ impl JobServer {
         // The claim-path reap finalizes under the lock; surface those
         // completions before (and after) the quantum runs.
         self.flush_finish_hooks();
-        self.execute_claim(worker, claim);
+        self.execute_claim(worker, claim, scratch);
         Ok(())
     }
 
     /// Batch worker: claim until the queue has nothing claimable, then
     /// exit (the [`run`](JobServer::run) drain).
     fn worker_loop(&self, worker: u32) {
+        let mut scratch = WorkerScratch::new();
         loop {
-            match self.try_pack_then_claim(worker, self.lock_state()) {
+            match self.try_pack_then_claim(worker, &mut scratch, self.lock_state()) {
                 Ok(()) => {}
                 Err(guard) => {
                     drop(guard);
@@ -1852,9 +1857,10 @@ impl JobServer {
     /// Streaming worker: park on the condvar when idle; exit on
     /// shutdown, or when draining finds the queue empty.
     fn serving_loop(&self, worker: u32) {
+        let mut scratch = WorkerScratch::new();
         let mut st = self.lock_state();
         loop {
-            match self.try_pack_then_claim(worker, st) {
+            match self.try_pack_then_claim(worker, &mut scratch, st) {
                 Ok(()) => {
                     st = self.lock_state();
                     continue;
